@@ -69,22 +69,22 @@ def _run_task(task):
     return run_check(check, kind, l, mode_bound)
 
 
-def _all_tasks(l_values):
+def _all_tasks(l_values, mode_bound):
     tasks = []
     for l in l_values:
         tasks.append(("singular", "B", l, None))
         tasks.append(("singular", "D", l, None))
         tasks.append(("embedding", None, l, None))
         tasks.append(("conformal", None, l, None))
-        tasks.append(("admissible", "D", l, None))
+        tasks.append(("admissible", "D", l, mode_bound))
         tasks.append(("appendix", None, l, None))
         if l == 4:
             tasks.append(("triality", None, l, None))
     return tasks
 
 
-def run_all(l_values, jobs):
-    tasks = _all_tasks(l_values)
+def run_all(l_values, jobs, mode_bound=None):
+    tasks = _all_tasks(l_values, mode_bound)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_task, tasks))
@@ -207,6 +207,13 @@ def _validate(parser, args):
         parser.error("--jobs must be positive")
     if args.mode_bound is not None and args.mode_bound < 1:
         parser.error("--mode-bound must be positive")
+    if check in ("admissible", "all") and args.mode_bound is None:
+        try:
+            args.mode_bound = weights.mode_bound_from_env()
+        except ValueError as exc:
+            parser.error(str(exc))
+    if check == "all" and args.strict:
+        parser.error("--strict applies to 'verify singular' only")
     if check == "singular" and args.type is None:
         parser.error("'verify singular' needs --type B or --type D")
     if check == "triality" and args.l != 4:
@@ -232,7 +239,7 @@ def main(argv=None):
 
     if args.check == "all":
         lo, hi = args.l_range
-        report = run_all(range(lo, hi + 1), args.jobs)
+        report = run_all(range(lo, hi + 1), args.jobs, args.mode_bound)
     else:
         report = run_check(args.check, args.type, args.l,
                            mode_bound=args.mode_bound, strict=args.strict)

@@ -239,21 +239,36 @@ class LieAlgebra:
         return {i: c for i, c in out.items() if c}
 
     def _build_bracket_table(self):
+        """Row i maps j to the nonzero [x_i, x_j] as sorted (index, coeff) pairs.
+
+        [x_i, x_j] has weight w_i + w_j and the basis carries only the roots
+        and 0, so pairs whose weight sum is neither bracket to zero and are
+        not commuted; the Clifford algebra fixes every sign of the rest.
+        Equal structure constants share one Fraction object.
+        """
         n = self.dim
-        table = [[()] * n for _ in range(n)]
+        weights = [self.weight(i) for i in range(n)]
+        carried = set(weights)
+        shared = {}
+        table = [{} for _ in range(n)]
         for i in range(n):
             xi = self._realization[i]
             for j in range(i + 1, n):
+                w = tuple(a + b for a, b in zip(weights[i], weights[j]))
+                if w not in carried:
+                    continue
                 dec = self._decompose(xi.commutator(self._realization[j]))
                 if dec:
-                    items = tuple(sorted(dec.items()))
+                    items = tuple((k, shared.setdefault(c, c))
+                                  for k, c in sorted(dec.items()))
                     table[i][j] = items
-                    table[j][i] = tuple((k, -c) for k, c in items)
+                    table[j][i] = tuple((k, shared.setdefault(-c, -c))
+                                        for k, c in items)
         return table
 
     def bracket(self, i, j):
         """[x_i, x_j] as a sparse tuple of (basis index, coefficient)."""
-        return self._brackets[i][j]
+        return self._brackets[i].get(j, ())
 
     def bracket_elem(self, x, y):
         """Bracket of sparse elements {index: coeff}."""
@@ -261,7 +276,7 @@ class LieAlgebra:
         for i, ci in x.items():
             row = self._brackets[i]
             for j, cj in y.items():
-                for k, c in row[j]:
+                for k, c in row.get(j, ()):
                     out[k] = out.get(k, Fraction(0)) + ci * cj * c
         return {k: c for k, c in out.items() if c}
 
@@ -343,11 +358,9 @@ class LieAlgebra:
     def to_dump(self):
         """Plain-data description: basis, bracket table, invariant form, roots."""
         brackets = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                items = self._brackets[i][j]
-                if items:
-                    brackets.append([i, j, [[k, str(c)] for k, c in items]])
+        for i, row in enumerate(self._brackets):
+            for j in sorted(row):
+                brackets.append([i, j, [[k, str(c)] for k, c in row[j]]])
         form = []
         for i in range(self.dim):
             for j in range(i, self.dim):

@@ -229,33 +229,37 @@ def enumerate_monomials(alg, degree, weight=None):
 
     A canonical monomial is a nondecreasing tuple of (mode, index) factors
     with all modes negative; degree is the sum of -mode.  With weight set,
-    only monomials whose index weights sum to it are kept.
+    only monomials whose index weights sum to it are kept, and the walk
+    carries the residual weight still to be reached.  Every basis weight has
+    L1 norm at most 2 and every factor uses at least one unit of degree, so a
+    branch whose residual has L1 norm above twice the remaining degree is
+    cut: it cannot reach the weight.  Pruning never reorders the output.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     dim = alg.dim
     weights = [alg.weight(x) for x in range(dim)]
-    zero = (0,) * alg.l
     out = []
     mono = []
 
-    def rec(remaining, floor, acc):
+    def rec(remaining, floor, residual):
         if remaining == 0:
-            if weight is None or acc == tuple(weight):
+            if residual is None or not any(residual):
                 out.append(tuple(mono))
             return
-        for n in range(-remaining, 0):
-            for x in range(dim):
-                entry = (n, x)
-                if entry < floor:
+        for n in range(max(floor[0], -remaining), 0):
+            left = remaining + n
+            for x in range(floor[1] if n == floor[0] else 0, dim):
+                rest = None if residual is None else tuple(
+                    r - w for r, w in zip(residual, weights[x]))
+                if rest is not None and sum(map(abs, rest)) > 2 * left:
                     continue
+                entry = (n, x)
                 mono.append(entry)
-                wx = weights[x]
-                rec(remaining + n, entry,
-                    acc if wx == zero else tuple(a + b for a, b in zip(acc, wx)))
+                rec(left, entry, rest)
                 mono.pop()
 
-    rec(degree, (-degree, 0), zero)
+    rec(degree, (-degree, 0), None if weight is None else tuple(weight))
     return out
 
 

@@ -44,11 +44,12 @@ class VermaModule:
         return PBWState(self, {})
 
     def state(self, terms):
-        """State from {monomial: coeff}; monomials must already be canonical."""
+        """State from {monomial: coeff}; monomials must be canonical (sorted,
+        every mode negative)."""
         out = {}
         for mono, c in terms.items():
             mono = tuple(mono)
-            if list(mono) != sorted(mono):
+            if list(mono) != sorted(mono) or any(n >= 0 for n, _ in mono):
                 raise ValueError("monomial %r is not canonical" % (mono,))
             c = Fraction(c)
             if c:
@@ -290,10 +291,8 @@ class PBWState:
                     raise ValueError("bad factor role %r" % (role,))
                 mono.append((n, idx))
             mono = tuple(mono)
-            if list(mono) != sorted(mono):
-                raise ValueError("non-canonical monomial in serialized state")
             terms[mono] = terms.get(mono, _ZERO) + Fraction(item["coeff"])
-        return cls(module, terms)
+        return module.state(terms)
 
     def __repr__(self):
         if not self.terms:

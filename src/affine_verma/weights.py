@@ -33,9 +33,13 @@ def mode_bound_from_env(default=DEFAULT_MODE_BOUND):
     raw = os.environ.get(MODE_BOUND_ENV)
     if raw is None:
         return default
-    value = int(raw)
-    if value < 1:
-        raise ValueError("%s must be a positive integer" % MODE_BOUND_ENV)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise ValueError("%s must be a positive integer, got %r"
+                         % (MODE_BOUND_ENV, raw))
     return value
 
 

@@ -19,6 +19,49 @@ def sparse_bracket(alg, left, right):
     return {k: c for k, c in out.items() if c}
 
 
+def leaf_filtered_monomials(alg, degree, weight=None):
+    """Reference for singular.enumerate_monomials: the unpruned walk.
+
+    Visits every canonical monomial of the degree in the same order and
+    tests the weight only at the leaves.
+    """
+    dim = alg.dim
+    weights = [alg.weight(x) for x in range(dim)]
+    zero = (0,) * alg.l
+    out = []
+    mono = []
+
+    def rec(remaining, floor, acc):
+        if remaining == 0:
+            if weight is None or acc == tuple(weight):
+                out.append(tuple(mono))
+            return
+        for n in range(-remaining, 0):
+            for x in range(dim):
+                entry = (n, x)
+                if entry < floor:
+                    continue
+                mono.append(entry)
+                wx = weights[x]
+                rec(remaining + n, entry,
+                    acc if wx == zero else tuple(a + b for a, b in zip(acc, wx)))
+                mono.pop()
+
+    rec(degree, (-degree, 0), zero)
+    return out
+
+
+def full_bracket_table(alg):
+    """Every basis commutator, decomposed with no weight filter: {(i, j): items}."""
+    table = {}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            comm = alg.realization(i).commutator(alg.realization(j))
+            dec = alg._decompose(comm)
+            table[i, j] = tuple(sorted(dec.items()))
+    return table
+
+
 def exhaustive_jacobi(alg, limit=5):
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] over all basis triples."""
     bad = []

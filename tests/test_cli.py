@@ -49,6 +49,7 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "all", "--l-range", "2..4"],
         ["verify", "singular", "--type", "B", "--l", "4", "--jobs", "0"],
         ["verify", "admissible", "--l", "4", "--mode-bound", "0"],
+        ["verify", "all", "--l", "4", "--strict"],
     ]
     for argv in cases:
         assert cli.main(argv) == 2, argv
@@ -200,6 +201,26 @@ def test_mode_bound_env_and_flag_priority():
                        "--mode-bound", "30",
                        env={"AFFINE_VERMA_MODE_BOUND": "25"})
     assert json.loads(flag_run.stdout)["mode_bound"] == 30
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-3", ""])
+@pytest.mark.parametrize("check", ["admissible", "all"])
+def test_bad_mode_bound_env_is_usage_error(capsys, monkeypatch, raw, check):
+    monkeypatch.setenv("AFFINE_VERMA_MODE_BOUND", raw)
+    assert cli.main(["verify", check, "--l", "4", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "AFFINE_VERMA_MODE_BOUND must be a positive integer" in err
+
+
+def test_verify_all_passes_mode_bound(capsys, monkeypatch):
+    monkeypatch.setenv("AFFINE_VERMA_MODE_BOUND", "25")
+    for argv, bound in ((["--mode-bound", "30"], 30), ([], 25)):
+        code, rep = main_json(capsys, "verify", "all", "--l", "4",
+                              "--jobs", "1", *argv)
+        assert code == 0
+        bounds = [r["mode_bound"] for r in rep["reports"]
+                  if r["check"] == "admissible"]
+        assert bounds == [bound]
 
 
 def test_verify_all_default_range(capsys):

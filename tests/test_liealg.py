@@ -171,3 +171,21 @@ def test_bracket_elem_matches_table(alg, rng):
         j = rng.randrange(alg.dim)
         got = helpers.sparse_bracket(alg, {i: Fraction(1)}, {j: Fraction(1)})
         assert got == dict(alg.bracket(i, j))
+
+
+@verifies("clifford-realization")
+@pytest.mark.parametrize("kind", ["B", "D"])
+@pytest.mark.parametrize("l", [4, 5, 6])
+def test_weight_pruned_table_is_sound(kind, l):
+    alg = liealg.algebra(kind, l)
+    full = helpers.full_bracket_table(alg)
+    carried = {alg.weight(k) for k in range(alg.dim)}
+    skipped = [
+        (i, j) for i, j in full
+        if tuple(a + b for a, b in zip(alg.weight(i), alg.weight(j)))
+        not in carried
+    ]
+    assert skipped
+    # the builder never commutes these pairs; the Clifford algebra agrees
+    assert [p for p in skipped if full[p]] == []
+    assert [p for p, items in full.items() if alg.bracket(*p) != items] == []

@@ -1,10 +1,13 @@
 """Singular vectors: annihilation, profiles, and the independent solver."""
 
+import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from affine_verma import liealg, singular, verma
+import helpers
+from affine_verma import cli, liealg, singular, verma
 from affine_verma.claims import verifies
 
 
@@ -122,6 +125,39 @@ def test_enumerate_monomials_brute_force_check():
             if w == weight:
                 pairs += 1
     assert len(monos) == singles + pairs
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+@pytest.mark.parametrize("l", [4, 5])
+def test_pruned_enumeration_matches_leaf_filter(kind, l):
+    alg = liealg.algebra(kind, l)
+    zero = (0,) * l
+    for degree in range(1, 5):
+        unreachable = (degree + 1,) + zero[1:]
+        targets = [None, zero, tuple(2 * c for c in alg.rs(1)),
+                   tuple(2 * c for c in alg.theta), alg.rm(1, 2), unreachable]
+        for weight in targets:
+            got = singular.enumerate_monomials(alg, degree, weight)
+            assert got == helpers.leaf_filtered_monomials(alg, degree, weight), \
+                (degree, weight)
+        assert singular.enumerate_monomials(alg, degree, unreachable) == []
+
+
+@verifies("singular-vector-B", "singular-vector-D")
+@pytest.mark.parametrize("kind", ["B", "D"])
+@pytest.mark.parametrize("l", [7, 8])
+def test_strict_oracle_at_higher_rank(capsys, kind, l):
+    # each takes under 2 s on a 2-core machine; without weight pruning
+    # in the enumerator, D_8 took about 25 s
+    start = time.perf_counter()
+    code = cli.main(["verify", "singular", "--type", kind, "--l", str(l),
+                     "--strict"])
+    elapsed = time.perf_counter() - start
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0 and rep["passed"] is True
+    assert rep["oracle"]["dimension"] == 1
+    assert rep["oracle"]["contains_vector"] is True
+    assert elapsed < 15, elapsed
 
 
 @verifies("singular-vector-B")

@@ -28,6 +28,20 @@ def test_nonnegative_modes_kill_vacuum(module):
             assert module.apply(x, n, vac).is_zero()
 
 
+def test_nonnegative_mode_monomials_rejected(module):
+    # e(1-2)(0)|0> is zero in the module, so it is no canonical monomial
+    label = liealg.root_label(module.alg.rm(1, 2))
+    x = module.alg.e_index(module.alg.rm(1, 2))
+    module.state({((-1, x),): 1})
+    for mono in (((0, x),), ((-1, x), (0, x)), ((-2, x), (1, x))):
+        with pytest.raises(ValueError):
+            module.state({mono: 1})
+        obj = [{"coeff": "1",
+                "monomial": [["e", label, n] for n, _ in mono]}]
+        with pytest.raises(ValueError):
+            PBWState.from_obj(module, obj)
+
+
 def test_central_term_on_vacuum(module):
     # f_theta(1) e_theta(-1) 1 = [f, e](0) 1 + (f, e) k 1 = k 1
     alg = module.alg
