@@ -195,6 +195,13 @@ def _validate(parser, args):
             parser.error("--l must be at least 4")
         return
     check = args.check
+    for flag, given, users in (
+            ("--strict", args.strict, ("singular",)),
+            ("--mode-bound", args.mode_bound is not None, ("admissible", "all")),
+            ("--type", args.type is not None, ("singular", "admissible")),
+            ("--l-range", args.l_range is not None, ("all",))):
+        if given and check not in users:
+            parser.error("%s does not apply to 'verify %s'" % (flag, check))
     if check == "all":
         if args.l_range is None:
             args.l_range = (args.l, args.l) if args.l is not None else (4, 6)
@@ -212,8 +219,6 @@ def _validate(parser, args):
             args.mode_bound = weights.mode_bound_from_env()
         except ValueError as exc:
             parser.error(str(exc))
-    if check == "all" and args.strict:
-        parser.error("--strict applies to 'verify singular' only")
     if check == "singular" and args.type is None:
         parser.error("'verify singular' needs --type B or --type D")
     if check == "triality" and args.l != 4:

@@ -17,6 +17,7 @@ from . import embedding
 from . import liealg
 from . import singular
 from . import verma
+from .verma import E, F, H
 
 
 def central_charge(alg, level):
@@ -66,11 +67,9 @@ def quadratic_certificate(bmodule):
     if alg.kind != "B":
         raise ValueError("certificate lives in the type B module")
     l = alg.l
-    terms = [(2 * l, (("f", alg.rs(1), 0), ("f", alg.rs(1), 0)))]
-    terms += [
-        (4, (("f", alg.rm(1, i), 0), ("f", alg.rp(1, i), 0)))
-        for i in range(2, l + 1)
-    ]
+    terms = [(2 * l, (F(alg.rs(1), 0), F(alg.rs(1), 0)))]
+    terms += [(4, (F(alg.rm(1, i), 0), F(alg.rp(1, i), 0)))
+              for i in range(2, l + 1)]
     return bmodule.act(bmodule.expand_terms(terms), singular.singular_vector(bmodule))
 
 
@@ -86,10 +85,10 @@ def quadratic_relation_state(bmodule, short_weight=None):
         short_weight = 2 * l - 1
     terms = []
     for r in alg.positive_roots:
-        e, f = ("e", r, -1), ("f", r, -1)
+        e, f = E(r), F(r)
         if liealg.root_norm(r) == 1:
             terms += [(short_weight, (e, f)), (short_weight, (f, e))]
-            terms += [(-1, (("h", r, -1), ("h", r, -1)))]
+            terms += [(-1, (H(r), H(r)))]
         else:
             terms += [(-4, (e, f)), (-4, (f, e))]
     return bmodule.build(terms)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import liealg
 from . import singular
 from . import verma
+from .verma import E, F, H
 
 
 # ---- the module map ----------------------------------------------------------
@@ -66,15 +67,6 @@ def relation_instances(alg):
     q = Fraction
     half = q(1, 2)
     deep = q(2 * l - 3, 2)
-
-    def E(root, mode=-1):
-        return ("e", root, mode)
-
-    def F(root, mode=-1):
-        return ("f", root, mode)
-
-    def H(vec, mode=-1):
-        return ("h", vec, mode)
 
     def balanced(c, root):
         return [(c, (E(root), F(root))), (c, (F(root), E(root)))]
@@ -213,15 +205,6 @@ def certificate_word(alg):
     rm, rp, rs = alg.rm, alg.rp, alg.rs
     q = Fraction
     I = range(3, l + 1)
-
-    def E(root, mode=-1):
-        return ("e", root, mode)
-
-    def F(root, mode):
-        return ("f", root, mode)
-
-    def H(vec, mode=-1):
-        return ("h", vec, mode)
 
     groups = [
         [(q(2 * l + 1, 12), (E(rs(2)), E(rs(2))))],

@@ -5,7 +5,8 @@ are cleared to integers up front and every update is an integer
 cross-multiplication followed by a gcd reduction, so no rounding can occur
 and intermediate growth stays tame.  Pivots are chosen as the smallest column
 index of the incoming row, which makes echelon forms (and therefore nullspace
-bases) deterministic.
+bases) deterministic.  Solving, rank and nullspaces all run on the one
+Echelon accumulator; there is no other elimination loop.
 """
 
 from fractions import Fraction
@@ -75,8 +76,8 @@ class Echelon:
     def nullspace(self, ncols):
         """Basis of the right nullspace as primitive integer vectors.
 
-        One vector per free column, in column order; entry at the free column
-        is positive.
+        One vector per free column, in column order; each vector's first
+        nonzero entry is positive.
         """
         pivots = sorted(self.rows)
         pivot_set = set(pivots)
@@ -122,37 +123,34 @@ def nullspace(rows, ncols):
     return ech.nullspace(ncols)
 
 
+def rank(vectors):
+    """Rank over Q of dense vectors."""
+    ech = Echelon()
+    for vec in vectors:
+        ech.add({j: v for j, v in enumerate(vec) if v})
+    return ech.rank
+
+
 def solve_exact(columns, target):
     """Coordinates x with sum_j x[j] columns[j] = target, all exact.
 
     columns and target are dense same-length vectors.  Returns None when
     the system is inconsistent; raises when the solution is not unique.
+    The target enters as an extra column m; a pivot there means the target
+    is outside the span of the columns.
     """
     m = len(columns)
-    n = len(target)
-    rows = [
-        [Fraction(columns[j][i]) for j in range(m)] + [Fraction(target[i])]
-        for i in range(n)
-    ]
-    pivots = []
-    r = 0
-    for c in range(m):
-        p = next((i for i in range(r, n) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if any(row[m] for row in rows[r:]):
+    ech = Echelon()
+    for i, t in enumerate(target):
+        # zeros are left out here: coroot columns are mostly zero, and
+        # clear_denominators would convert each one to Fraction
+        row = {j: col[i] for j, col in enumerate(columns) if col[i]}
+        if t:
+            row[m] = -t
+        ech.add(row)
+    if m in ech.rows:
         return None
-    if len(pivots) < m:
+    if ech.rank < m:
         raise ValueError("solution is not unique")
-    x = [Fraction(0)] * m
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][m]
-    return x
+    (vec,) = ech.nullspace(m + 1)
+    return [Fraction(v, vec[m]) for v in vec[:m]]

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from . import verma
+from .verma import E, F, H
 
 
 def raising_operators(alg):
@@ -62,11 +63,9 @@ def expected_profile(alg):
 def _families_type_b(alg):
     l = alg.l
     s1 = alg.rs(1)
-    square = [(Fraction(-1, 4), (("e", s1, -1), ("e", s1, -1)))]
-    split = [
-        (Fraction(1), (("e", alg.rm(1, j), -1), ("e", alg.rp(1, j), -1)))
-        for j in range(2, l + 1)
-    ]
+    square = [(Fraction(-1, 4), (E(s1), E(s1)))]
+    split = [(Fraction(1), (E(alg.rm(1, j)), E(alg.rp(1, j))))
+             for j in range(2, l + 1)]
     return (square, split)
 
 
@@ -79,15 +78,6 @@ def _families_type_d(alg):
     th = alg.theta
     J = range(3, l + 1)
     q = Fraction
-
-    def E(root, mode=-1):
-        return ("e", root, mode)
-
-    def F(root, mode=-1):
-        return ("f", root, mode)
-
-    def H(vec, mode=-1):
-        return ("h", vec, mode)
 
     def balanced(c, root):
         # c * e(theta)(-1)^2 (e_root(-1) f_root(-1) + f_root(-1) e_root(-1))

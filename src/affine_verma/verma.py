@@ -26,6 +26,21 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def E(root, mode=-1):
+    """Symbolic factor e_root(mode); see VermaModule.expand_terms."""
+    return ("e", root, mode)
+
+
+def F(root, mode=-1):
+    """Symbolic factor f_root(mode)."""
+    return ("f", root, mode)
+
+
+def H(vec, mode=-1):
+    """Symbolic factor h_vec(mode), the coroot of an epsilon-coordinate vector."""
+    return ("h", vec, mode)
+
+
 class VermaModule:
     """Vacuum module at a fixed level over the affinization of one algebra."""
 
@@ -134,7 +149,8 @@ class VermaModule:
             ("f", root, mode)
             ("h", root, mode)   the coroot h_root = sum_i (2 c_i/(root,root)) H_i
             ("H", i, mode)      Cartan basis element H_i, 1-based
-        and roots are epsilon-coordinate tuples.  "h" factors expand
+        and roots are epsilon-coordinate tuples; the module-level E, F and H
+        build the "e", "f" and "h" factors.  "h" factors expand
         multilinearly, so one symbolic term may yield several word terms.
         """
         alg = self.alg

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import liealg
+from . import linalg
 
 DEFAULT_MODE_BOUND = 20
 MODE_BOUND_ENV = "AFFINE_VERMA_MODE_BOUND"
@@ -179,39 +180,13 @@ class AdmissibilityReport:
         }
 
 
-def _rational_rank(vectors):
-    """Rank over Q of integer vectors, by fraction-free elimination."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            q = rows[r][col]
-            if q:
-                rows[r] = [p * a - q * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 class _GeneratedTester:
     """Decides whether a coroot vector is a nonnegative integer combination
     of the accepted generator vectors.
 
     Split by the mode component: generators with positive mode are tried by a
     short memoized DFS (each subtraction strictly lowers the mode budget),
-    and the mode-zero remainder is settled by an exact linear solve when the
+    and the mode-zero remainder is settled by linalg.solve_exact when the
     mode-zero generators are independent, else by a height-bounded DFS."""
 
     def __init__(self, rho_vec, big):
@@ -258,14 +233,13 @@ class _GeneratedTester:
     def _zero_cone(self, v):
         if not any(v):
             return True
-        if not self.zero_gens:
+        try:
+            coords = linalg.solve_exact([g[:-1] for g in self.zero_gens], v)
+        except ValueError:  # dependent generators: no unique coordinates
+            return self._zero_dfs(v, 0)
+        if coords is None:
             return False
-        coords = _solve_unique(self.zero_gens, v)
-        if coords is not None:
-            return all(c.denominator == 1 and c >= 0 for c in coords)
-        if coords is None and _rational_rank(self.zero_gens) == len(self.zero_gens):
-            return False  # independent columns, inconsistent system
-        return self._zero_dfs(v, 0)
+        return all(c.denominator == 1 and c >= 0 for c in coords)
 
     def _zero_dfs(self, v, start):
         if not any(v):
@@ -283,44 +257,6 @@ class _GeneratedTester:
                     break
             self._memo[key] = hit
         return hit
-
-
-def _solve_unique(gens, v):
-    """Solve sum_j x_j gens[j][:-1] = v when the columns are independent.
-
-    Returns the coordinate list, or None if the system is inconsistent or the
-    columns are dependent (caller disambiguates via the rank)."""
-    n = len(gens)
-    m = len(v)
-    aug = [[Fraction(gens[j][i]) for j in range(n)] + [Fraction(v[i])]
-           for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pr = aug[row]
-        inv = 1 / pr[col]
-        aug[row] = pr = [a * inv for a in pr]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], pr)]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, m):
-        if aug[r][n]:
-            return None
-    coords = [Fraction(0)] * n
-    for r, c in pivots:
-        coords[c] = aug[r][n]
-    return coords
 
 
 def check_admissible(alg, weight, mode_bound=None):
@@ -358,7 +294,7 @@ def check_admissible(alg, weight, mode_bound=None):
         while q + thr * t <= 0:
             thr += 1
         max_threshold = max(max_threshold, thr)
-        start = 0 if any(c > 0 for c in root) and _is_positive(root) else 1
+        start = 0 if root in alg.positive_roots else 1
         for m in range(start, mode_bound + 1):
             p = q + m * t
             if p.denominator == 1 and p <= 0:
@@ -397,7 +333,7 @@ def check_admissible(alg, weight, mode_bound=None):
         {"finite": list(r.finite), "mode": r.mode, "label": r.label()}
         for r in accepted
     ]
-    rep.rank = _rational_rank([r.coroot_vector() for r in accepted]) if accepted else 0
+    rep.rank = linalg.rank(r.coroot_vector() for r in accepted)
 
     for i, a in enumerate(alg.simple_roots, start=1):
         rep.simple_pairings["alpha_%d" % i] = str(pairing(shifted, AffineRoot(a, 0)))
@@ -408,15 +344,6 @@ def check_admissible(alg, weight, mode_bound=None):
 
     rep.admissible = (not rep.violations) and rep.certified and rep.rank == l + 1
     return rep
-
-
-def _is_positive(root):
-    for c in root:
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-    return False
 
 
 def report(l, kind="D", mode_bound=None):

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import liealg
 from . import verma
+from .verma import E, F, H
 
 
 def identity_table(alg):
@@ -26,15 +27,6 @@ def identity_table(alg):
     rm, rp, rs = alg.rm, alg.rp, alg.rs
     th = alg.theta
     q = Fraction
-
-    def E(root, mode=-1):
-        return ("e", root, mode)
-
-    def F(root, mode=-1):
-        return ("f", root, mode)
-
-    def H(vec, mode=-1):
-        return ("h", vec, mode)
 
     def one(*factors):
         return [(q(1), factors)]

@@ -9,21 +9,12 @@ from fractions import Fraction
 from affine_verma import verma
 
 
-def sparse_bracket(alg, left, right):
-    """Bracket of sparse {index: coeff} elements via the basis table."""
-    out = {}
-    for i, ci in left.items():
-        for j, cj in right.items():
-            for k, c in alg.bracket(i, j):
-                out[k] = out.get(k, Fraction(0)) + ci * cj * c
-    return {k: c for k, c in out.items() if c}
-
-
-def leaf_filtered_monomials(alg, degree, weight=None):
+def leaf_filtered_monomials(alg, degree):
     """Reference for singular.enumerate_monomials: the unpruned walk.
 
     Visits every canonical monomial of the degree in the same order and
-    tests the weight only at the leaves.
+    returns (monomial, weight) pairs, so callers filter by weight at the
+    leaves.
     """
     dim = alg.dim
     weights = [alg.weight(x) for x in range(dim)]
@@ -33,8 +24,7 @@ def leaf_filtered_monomials(alg, degree, weight=None):
 
     def rec(remaining, floor, acc):
         if remaining == 0:
-            if weight is None or acc == tuple(weight):
-                out.append(tuple(mono))
+            out.append((tuple(mono), acc))
             return
         for n in range(-remaining, 0):
             for x in range(dim):

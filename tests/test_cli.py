@@ -50,6 +50,14 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "singular", "--type", "B", "--l", "4", "--jobs", "0"],
         ["verify", "admissible", "--l", "4", "--mode-bound", "0"],
         ["verify", "all", "--l", "4", "--strict"],
+        ["verify", "embedding", "--l", "4", "--strict", "--mode-bound", "3"],
+        ["verify", "admissible", "--l", "4", "--strict"],
+        ["verify", "singular", "--type", "B", "--l", "4", "--mode-bound", "3"],
+        ["verify", "conformal", "--l", "4", "--mode-bound", "3"],
+        ["verify", "embedding", "--type", "B", "--l", "4"],
+        ["verify", "all", "--type", "D", "--l", "4"],
+        ["verify", "appendix", "--l", "4", "--l-range", "4..5"],
+        ["verify", "singular", "--type", "B", "--l", "4", "--l-range", "4..5"],
     ]
     for argv in cases:
         assert cli.main(argv) == 2, argv

@@ -166,11 +166,21 @@ def test_algebra_cache_and_validation():
 
 @verifies("clifford-realization")
 def test_bracket_elem_matches_table(alg, rng):
+    # bracket_elem reads the table; the Clifford commutator of the
+    # realizations is computed independently of it
+    def random_elem():
+        return {rng.randrange(alg.dim): Fraction(rng.randint(-5, 5) or 1,
+                                                 rng.randint(1, 4))
+                for _ in range(rng.randint(1, 3))}
+
+    def realize(elem):
+        return sum((c * alg.realization(i) for i, c in elem.items()),
+                   alg.cliff.zero())
+
     for _ in range(50):
-        i = rng.randrange(alg.dim)
-        j = rng.randrange(alg.dim)
-        got = helpers.sparse_bracket(alg, {i: Fraction(1)}, {j: Fraction(1)})
-        assert got == dict(alg.bracket(i, j))
+        x, y = random_elem(), random_elem()
+        expected = alg._decompose(realize(x).commutator(realize(y)))
+        assert alg.bracket_elem(x, y) == expected, (x, y)
 
 
 @verifies("clifford-realization")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from affine_verma.linalg import Echelon, clear_denominators, nullspace, \
-    solve_exact
+    rank, solve_exact
 
 
 def test_clear_denominators():
@@ -68,6 +68,10 @@ def test_echelon_rank():
     assert e.rank == 2
     e.add({})
     assert e.rank == 2
+    # the dense-vector rank of linalg.rank runs on the same accumulator
+    assert rank([]) == 0
+    assert rank([(1, 2, 0), (2, 4, 0), (0, 0, Fraction(1, 3))]) == 2
+    assert rank([(0, 0), (0, 0)]) == 0
 
 
 def test_solve_exact():
@@ -79,3 +83,9 @@ def test_solve_exact():
     # dependent columns make coordinates non-unique
     with pytest.raises(ValueError):
         solve_exact([[1, 0], [2, 0]], [2, 0])
+    # dependent and inconsistent is inconsistent first
+    assert solve_exact([[1, 0], [2, 0]], [0, 1]) is None
+    # Fraction entries, more equations than unknowns
+    half = Fraction(1, 2)
+    assert solve_exact([[half, 0, 1], [0, Fraction(2, 3), 0]],
+                       [Fraction(1, 4), 2, half]) == [half, Fraction(3)]

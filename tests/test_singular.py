@@ -136,10 +136,12 @@ def test_pruned_enumeration_matches_leaf_filter(kind, l):
         unreachable = (degree + 1,) + zero[1:]
         targets = [None, zero, tuple(2 * c for c in alg.rs(1)),
                    tuple(2 * c for c in alg.theta), alg.rm(1, 2), unreachable]
+        # one unpruned walk per degree, filtered by weight; order is kept
+        leaves = helpers.leaf_filtered_monomials(alg, degree)
         for weight in targets:
             got = singular.enumerate_monomials(alg, degree, weight)
-            assert got == helpers.leaf_filtered_monomials(alg, degree, weight), \
-                (degree, weight)
+            assert got == [mono for mono, w in leaves
+                           if weight is None or w == weight], (degree, weight)
         assert singular.enumerate_monomials(alg, degree, unreachable) == []
 
 

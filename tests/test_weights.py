@@ -112,3 +112,32 @@ def test_weight_arithmetic():
     assert s.delta == -2
     assert (s - w2) == w1
     assert w2.scale(2).delta == -4
+
+
+def test_generated_tester_with_dependent_zero_generators(monkeypatch):
+    # (1,1,0) = (1,0,0) + (0,1,0): no unique coordinates, so every mode-zero
+    # query falls back to the height-bounded search
+    gens = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]
+    tester = weights._GeneratedTester((3, 2, 1), 1)
+    for g in gens:
+        tester.add(g)
+    dfs_calls = []
+    dfs = weights._GeneratedTester._zero_dfs
+
+    def counted(self, v, start):
+        dfs_calls.append(v)
+        return dfs(self, v, start)
+
+    monkeypatch.setattr(weights._GeneratedTester, "_zero_dfs", counted)
+    reachable = {
+        tuple(a * x + b * y + c * z for x, y, z in zip(*gens))
+        for a in range(7) for b in range(7) for c in range(7)
+    }
+    targets = [(a, b, c, m) for a in range(-2, 4) for b in range(-2, 4)
+               for c in (-1, 0, 1) for m in (0, 1)]
+    assert [t for t in targets
+            if tester.generated(t) != (t in reachable)] == []
+    assert dfs_calls
+    assert tester.generated((2, 1, 0, 0))       # in the cone
+    assert not tester.generated((1, -1, 0, 0))  # in the span, outside the cone
+    assert not tester.generated((0, 0, 1, 0))   # outside the span
