@@ -182,8 +182,9 @@ def build_parser():
     ver.add_argument("--strict", action="store_true",
                      help="singular only: also solve for the full singular "
                           "space independently and require dimension one")
-    ver.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="parallel workers for 'verify all'")
+    ver.add_argument("--jobs", type=int,
+                     help="parallel workers for 'verify all' (default: "
+                          "one per CPU)")
     ver.add_argument("--out")
     ver.add_argument("--human", action="store_true")
     return parser
@@ -199,12 +200,15 @@ def _validate(parser, args):
             ("--strict", args.strict, ("singular",)),
             ("--mode-bound", args.mode_bound is not None, ("admissible", "all")),
             ("--type", args.type is not None, ("singular", "admissible")),
-            ("--l-range", args.l_range is not None, ("all",))):
+            ("--l-range", args.l_range is not None, ("all",)),
+            ("--jobs", args.jobs is not None, ("all",))):
         if given and check not in users:
             parser.error("%s does not apply to 'verify %s'" % (flag, check))
     if check == "all":
         if args.l_range is None:
             args.l_range = (args.l, args.l) if args.l is not None else (4, 6)
+        if args.jobs is None:
+            args.jobs = os.cpu_count() or 1
     else:
         if args.l is None:
             args.l = 4 if check == "triality" else None

@@ -55,18 +55,6 @@ class CliffordAlgebra:
             raise ValueError("generator index out of range")
         return CliffordElement(self, {(self.l + i - 1,): Fraction(1)})
 
-    def element(self, terms):
-        """Element from {monomial tuple: coefficient}; monomials must be reduced."""
-        out = {}
-        for mono, c in terms.items():
-            mono = tuple(mono)
-            if list(mono) != sorted(set(mono)):
-                raise ValueError("monomial %r is not reduced" % (mono,))
-            c = Fraction(c)
-            if c:
-                out[mono] = c
-        return CliffordElement(self, out)
-
     def _reduce(self, word, coeff):
         """Rewrite an arbitrary generator word into reduced monomials."""
         out = {}

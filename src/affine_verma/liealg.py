@@ -298,13 +298,6 @@ class LieAlgebra:
             return Fraction(2, root_norm(di))
         return Fraction(0)
 
-    def form_elem(self, x, y):
-        out = Fraction(0)
-        for i, ci in x.items():
-            for j, cj in y.items():
-                out += ci * cj * self.form(i, j)
-        return out
-
     def dual_basis(self):
         """Pairs (i, b) with form(x_i, b) = 1 and form(x_j, b) = 0 for j != i."""
         pairs = []
@@ -319,12 +312,6 @@ class LieAlgebra:
         return pairs
 
     # ---- Cartan data ---------------------------------------------------------
-
-    def coroot(self, root):
-        """h_alpha = [e_alpha, f_alpha] as a sparse Cartan element."""
-        root = tuple(root)
-        items = self.bracket(self._e_index[root], self._f_index[root])
-        return dict(items)
 
     def coroot_coords(self, root):
         """Closed form h_alpha = sum_i (2 c_i / (alpha,alpha)) H_i."""

@@ -14,18 +14,15 @@ from math import gcd
 
 
 def clear_denominators(row):
-    """{col: Fraction} -> {col: int}, scaled by the lcm of denominators."""
+    """{col: Fraction} -> {col: int} without zero entries, scaled by the lcm
+    of denominators."""
+    row = {c: Fraction(v) for c, v in row.items() if v}
     mult = 1
     for v in row.values():
-        d = Fraction(v).denominator
+        d = v.denominator
         mult = mult * d // gcd(mult, d)
-    out = {}
-    for c, v in row.items():
-        v = Fraction(v) * mult
-        assert v.denominator == 1
-        if v:
-            out[c] = int(v)
-    return out
+    # mult is a multiple of every denominator, so each entry is an integer
+    return {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
 
 
 def _gcd_reduce(row):
@@ -127,7 +124,7 @@ def rank(vectors):
     """Rank over Q of dense vectors."""
     ech = Echelon()
     for vec in vectors:
-        ech.add({j: v for j, v in enumerate(vec) if v})
+        ech.add(dict(enumerate(vec)))
     return ech.rank
 
 
@@ -142,11 +139,8 @@ def solve_exact(columns, target):
     m = len(columns)
     ech = Echelon()
     for i, t in enumerate(target):
-        # zeros are left out here: coroot columns are mostly zero, and
-        # clear_denominators would convert each one to Fraction
-        row = {j: col[i] for j, col in enumerate(columns) if col[i]}
-        if t:
-            row[m] = -t
+        row = {j: col[i] for j, col in enumerate(columns)}
+        row[m] = -t
         ech.add(row)
     if m in ech.rows:
         return None

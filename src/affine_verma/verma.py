@@ -137,10 +137,6 @@ class VermaModule:
             out = out + Fraction(c) * self.act_factors(factors, state)
         return out
 
-    def normal_form(self, factors):
-        """Canonical form of an arbitrary product of loop factors applied to 1."""
-        return self.act_factors(factors, self.vacuum())
-
     def expand_terms(self, terms):
         """Resolve symbolic terms into a concrete word.
 
@@ -148,7 +144,6 @@ class VermaModule:
             ("e", root, mode)   root vector for a positive root
             ("f", root, mode)
             ("h", root, mode)   the coroot h_root = sum_i (2 c_i/(root,root)) H_i
-            ("H", i, mode)      Cartan basis element H_i, 1-based
         and roots are epsilon-coordinate tuples; the module-level E, F and H
         build the "e", "f" and "h" factors.  "h" factors expand
         multilinearly, so one symbolic term may yield several word terms.
@@ -163,8 +158,6 @@ class VermaModule:
                     options = [(alg.e_index(datum), _ONE)]
                 elif role == "f":
                     options = [(alg.f_index(datum), _ONE)]
-                elif role == "H":
-                    options = [(alg.h_index(datum), _ONE)]
                 elif role == "h":
                     options = sorted(alg.coroot_coords(datum).items())
                 else:
@@ -178,7 +171,7 @@ class VermaModule:
         return word
 
     def build(self, terms):
-        """normal_form of expand_terms, summed: the state a display denotes."""
+        """The state a display denotes: expand_terms applied to the vacuum."""
         return self.act(self.expand_terms(terms), self.vacuum())
 
 

@@ -16,7 +16,13 @@ monotonicity certificate (the pairing is affine-linear in the mode with slope
 2(level + dual Coxeter)/(alpha, alpha), so once positive it stays positive).
 Condition (ii) asks that the coroots pairing integrally with lambda span the
 full rational span of the simple affine coroots; the checker exhibits a
-generating set found greedily and reports its rank.
+generating set found greedily and reports its rank.  Both conditions read one
+walk over the real roots: <rho_hat, gamma^v> is an integer, so gamma pairs
+integrally with lambda exactly when it does with lambda + rho_hat.  The greedy
+pass keeps each integral coroot, ordered by (mode, rho . v + big * m, label),
+that is not yet a nonnegative integer combination of those kept.  big makes
+every height positive; a short coroot of type B has mode component 2m, so big
+also orders coroots within one mode and the generating set depends on it.
 """
 
 import os
@@ -100,10 +106,6 @@ class AffineRoot:
         return "%dd%s%s" % (self.mode, "" if base.startswith("-") else "+", base)
 
 
-def zero_weight(l):
-    return AffineWeight.make((0,) * l, 0, 0)
-
-
 def vacuum_weight(l, level):
     """level * Lambda_0."""
     return AffineWeight.make((0,) * l, level, 0)
@@ -129,15 +131,6 @@ def reflect_dot(alg, weight, root):
 def all_finite_roots(alg):
     pos = [tuple(r) for r in alg.positive_roots]
     return pos + [tuple(-c for c in r) for r in pos]
-
-
-def positive_real_roots(alg, mode_bound):
-    """All positive real roots with mode <= mode_bound."""
-    out = [AffineRoot(r, 0) for r in alg.positive_roots]
-    roots = all_finite_roots(alg)
-    for m in range(1, mode_bound + 1):
-        out.extend(AffineRoot(r, m) for r in roots)
-    return out
 
 
 @dataclass
@@ -184,28 +177,23 @@ class _GeneratedTester:
     """Decides whether a coroot vector is a nonnegative integer combination
     of the accepted generator vectors.
 
-    Split by the mode component: generators with positive mode are tried by a
-    short memoized DFS (each subtraction strictly lowers the mode budget),
-    and the mode-zero remainder is settled by linalg.solve_exact when the
-    mode-zero generators are independent, else by a height-bounded DFS."""
+    Generators with positive mode are tried by a memoized DFS (each
+    subtraction strictly lowers the mode), and the mode-zero remainder is
+    settled by linalg.solve_exact.  That needs independent mode-zero
+    generators, which check_admissible guarantees: it tests every mode-zero
+    candidate before any with positive mode, so the mode-zero generators it
+    keeps are the simple coroots of the finite integral subsystem
+    {alpha^v : <lambda, alpha^v> in Z}, a root system.  Dependent mode-zero
+    generators make solve_exact raise ValueError."""
 
-    def __init__(self, rho_vec, big):
-        # height of (v, m) is rho_vec . v + big * m; big is chosen so every
-        # generator gets a strictly positive height
-        self.rho_vec = rho_vec
-        self.big = big
+    def __init__(self):
         self.mode_gens = []
         self.zero_gens = []
         self._memo = {}
 
-    def height(self, vec):
-        return sum(r * v for r, v in zip(self.rho_vec, vec[:-1])) + self.big * vec[-1]
-
     def add(self, vec):
-        assert self.height(vec) > 0
         if vec[-1] > 0:
             self.mode_gens.append(vec)
-            self.mode_gens.sort(key=lambda g: (-g[-1], self.height(g)))
         else:
             self.zero_gens.append(vec)
         self._memo.clear()
@@ -233,30 +221,10 @@ class _GeneratedTester:
     def _zero_cone(self, v):
         if not any(v):
             return True
-        try:
-            coords = linalg.solve_exact([g[:-1] for g in self.zero_gens], v)
-        except ValueError:  # dependent generators: no unique coordinates
-            return self._zero_dfs(v, 0)
+        coords = linalg.solve_exact([g[:-1] for g in self.zero_gens], v)
         if coords is None:
             return False
         return all(c.denominator == 1 and c >= 0 for c in coords)
-
-    def _zero_dfs(self, v, start):
-        if not any(v):
-            return True
-        if sum(r * c for r, c in zip(self.rho_vec, v)) <= 0:
-            return False
-        key = (v, start, -1)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = False
-            for gi in range(start, len(self.zero_gens)):
-                rem = tuple(a - b for a, b in zip(v, self.zero_gens[gi][:-1]))
-                if self._zero_dfs(rem, gi):
-                    hit = True
-                    break
-            self._memo[key] = hit
-        return hit
 
 
 def check_admissible(alg, weight, mode_bound=None):
@@ -283,8 +251,10 @@ def check_admissible(alg, weight, mode_bound=None):
         rep.notes.append("level 0 is the degenerate vacuum case; "
                          "trivially admissible, reported for completeness")
 
-    # condition (i): <w + rho, gamma^v> never a nonpositive integer
+    # condition (i): <w + rho, gamma^v> never a nonpositive integer; the
+    # integral ones are the candidates of condition (ii)
     max_threshold = 0
+    candidates = []
     for root in all_finite_roots(alg):
         n = liealg.root_norm(root)
         q = 2 * sum(s * a for s, a in zip(shifted.finite, root)) / Fraction(n)
@@ -297,9 +267,11 @@ def check_admissible(alg, weight, mode_bound=None):
         start = 0 if root in alg.positive_roots else 1
         for m in range(start, mode_bound + 1):
             p = q + m * t
-            if p.denominator == 1 and p <= 0:
-                rep.violations.append(
-                    {"root": AffineRoot(root, m).label(), "pairing": str(p)})
+            if p.denominator == 1:
+                candidates.append(AffineRoot(root, m))
+                if p <= 0:
+                    rep.violations.append(
+                        {"root": candidates[-1].label(), "pairing": str(p)})
     rep.max_threshold = max_threshold
     rep.certified = max_threshold <= mode_bound
     if not rep.certified:
@@ -308,32 +280,30 @@ def check_admissible(alg, weight, mode_bound=None):
             % (mode_bound, max_threshold, MODE_BOUND_ENV))
 
     # condition (ii): integer-pairing coroots span the full rational span
-    candidates = []
-    for root in positive_real_roots(alg, mode_bound):
-        if pairing(weight, root).denominator == 1:
-            candidates.append(root)
+    vecs = {root: root.coroot_vector() for root in candidates}
     rho_f = alg.rho()
     big = 1
-    for root in candidates:
-        vec = root.coroot_vector()
-        h_fin = sum(r * v for r, v in zip(rho_f, vec[:-1]))
+    for vec in vecs.values():
         if vec[-1] > 0:
-            need = (-h_fin) / vec[-1] + 1
-            big = max(big, int(need) + 1)
-    tester = _GeneratedTester(rho_f, big)
+            h_fin = sum(r * v for r, v in zip(rho_f, vec[:-1]))
+            big = max(big, int((-h_fin) / vec[-1] + 1) + 1)
+
+    def order(root):
+        vec = vecs[root]
+        height = sum(r * v for r, v in zip(rho_f, vec[:-1])) + big * vec[-1]
+        return root.mode, height, root.label()
+
+    tester = _GeneratedTester()
     accepted = []
-    candidates.sort(key=lambda r: (r.mode, tester.height(r.coroot_vector()),
-                                   r.label()))
-    for root in candidates:
-        vec = root.coroot_vector()
-        if not tester.generated(vec):
-            tester.add(vec)
+    for root in sorted(candidates, key=order):
+        if not tester.generated(vecs[root]):
+            tester.add(vecs[root])
             accepted.append(root)
     rep.generators = [
         {"finite": list(r.finite), "mode": r.mode, "label": r.label()}
         for r in accepted
     ]
-    rep.rank = linalg.rank(r.coroot_vector() for r in accepted)
+    rep.rank = linalg.rank(vecs[r] for r in accepted)
 
     for i, a in enumerate(alg.simple_roots, start=1):
         rep.simple_pairings["alpha_%d" % i] = str(pairing(shifted, AffineRoot(a, 0)))

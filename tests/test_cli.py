@@ -58,6 +58,8 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "all", "--type", "D", "--l", "4"],
         ["verify", "appendix", "--l", "4", "--l-range", "4..5"],
         ["verify", "singular", "--type", "B", "--l", "4", "--l-range", "4..5"],
+        ["verify", "embedding", "--l", "4", "--jobs", "3"],
+        ["verify", "all", "--l", "4", "--jobs", "0"],
     ]
     for argv in cases:
         assert cli.main(argv) == 2, argv
@@ -215,7 +217,8 @@ def test_mode_bound_env_and_flag_priority():
 @pytest.mark.parametrize("check", ["admissible", "all"])
 def test_bad_mode_bound_env_is_usage_error(capsys, monkeypatch, raw, check):
     monkeypatch.setenv("AFFINE_VERMA_MODE_BOUND", raw)
-    assert cli.main(["verify", check, "--l", "4", "--jobs", "1"]) == 2
+    jobs = ["--jobs", "1"] if check == "all" else []
+    assert cli.main(["verify", check, "--l", "4", *jobs]) == 2
     err = capsys.readouterr().err
     assert "AFFINE_VERMA_MODE_BOUND must be a positive integer" in err
 

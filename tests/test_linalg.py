@@ -15,6 +15,15 @@ def test_clear_denominators():
     assert clear_denominators({}) == {}
 
 
+def test_echelon_drops_zero_entries():
+    dense, sparse = Echelon(), Echelon()
+    dense.add({0: 0, 1: Fraction(0), 2: Fraction(3, 2), 3: -1, 4: 0})
+    sparse.add({2: Fraction(3, 2), 3: -1})
+    assert dense.rows == sparse.rows == {2: {2: 3, 3: -2}}
+    assert not dense.add({0: 0, 1: Fraction(0)})
+    assert dense.rows == sparse.rows
+
+
 def test_nullspace_known_kernel():
     # x + y + z = 0, x - z = 0  =>  kernel spanned by (1, -2, 1)
     rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}]

@@ -67,9 +67,7 @@ def test_terms_stable_under_rank_growth():
         alg = liealg.algebra(kind, l)
         out = set()
         for coeff, factors in singular.flat_terms(alg):
-            key = tuple((role,
-                         liealg.root_label(datum) if role != "H" else datum,
-                         mode)
+            key = tuple((role, liealg.root_label(datum), mode)
                         for role, datum, mode in factors)
             out.add((Fraction(coeff), key) if with_coeff else key)
         return out

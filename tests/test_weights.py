@@ -1,10 +1,11 @@
 """Affine weights, pairings, shifted reflections, and admissibility."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from affine_verma import liealg, weights, verma, singular
+from affine_verma import liealg, linalg, weights, verma, singular
 from affine_verma.claims import verifies
 
 
@@ -114,30 +115,66 @@ def test_weight_arithmetic():
     assert w2.scale(2).delta == -4
 
 
-def test_generated_tester_with_dependent_zero_generators(monkeypatch):
-    # (1,1,0) = (1,0,0) + (0,1,0): no unique coordinates, so every mode-zero
-    # query falls back to the height-bounded search
-    gens = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]
-    tester = weights._GeneratedTester((3, 2, 1), 1)
-    for g in gens:
+def test_generated_tester_matches_brute_force():
+    # independent mode-zero generators that span three of the four finite
+    # coordinates, and two generators with positive mode
+    zero = [(1, -1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 2, 0, 0)]
+    mode = [(-1, 0, 0, 0, 1), (0, 1, -1, 0, 2)]
+    tester = weights._GeneratedTester()
+    for g in zero + mode:
         tester.add(g)
-    dfs_calls = []
-    dfs = weights._GeneratedTester._zero_dfs
-
-    def counted(self, v, start):
-        dfs_calls.append(v)
-        return dfs(self, v, start)
-
-    monkeypatch.setattr(weights._GeneratedTester, "_zero_dfs", counted)
+    gens = zero + mode
+    # these coefficient bounds cover every representation of the targets
+    # below: at most 2 and 1 of the mode generators, and then the remainder
+    # fixes the mode-zero coefficients
     reachable = {
-        tuple(a * x + b * y + c * z for x, y, z in zip(*gens))
-        for a in range(7) for b in range(7) for c in range(7)
+        tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(5))
+        for coeffs in itertools.product(range(9), range(9), range(5),
+                                        range(3), range(2))
     }
-    targets = [(a, b, c, m) for a in range(-2, 4) for b in range(-2, 4)
-               for c in (-1, 0, 1) for m in (0, 1)]
+    targets = [(a, b, c, d, m) for a in range(-3, 4) for b in range(-3, 4)
+               for c in range(-2, 5) for d in (0, 1) for m in (-1, 0, 1, 2)]
     assert [t for t in targets
             if tester.generated(t) != (t in reachable)] == []
-    assert dfs_calls
-    assert tester.generated((2, 1, 0, 0))       # in the cone
-    assert not tester.generated((1, -1, 0, 0))  # in the span, outside the cone
-    assert not tester.generated((0, 0, 1, 0))   # outside the span
+    assert tester.generated((1, 0, 0, 0, 0))      # in the cone
+    assert tester.generated((-1, 1, 0, 0, 1))     # needs a positive mode
+    assert not tester.generated((-1, 0, 0, 0, 0))  # in the span, not the cone
+    assert not tester.generated((0, 0, 1, 0, 0))  # in the span, not integral
+    assert not tester.generated((0, 0, 0, 1, 0))  # outside the span
+
+
+def test_generated_tester_rejects_dependent_zero_generators():
+    tester = weights._GeneratedTester()
+    for g in [(1, 0, 0), (0, 1, 0), (1, 1, 0)]:
+        tester.add(g)
+    with pytest.raises(ValueError):
+        tester.generated((2, 1, 0))
+
+
+def test_mode_zero_generators_are_independent():
+    # check_admissible tests every mode-zero candidate first, so the mode-zero
+    # generators it keeps are simple coroots of a root system
+    for kind, l in (("B", 2), ("B", 3), ("D", 3), ("D", 4)):
+        alg = liealg.algebra(kind, l)
+        for finite in ((0,) * l, (1,) + (0,) * (l - 1)):
+            for n in range(-12, 5):
+                weight = weights.AffineWeight.make(finite, Fraction(n, 2))
+                for bound in (2, 5):
+                    rep = weights.check_admissible(alg, weight, bound)
+                    zero = [g for g in rep.generators if g["mode"] == 0]
+                    vecs = [weights.AffineRoot(tuple(g["finite"]), 0)
+                            .coroot_vector() for g in zero]
+                    assert linalg.rank(vecs) == len(vecs), (kind, l, n)
+
+
+@pytest.mark.parametrize("kind, l, level, labels", [
+    ("B", 2, Fraction(-1), ["1-2", "2", "1d-1+2"]),
+    ("B", 4, Fraction(-5, 2), ["1-2", "2-3", "3-4", "4", "1d-1"]),
+    ("D", 4, Fraction(-5, 2), ["1-2", "2-3", "3+4", "3-4", "2d-1+2"]),
+])
+def test_generator_lists_pinned(kind, l, level, labels):
+    # the order within one mode follows rho . v + big * m; in type B a short
+    # coroot has mode component 2m, so the kept list depends on big
+    alg = liealg.algebra(kind, l)
+    rep = weights.check_admissible(alg, weights.vacuum_weight(l, level), 5)
+    assert [g["label"] for g in rep.generators] == labels
