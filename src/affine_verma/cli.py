@@ -24,6 +24,10 @@ from . import zero_modes
 CHECKS = ("singular", "embedding", "conformal", "admissible", "triality",
           "appendix", "all")
 
+# the bracket-table budget: the stored cells grow as l^3 and the build as
+# about l^4; B_16 has 32256 cells and builds in about 1.4 s on a 2-core host
+MAX_L = 16
+
 
 def to_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -191,6 +195,10 @@ def build_parser():
 
 
 def _validate(parser, args):
+    top = (getattr(args, "l_range", None) or (None, args.l))[1]
+    if top is not None and top > MAX_L:
+        parser.error("rank %d is above %d, the bracket-table budget"
+                     % (top, MAX_L))
     if args.command == "dump-algebra":
         if args.l < 4:
             parser.error("--l must be at least 4")

@@ -5,15 +5,17 @@ relations
 
     {a_i, a_j} = 0,   {a*_i, a*_j} = 0,   {a_i, a*_j} = delta_ij.
 
-Elements are finite linear combinations of reduced monomials with Fraction
-coefficients.  A reduced monomial is a strictly increasing tuple of generator
-codes, where code i-1 stands for a_i and code l+i-1 for a*_i, so the fixed
-generator order is a_1 < ... < a_l < a*_1 < ... < a*_l.  The empty tuple is
-the unit.  Every product is rewritten to this form by repeated swaps
+Elements are finite linear combinations of reduced monomials.  A reduced
+monomial is a strictly increasing tuple of generator codes, where code i-1
+stands for a_i and code l+i-1 for a*_i, so the fixed generator order is
+a_1 < ... < a_l < a*_1 < ... < a*_l.  The empty tuple is the unit.  Every
+product is rewritten to this form by repeated swaps
 
     g h = -h g + {g, h}     (g > h),
 
 which terminate because each swap removes an inversion or shortens the word.
+A swap only negates and multiplies by a contraction 0 or 1, so int inputs
+give int coefficients; a Fraction scalar gives Fraction ones.
 """
 
 from fractions import Fraction
@@ -38,7 +40,7 @@ class CliffordAlgebra:
         return 1 if abs(g - h) == self.l else 0
 
     def unit(self, coeff=1):
-        return CliffordElement(self, {(): Fraction(coeff)})
+        return CliffordElement(self, {(): 1}) * coeff
 
     def zero(self):
         return CliffordElement(self, {})
@@ -47,13 +49,13 @@ class CliffordAlgebra:
         """The generator a_i, 1-based."""
         if not 1 <= i <= self.l:
             raise ValueError("generator index out of range")
-        return CliffordElement(self, {(i - 1,): Fraction(1)})
+        return CliffordElement(self, {(i - 1,): 1})
 
     def a_star(self, i):
         """The generator a*_i, 1-based."""
         if not 1 <= i <= self.l:
             raise ValueError("generator index out of range")
-        return CliffordElement(self, {(self.l + i - 1,): Fraction(1)})
+        return CliffordElement(self, {(self.l + i - 1,): 1})
 
     def _reduce(self, word, coeff):
         """Rewrite an arbitrary generator word into reduced monomials."""
@@ -75,12 +77,12 @@ class CliffordAlgebra:
                     stack.append((c * k, rest))
                 break
             else:
-                out[w] = out.get(w, Fraction(0)) + c
+                out[w] = out.get(w, 0) + c
         return out
 
 
 class CliffordElement:
-    """Sparse element of a CliffordAlgebra: {reduced monomial: Fraction}."""
+    """Sparse element of a CliffordAlgebra: {reduced monomial: int|Fraction}."""
 
     __slots__ = ("algebra", "terms")
 
@@ -108,7 +110,7 @@ class CliffordElement:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return CliffordElement(self.algebra, out)
 
     def __radd__(self, other):
@@ -132,20 +134,20 @@ class CliffordElement:
 
     def __mul__(self, other):
         if not isinstance(other, CliffordElement):
-            return CliffordElement(
-                self.algebra, {m: c * Fraction(other) for m, c in self.terms.items()})
+            return self.__rmul__(other)
         other = self._coerce(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 for m, c in self.algebra._reduce(m1 + m2, c1 * c2).items():
-                    out[m] = out.get(m, Fraction(0)) + c
+                    out[m] = out.get(m, 0) + c
         return CliffordElement(self.algebra, out)
 
     def __rmul__(self, other):
         # scalars only; generator products go through __mul__
+        other = other if isinstance(other, int) else Fraction(other)
         return CliffordElement(
-            self.algebra, {m: Fraction(other) * c for m, c in self.terms.items()})
+            self.algebra, {m: other * c for m, c in self.terms.items()})
 
     def __truediv__(self, other):
         return self * (Fraction(1) / Fraction(other))
@@ -168,8 +170,3 @@ class CliffordElement:
             name = " ".join(self.algebra.gen_name(g) for g in m) or "1"
             bits.append("%s*%s" % (c, name))
         return " + ".join(bits)
-
-
-def normal_ordered(x, y):
-    """Normal ordered product :xy: = (xy - yx)/2 of two odd elements."""
-    return (x * y - y * x) * Fraction(1, 2)

@@ -10,12 +10,13 @@ linear) Clifford expressions
 
 and every structure constant below is obtained by multiplying these out in
 the Clifford algebra and decomposing the result back into the basis; none is
-entered by hand.  Roots live in the epsilon-coordinate lattice (tuples of l
-integers), the invariant form is normalized so that long roots have square
-length 2, and the basis is enumerated in a frozen order: all e_alpha by the
-fixed positive-root order, then all f_alpha in the same root order, then
-H_1, ..., H_l.  The downstream loop-module straightening depends on this
-order staying put.
+entered by hand; the build runs on the doubled realizations 2 :xy: = xy - yx,
+which are integral, so it never leaves int.  Roots live in the
+epsilon-coordinate lattice (tuples of l integers), the invariant form is
+normalized so that long roots have square length 2, and the basis is
+enumerated in a frozen order: all e_alpha by the fixed positive-root order,
+then all f_alpha in the same root order, then H_1, ..., H_l.  The downstream
+loop-module straightening depends on this order staying put.
 """
 
 from fractions import Fraction
@@ -128,7 +129,6 @@ class LieAlgebra:
         self._e_index = {r: i for i, r in enumerate(self.positive_roots)}
         self._f_index = {r: self.npos + i for i, r in enumerate(self.positive_roots)}
 
-        self._realization = [self._realize(role, datum) for role, datum in self.basis]
         self._brackets = self._build_bracket_table()
 
     # ---- basis bookkeeping -------------------------------------------------
@@ -170,73 +170,71 @@ class LieAlgebra:
     # ---- realization and structure constants -------------------------------
 
     def _realize(self, role, datum):
+        """Twice the basis element, 2 :xy: = xy - yx, with int coefficients."""
         A = self.cliff
         if role == "h":
-            return clifford.normal_ordered(A.a(datum), A.a_star(datum))
+            return A.a(datum).commutator(A.a_star(datum))
         pos = [i + 1 for i, c in enumerate(datum) if c == 1]
         neg = [i + 1 for i, c in enumerate(datum) if c == -1]
         if len(pos) == 1 and len(neg) == 1:
             i, j = pos[0], neg[0]
             if role == "e":
-                return clifford.normal_ordered(A.a(i), A.a_star(j))
-            return clifford.normal_ordered(A.a(j), A.a_star(i))
+                return A.a(i).commutator(A.a_star(j))
+            return A.a(j).commutator(A.a_star(i))
         if len(pos) == 2:
             i, j = pos
             if role == "e":
-                return clifford.normal_ordered(A.a(i), A.a(j))
-            return clifford.normal_ordered(A.a_star(j), A.a_star(i))
+                return A.a(i).commutator(A.a(j))
+            return A.a_star(j).commutator(A.a_star(i))
         (i,) = pos
         if self.kind != "B":
             raise ValueError("short roots only exist in type B")
-        return A.a(i) if role == "e" else A.a_star(i)
+        return 2 * (A.a(i) if role == "e" else A.a_star(i))
 
     def realization(self, idx):
-        return self._realization[idx]
+        """The basis element x_idx as a Clifford element."""
+        return self._realize(*self.basis[idx]) * Fraction(1, 2)
 
     def _decompose(self, x):
-        """Write a Clifford element in the Lie basis; reject anything outside it."""
+        """Write a Clifford element in the Lie basis; reject anything outside it.
+        int coefficients stay int: the unit constant is tracked doubled."""
         out = {}
-        scalar = Fraction(0)
+        scalar2 = 0
         l = self.l
+        # reduced monomials map one-to-one onto basis elements
         for mono, c in x.terms.items():
             if len(mono) == 0:
-                scalar += c
+                scalar2 += 2 * c
             elif len(mono) == 1:
                 if self.kind != "B":
                     raise ValueError("linear term in type D decomposition")
                 (g,) = mono
                 if g < l:
-                    idx = self._e_index[_root_short(l, g + 1)]
+                    out[self._e_index[_root_short(l, g + 1)]] = c
                 else:
-                    idx = self._f_index[_root_short(l, g - l + 1)]
-                out[idx] = out.get(idx, Fraction(0)) + c
+                    out[self._f_index[_root_short(l, g - l + 1)]] = c
             elif len(mono) == 2:
                 g, h = mono
                 if h < l:
-                    idx = self._e_index[_root_plus(l, g + 1, h + 1)]
-                    out[idx] = out.get(idx, Fraction(0)) + c
+                    out[self._e_index[_root_plus(l, g + 1, h + 1)]] = c
                 elif g >= l:
                     # a*_i a*_j (i<j) is -f_{ei+ej}
-                    idx = self._f_index[_root_plus(l, g - l + 1, h - l + 1)]
-                    out[idx] = out.get(idx, Fraction(0)) - c
+                    out[self._f_index[_root_plus(l, g - l + 1, h - l + 1)]] = -c
                 else:
                     i, j = g + 1, h - l + 1
                     if i < j:
-                        idx = self._e_index[_root_minus(l, i, j)]
-                        out[idx] = out.get(idx, Fraction(0)) + c
+                        out[self._e_index[_root_minus(l, i, j)]] = c
                     elif i > j:
-                        idx = self._f_index[_root_minus(l, j, i)]
-                        out[idx] = out.get(idx, Fraction(0)) + c
+                        out[self._f_index[_root_minus(l, j, i)]] = c
                     else:
                         # a_i a*_i = H_i + 1/2
-                        idx = self.h_index(i)
-                        out[idx] = out.get(idx, Fraction(0)) + c
-                        scalar += c / 2
+                        out[self.h_index(i)] = c
+                        scalar2 += c
             else:
                 raise ValueError("degree > 2 term in decomposition")
-        if scalar:
+        if scalar2:
             raise ValueError("element is not in the Lie algebra span")
-        return {i: c for i, c in out.items() if c}
+        return out
 
     def _build_bracket_table(self):
         """Row i maps j to the nonzero [x_i, x_j] as sorted (index, coeff) pairs.
@@ -244,26 +242,29 @@ class LieAlgebra:
         [x_i, x_j] has weight w_i + w_j and the basis carries only the roots
         and 0, so pairs whose weight sum is neither bracket to zero and are
         not commuted; the Clifford algebra fixes every sign of the rest.
-        Equal structure constants share one Fraction object.
+        The doubled realizations give 4 [x_i, x_j] in int arithmetic; every
+        structure constant is stored as an int, and one that is not (a
+        decomposed coefficient not divisible by 4) raises ValueError.
         """
         n = self.dim
         weights = [self.weight(i) for i in range(n)]
         carried = set(weights)
-        shared = {}
+        doubled = [self._realize(role, datum) for role, datum in self.basis]
         table = [{} for _ in range(n)]
         for i in range(n):
-            xi = self._realization[i]
+            xi = doubled[i]
             for j in range(i + 1, n):
                 w = tuple(a + b for a, b in zip(weights[i], weights[j]))
                 if w not in carried:
                     continue
-                dec = self._decompose(xi.commutator(self._realization[j]))
+                dec = self._decompose(xi.commutator(doubled[j]))
+                if any(c % 4 for c in dec.values()):
+                    raise ValueError("[x_%d, x_%d] = %r / 4 has a non-integer "
+                                     "coefficient" % (i, j, dec))
                 if dec:
-                    items = tuple((k, shared.setdefault(c, c))
-                                  for k, c in sorted(dec.items()))
+                    items = tuple((k, c // 4) for k, c in sorted(dec.items()))
                     table[i][j] = items
-                    table[j][i] = tuple((k, shared.setdefault(-c, -c))
-                                        for k, c in items)
+                    table[j][i] = tuple((k, -c) for k, c in items)
         return table
 
     def bracket(self, i, j):
@@ -291,12 +292,13 @@ class LieAlgebra:
         ri, di = self.basis[i]
         rj, dj = self.basis[j]
         if ri == "h" and rj == "h":
-            return Fraction(1) if di == dj else Fraction(0)
+            return 1 if di == dj else 0
         if ri == "h" or rj == "h":
-            return Fraction(0)
+            return 0
         if ri != rj and di == dj:
-            return Fraction(2, root_norm(di))
-        return Fraction(0)
+            # root norms are 1 and 2, so the value is the int 2 or 1
+            return 2 // root_norm(di)
+        return 0
 
     def dual_basis(self):
         """Pairs (i, b) with form(x_i, b) = 1 and form(x_j, b) = 0 for j != i."""

@@ -14,9 +14,9 @@ from math import gcd
 
 
 def clear_denominators(row):
-    """{col: Fraction} -> {col: int} without zero entries, scaled by the lcm
-    of denominators."""
-    row = {c: Fraction(v) for c, v in row.items() if v}
+    """{col: Fraction|int} -> {col: int} without zero entries, scaled by the
+    lcm of denominators; int entries are read as they are, with no Fraction."""
+    row = {c: v for c, v in row.items() if v}
     mult = 1
     for v in row.values():
         d = v.denominator
@@ -74,7 +74,9 @@ class Echelon:
         """Basis of the right nullspace as primitive integer vectors.
 
         One vector per free column, in column order; each vector's first
-        nonzero entry is positive.
+        nonzero entry is positive.  Back-substitution runs on int: a pivot
+        that does not divide the partial sum s first scales the partial
+        vector by piv // gcd(s, piv), a positive factor.
         """
         pivots = sorted(self.rows)
         pivot_set = set(pivots)
@@ -82,23 +84,23 @@ class Echelon:
         for free in range(ncols):
             if free in pivot_set:
                 continue
-            x = {free: Fraction(1)}
+            x = {free: 1}
             for p in reversed(pivots):
                 if p >= free:
                     continue
                 rowp = self.rows[p]
-                s = Fraction(0)
+                s = 0
                 for c, v in rowp.items():
                     if c != p and c in x:
                         s += v * x[c]
                 if s:
-                    x[p] = -s / rowp[p]
-            vec = [x.get(c, Fraction(0)) for c in range(ncols)]
-            mult = 1
-            for v in vec:
-                d = v.denominator
-                mult = mult * d // gcd(mult, d)
-            ints = [int(v * mult) for v in vec]
+                    piv = rowp[p]
+                    if s % piv:
+                        k = piv // gcd(s, piv)
+                        x = {c: v * k for c, v in x.items()}
+                        s *= k
+                    x[p] = -s // piv
+            ints = [x.get(c, 0) for c in range(ncols)]
             g = 0
             for v in ints:
                 g = gcd(g, abs(v))

@@ -273,7 +273,7 @@ def solve_singular_space(module, degree, weight, strict=False, degree_bound=4):
     rows = {}
     for col, mono in enumerate(cands):
         for oi, (x, n) in enumerate(ops):
-            for target, c in module._apply_mono(x, n, mono):
+            for target, c in module.operator_terms(x, n, mono):
                 rows.setdefault((oi, target), {})[col] = c
     basis = linalg.nullspace((rows[key] for key in sorted(rows)), len(cands))
     return [

@@ -14,16 +14,17 @@ monomials only produces brackets.  Results of single-factor applications are
 memoized per module, keyed by (basis index, mode, monomial tail), which is
 what makes repeated singular-vector and certificate computations cheap.
 
-All coefficients are Fraction; there is no floating point anywhere.
+Straightening runs on int (see _apply_mono and act); a state's coefficients
+are Fraction.  There is no floating point anywhere.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import liealg
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def E(root, mode=-1):
@@ -73,15 +74,32 @@ class VermaModule:
 
     # ---- the straightening kernel -------------------------------------------
 
+    def operator_terms(self, x, n, mono):
+        """The (monomial, coeff) terms of x(n) applied to a canonical
+        monomial, with the int coefficients of _apply_mono: scaled by
+        level.denominator when n > 0.  The scale depends on n alone, so a
+        linear system with one row per (x, n, monomial) keeps its solutions."""
+        flat = self._apply_mono(x, n, mono)
+        return zip(flat[::2], flat[1::2])
+
     def _apply_mono(self, x, n, mono):
-        """x(n) applied to a canonical monomial; returns ((monomial, coeff), ...)."""
+        """x(n) applied to a canonical monomial, as the flat tuple
+        (monomial, coeff, monomial, coeff, ...): one object per memo entry
+        rather than one per term (read it with operator_terms).
+
+        Coefficients are int.  For n <= 0 they are the exact values.  For
+        n > 0 they are the exact values times level.denominator: the central
+        term consumes the positive-mode operator, so it fires at most once
+        on any path and contributes n (x,y) level.numerator, and a bracket
+        that lowers the mode to n + m <= 0 is scaled to match.
+        """
         key = (x, n, mono)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         entry = (n, x)
         if n < 0 and (not mono or entry <= mono[0]):
-            result = (((entry,) + mono, _ONE),)
+            result = ((entry,) + mono, 1)
         elif not mono:
             # a nonnegative mode reaches the vacuum and kills it
             result = ()
@@ -90,18 +108,19 @@ class VermaModule:
             rest = mono[1:]
             acc = {}
             # x(n) y(m) = y(m) x(n) + [x,y](n+m) + n delta_{n+m,0} (x,y) k
-            for mono1, c1 in self._apply_mono(x, n, rest):
-                for mono2, c2 in self._apply_mono(y, m, mono1):
-                    acc[mono2] = acc.get(mono2, _ZERO) + c1 * c2
+            for mono1, c1 in self.operator_terms(x, n, rest):
+                for mono2, c2 in self.operator_terms(y, m, mono1):
+                    acc[mono2] = acc.get(mono2, 0) + c1 * c2
+            scale = self.level.denominator if n > 0 >= n + m else 1
             for z, cz in self.alg.bracket(x, y):
-                for mono1, c1 in self._apply_mono(z, n + m, rest):
-                    acc[mono1] = acc.get(mono1, _ZERO) + cz * c1
+                cz *= scale
+                for mono1, c1 in self.operator_terms(z, n + m, rest):
+                    acc[mono1] = acc.get(mono1, 0) + cz * c1
             if n > 0 and n + m == 0:
                 cf = self.alg.form(x, y)
                 if cf:
-                    c = n * cf * self.level
-                    acc[rest] = acc.get(rest, _ZERO) + c
-            result = tuple((mo, c) for mo, c in acc.items() if c)
+                    acc[rest] = acc.get(rest, 0) + n * cf * self.level.numerator
+            result = tuple(v for mo, c in acc.items() if c for v in (mo, c))
         self._memo[key] = result
         return result
 
@@ -109,33 +128,42 @@ class VermaModule:
 
     def apply(self, x, n, state):
         """Act by the loop generator x(n) on a state."""
-        if state.module is not self:
-            raise ValueError("state belongs to a different module")
-        out = {}
-        for mono, c in state.terms.items():
-            for mono1, c1 in self._apply_mono(x, n, mono):
-                out[mono1] = out.get(mono1, _ZERO) + c * c1
-        return PBWState(self, out)
+        return self.act(((1, ((x, n),)),), state)
 
     def apply_elem(self, elem, n, state):
         """Act by (sum_i elem[i] x_i)(n); elem is a sparse {index: coeff}."""
-        out = self.zero()
-        for x, cx in elem.items():
-            out = out + cx * self.apply(x, n, state)
-        return out
-
-    def act_factors(self, factors, state):
-        """Apply a product of loop factors ((index, mode), ...): rightmost first."""
-        for x, n in reversed(tuple(factors)):
-            state = self.apply(x, n, state)
-        return state
+        return self.act([(cx, ((x, n),)) for x, cx in elem.items()], state)
 
     def act(self, word, state):
-        """Apply a formal combination [(coeff, factors), ...] to a state."""
-        out = self.zero()
-        for c, factors in word:
-            out = out + Fraction(c) * self.act_factors(factors, state)
-        return out
+        """Apply [(coeff, ((index, mode), ...)), ...] to a state, rightmost
+        factor first: int numerators over one common denominator go through
+        each product, which comes out scaled by level.denominator per
+        positive-mode factor (see _apply_mono); one division per monomial."""
+        if state.module is not self:
+            raise ValueError("state belongs to a different module")
+        den = lcm(*(c.denominator for c in state.terms.values()))
+        start = {mono: c.numerator * (den // c.denominator)
+                 for mono, c in state.terms.items()}
+        word = [(Fraction(c), factors) for c, factors in word]
+        scales = [c.denominator
+                  * self.level.denominator ** sum(n > 0 for _, n in factors)
+                  for c, factors in word]
+        out_den = lcm(*scales)
+        out = {}
+        for (c, factors), d in zip(word, scales):
+            cur = start
+            for x, n in reversed(factors):
+                nxt = {}
+                for mono, v in cur.items():
+                    for mono1, c1 in self.operator_terms(x, n, mono):
+                        nxt[mono1] = nxt.get(mono1, 0) + v * c1
+                cur = {mono: v for mono, v in nxt.items() if v}
+            mult = c.numerator * (out_den // d)
+            for mono, v in cur.items():
+                out[mono] = out.get(mono, 0) + mult * v
+        out_den *= den
+        return PBWState(self, {mono: Fraction(v, out_den)
+                               for mono, v in out.items() if v})
 
     def expand_terms(self, terms):
         """Resolve symbolic terms into a concrete word.
@@ -155,9 +183,9 @@ class VermaModule:
             for factor in factors:
                 role, datum, mode = factor
                 if role == "e":
-                    options = [(alg.e_index(datum), _ONE)]
+                    options = [(alg.e_index(datum), 1)]
                 elif role == "f":
-                    options = [(alg.f_index(datum), _ONE)]
+                    options = [(alg.f_index(datum), 1)]
                 elif role == "h":
                     options = sorted(alg.coroot_coords(datum).items())
                 else:

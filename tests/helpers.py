@@ -41,6 +41,54 @@ def leaf_filtered_monomials(alg, degree):
     return out
 
 
+def reference_apply_mono(module, x, n, mono, memo):
+    """Reference for VermaModule._apply_mono: the straightening kernel over
+    Fraction, exact at every mode (no level.denominator scaling), memoized
+    in memo rather than in the module."""
+    key = (x, n, mono)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    entry = (n, x)
+    if n < 0 and (not mono or entry <= mono[0]):
+        result = (((entry,) + mono, Fraction(1)),)
+    elif not mono:
+        result = ()
+    else:
+        m, y = mono[0]
+        rest = mono[1:]
+        acc = {}
+        for mono1, c1 in reference_apply_mono(module, x, n, rest, memo):
+            for mono2, c2 in reference_apply_mono(module, y, m, mono1, memo):
+                acc[mono2] = acc.get(mono2, Fraction(0)) + c1 * c2
+        for z, cz in module.alg.bracket(x, y):
+            for mono1, c1 in reference_apply_mono(module, z, n + m, rest, memo):
+                acc[mono1] = acc.get(mono1, Fraction(0)) + cz * c1
+        if n > 0 and n + m == 0:
+            cf = module.alg.form(x, y)
+            if cf:
+                acc[rest] = acc.get(rest, Fraction(0)) + n * cf * module.level
+        result = tuple((mo, c) for mo, c in acc.items() if c)
+    memo[key] = result
+    return result
+
+
+def reference_act(module, word, state, memo):
+    """Reference for VermaModule.act: factor by factor in Fraction."""
+    out = {}
+    for coeff, factors in word:
+        cur = dict(state.terms)
+        for x, n in reversed(factors):
+            nxt = {}
+            for mono, c in cur.items():
+                for mono1, c1 in reference_apply_mono(module, x, n, mono, memo):
+                    nxt[mono1] = nxt.get(mono1, Fraction(0)) + c * c1
+            cur = {mono: c for mono, c in nxt.items() if c}
+        for mono, c in cur.items():
+            out[mono] = out.get(mono, Fraction(0)) + Fraction(coeff) * c
+    return verma.PBWState(module, out)
+
+
 def full_bracket_table(alg):
     """Every basis commutator, decomposed with no weight filter: {(i, j): items}."""
     table = {}
@@ -100,7 +148,7 @@ def random_state(module, rng, max_terms=3, max_factors=3):
             for _ in range(rng.randint(0, max_factors))
         ]
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        out = out + coeff * module.act_factors(factors, module.vacuum())
+        out = out + coeff * module.act([(1, factors)], module.vacuum())
     return out
 
 
@@ -133,11 +181,10 @@ def confluence_cases(module, rng, cases=100):
             (rng.randrange(alg.dim), rng.randint(-3, 1))
             for _ in range(rng.randint(2, 5))
         ]
-        whole = module.act_factors(factors, module.vacuum())
+        whole = module.act([(1, factors)], module.vacuum())
         cut = rng.randint(1, len(factors) - 1)
-        split = module.act_factors(factors[:cut],
-                                   module.act_factors(factors[cut:],
-                                                      module.vacuum()))
+        split = module.act([(1, factors[:cut])],
+                           module.act([(1, factors[cut:])], module.vacuum()))
         if whole != split:
             bad.append((case, factors, cut))
     return bad
@@ -149,8 +196,8 @@ def idempotence_cases(module, rng, cases=100):
     for case in range(cases):
         s = random_state(module, rng)
         for mono, coeff in s.terms.items():
-            again = module.act_factors([(x, n) for n, x in mono],
-                                       module.vacuum())
+            again = module.act([(1, [(x, n) for n, x in mono])],
+                               module.vacuum())
             if again.terms != {mono: Fraction(1)}:
                 bad.append((case, mono))
         if s.to_obj() != s.to_obj():

@@ -96,7 +96,7 @@ def test_criterion_07_quadratic_state_reduces_with_fixed_scalar():
     rel = conformal.quadratic_relation_state(module)
     assert rel.multiple_of(target) == 1
     mono = sorted(rel.terms)[0]
-    extra = module.act_factors([(x, n) for n, x in mono], module.vacuum())
+    extra = module.act([(1, [(x, n) for n, x in mono])], module.vacuum())
     assert (rel + extra).multiple_of(target) is None
 
 

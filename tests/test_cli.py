@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -64,6 +65,31 @@ def test_usage_errors_exit_two(capsys):
     for argv in cases:
         assert cli.main(argv) == 2, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    "verify embedding --l 300",
+    "verify all --l-range 4..300",
+    "dump-algebra --type B --l 300",
+    "verify all --l 17",
+    "verify singular --type D --l 17",
+])
+def test_rank_above_budget_exits_two_fast(capsys, argv):
+    t0 = time.perf_counter()
+    assert cli.main(argv.split()) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "above %d" % cli.MAX_L in capsys.readouterr().err
+
+
+def test_ranks_within_budget_run(capsys, tmp_path):
+    parser = cli.build_parser()
+    for argv in ("verify embedding --l 16", "verify all --l-range 4..16",
+                 "dump-algebra --type B --l 16"):
+        cli._validate(parser, parser.parse_args(argv.split()))
+    out = tmp_path / "d12.json"
+    assert cli.main(["dump-algebra", "--type", "D", "--l", "12",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["l"] == 12
 
 
 def test_passing_checks_exit_zero(capsys):

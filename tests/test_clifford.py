@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_verma.clifford import CliffordAlgebra, normal_ordered
+from affine_verma.clifford import CliffordAlgebra
 
 
 @pytest.fixture(scope="module")
@@ -49,18 +49,27 @@ def test_unit_and_scalars(cl):
 
 
 def test_normal_ordering_subtracts_contraction(cl):
-    # :xy: = (xy - yx)/2, so :a_i a*_i: = a_i a*_i - 1/2 and anticommuting
-    # pairs are already normal ordered
+    # :xy: = (xy - yx)/2 = [x, y]/2, so :a_i a*_i: = a_i a*_i - 1/2 and
+    # anticommuting pairs are already normal ordered
     i = 2
-    assert normal_ordered(cl.a(i), cl.a_star(i)) \
+    assert cl.a(i).commutator(cl.a_star(i)) / 2 \
         == cl.a(i) * cl.a_star(i) - cl.unit(Fraction(1, 2))
-    assert normal_ordered(cl.a(1), cl.a_star(2)) == cl.a(1) * cl.a_star(2)
-    assert normal_ordered(cl.a(1), cl.a(2)) == cl.a(1) * cl.a(2)
+    assert cl.a(1).commutator(cl.a_star(2)) / 2 == cl.a(1) * cl.a_star(2)
+    assert cl.a(1).commutator(cl.a(2)) / 2 == cl.a(1) * cl.a(2)
+
+
+def test_integer_inputs_stay_int(cl):
+    # the doubled normal-ordered products behind the bracket table
+    doubled = cl.a(1).commutator(cl.a_star(1)) + 2 * cl.a(2) + cl.unit(3)
+    assert doubled == 2 * cl.a(1) * cl.a_star(1) + 2 * cl.a(2) + cl.unit(2)
+    assert all(type(c) is int for c in doubled.terms.values())
+    assert type(next(iter((cl.a(1) * Fraction(1, 2)).terms.values()))) \
+        is Fraction
 
 
 def test_commutator_of_quadratics_is_quadratic(cl):
     # bilinears in fermions close under commutator: degree stays <= 2
-    h1 = normal_ordered(cl.a(1), cl.a_star(1))
+    h1 = cl.a(1).commutator(cl.a_star(1)) / 2
     x = cl.a(1) * cl.a_star(2)
     y = cl.a(2) * cl.a_star(3)
     for elem in (h1.commutator(x), x.commutator(y)):

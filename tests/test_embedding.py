@@ -103,8 +103,8 @@ def test_relation_failure_carries_difference(monkeypatch):
     bmod = verma.vacuum_module("B", 4)
     true_vector = singular.singular_vector(bmod)
     alg = bmod.alg
-    poke = bmod.act_factors(
-        [(alg.e_index(alg.rm(1, 2)), -1), (alg.e_index(alg.rp(1, 2)), -1)],
+    poke = bmod.act(
+        [(1, [(alg.e_index(alg.rm(1, 2)), -1), (alg.e_index(alg.rp(1, 2)), -1)])],
         bmod.vacuum())
 
     monkeypatch.setattr(embedding.singular, "singular_vector",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from affine_verma import liealg
+from affine_verma import liealg, singular, verma
 from affine_verma.claims import verifies
 
 
@@ -199,3 +199,35 @@ def test_weight_pruned_table_is_sound(kind, l):
     # the builder never commutes these pairs; the Clifford algebra agrees
     assert [p for p in skipped if full[p]] == []
     assert [p for p, items in full.items() if alg.bracket(*p) != items] == []
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_structure_constants_are_small_ints(kind):
+    for l in range(2, 9):
+        alg = liealg.algebra(kind, l)
+        values = [c for row in alg._brackets for items in row.values()
+                  for _, c in items]
+        assert values and all(type(c) is int for c in values), (kind, l)
+        assert set(values) <= {-2, -1, 1, 2}, (kind, l)
+        form = [alg.form(i, j) for i in range(alg.dim) for j in range(alg.dim)]
+        assert not any(isinstance(c, float) for c in form), (kind, l)
+        assert {c for c in form if c} <= ({1, 2} if kind == "B" else {1})
+    # states built from the int table and kernel carry no float either
+    module = verma.vacuum_module(kind, 4)
+    vec = singular.singular_vector(module)
+    states = [vec] + [module.apply(x, n, vec)
+                      for x, n in singular.raising_operators(module.alg)]
+    states.append(module.apply(module.alg.f_index(module.alg.theta), 1,
+                               module.apply(module.alg.e_index(
+                                   module.alg.theta), -1, module.vacuum())))
+    coeffs = [c for s in states for c in s.terms.values()]
+    assert coeffs and all(type(c) is Fraction for c in coeffs)
+
+
+def test_non_integral_structure_constant_raises(monkeypatch):
+    # the doubled realizations give 4 [x_i, x_j]; a coefficient that 4 does
+    # not divide is no integer structure constant and must not be stored
+    monkeypatch.setattr(liealg.LieAlgebra, "_decompose",
+                        lambda self, x: {0: 2} if x else {})
+    with pytest.raises(ValueError, match="non-integer"):
+        liealg.LieAlgebra("B", 2)

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from math import gcd
+
+from affine_verma import linalg
 from affine_verma.linalg import Echelon, clear_denominators, nullspace, \
     rank, solve_exact
 
@@ -13,6 +16,17 @@ def test_clear_denominators():
     cleared = clear_denominators(row)
     assert cleared == {0: 3, 3: -4}
     assert clear_denominators({}) == {}
+    assert clear_denominators({0: Fraction(4, 2), 1: 3}) == {0: 2, 1: 3}
+
+
+def test_clear_denominators_builds_no_fraction_for_int_rows(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction built for an int row")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    cleared = clear_denominators({0: 3, 1: 0, 4: -4})
+    assert cleared == {0: 3, 4: -4}
+    assert all(type(v) is int for v in cleared.values())
 
 
 def test_echelon_drops_zero_entries():
@@ -98,3 +112,47 @@ def test_solve_exact():
     half = Fraction(1, 2)
     assert solve_exact([[half, 0, 1], [0, Fraction(2, 3), 0]],
                        [Fraction(1, 4), 2, half]) == [half, Fraction(3)]
+
+
+def _fraction_back_substitution(ech, ncols):
+    """The Fraction back-substitution the int one replaced."""
+    pivots = sorted(ech.rows)
+    basis = []
+    for free in range(ncols):
+        if free in ech.rows:
+            continue
+        x = {free: Fraction(1)}
+        for p in reversed(pivots):
+            if p >= free:
+                continue
+            rowp = ech.rows[p]
+            s = sum((v * x[c] for c, v in rowp.items() if c != p and c in x),
+                    Fraction(0))
+            if s:
+                x[p] = -s / rowp[p]
+        vec = [x.get(c, Fraction(0)) for c in range(ncols)]
+        mult = 1
+        for v in vec:
+            mult = mult * v.denominator // gcd(mult, v.denominator)
+        ints = [int(v * mult) for v in vec]
+        g = 0
+        for v in ints:
+            g = gcd(g, abs(v))
+        ints = [v // g for v in ints]
+        if next(v for v in ints if v) < 0:
+            ints = [-v for v in ints]
+        basis.append(ints)
+    return basis
+
+
+def test_int_back_substitution_matches_fraction(rng):
+    # pivots above 1 that do not divide the partial sums force the rescale
+    for _ in range(300):
+        ncols = rng.randint(2, 8)
+        ech = Echelon()
+        for _ in range(rng.randint(1, ncols)):
+            ech.add({c: Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+                     for c in rng.sample(range(ncols), rng.randint(1, ncols))})
+        got = ech.nullspace(ncols)
+        assert all(type(v) is int for vec in got for v in vec)
+        assert got == _fraction_back_substitution(ech, ncols)

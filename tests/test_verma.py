@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from affine_verma import liealg, verma
+from affine_verma import liealg, singular, verma
 from affine_verma.claims import verifies
 from affine_verma.verma import PBWState
 
@@ -151,3 +151,92 @@ def test_level_override():
     f = m.alg.f_index(m.alg.theta)
     got = m.apply(f, 1, m.apply(e, -1, m.vacuum()))
     assert got == m.vacuum()
+
+
+# ---- the int kernel against the Fraction reference --------------------------
+
+LEVELS = [None, Fraction(1), Fraction(-5, 3), Fraction(7, 4)]
+
+
+def _fresh_module(kind, l, level):
+    level = Fraction(3 - 2 * l, 2) if level is None else level
+    return verma.VermaModule(liealg.algebra(kind, l), level)
+
+
+def _random_word(alg, rng, positive):
+    """1-3 terms, each with `positive` positive-mode factors placed among
+    0-3 negative-mode ones.  Positive-mode factors are mostly Cartan, which
+    keeps the weight and so often leaves something nonzero."""
+    cartan = [alg.h_index(i) for i in range(1, alg.l + 1)]
+    word = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [(rng.randrange(alg.dim), -rng.randint(1, 2))
+                   for _ in range(rng.randint(0, 3))]
+        for _ in range(positive):
+            x = rng.choice(cartan) if rng.random() < 0.7 \
+                else rng.randrange(alg.dim)
+            factors.insert(rng.randint(0, len(factors)), (x, rng.randint(1, 2)))
+        word.append((Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)),
+                     factors))
+    return word
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=str)
+@pytest.mark.parametrize("l", [4, 5])
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_int_kernel_matches_fraction_reference(kind, l, level, rng):
+    module = _fresh_module(kind, l, level)
+    alg = module.alg
+    memo = {}
+
+    def ref(word, state):
+        return helpers.reference_act(module, word, state, memo)
+
+    # the central term on its own, then stacked: f(1) f(1) on e(-1) e(-1)
+    e, f = alg.e_index(alg.theta), alg.f_index(alg.theta)
+    h = alg.h_index(1)
+    start = ref([(1, [(e, -1), (e, -1)]), (Fraction(2, 3), [(h, -1), (h, -2)])],
+                module.vacuum())
+    fixed = [[(1, [(f, 1)])], [(Fraction(1, 5), [(f, 1), (f, 1)])],
+             [(1, [(h, 2)]), (Fraction(-3, 2), [(h, 1), (f, 1), (e, -1)])]]
+    for word in fixed:
+        assert module.act(word, start) == ref(word, start), word
+    # f(1) e(-1)^2 |0> = (2k - 2) e(-1)|0>, then f(1) e(-1)|0> = k|0>
+    k = module.level
+    assert module.act(fixed[1], start) == \
+        Fraction(2, 5) * k * (k - 1) * module.vacuum()
+
+    nonzero = {0: 0, 1: 0, 3: 0}
+    for _ in range(12):
+        state = ref(_random_word(alg, rng, 0), module.vacuum()) + start
+        for positive in nonzero:
+            word = _random_word(alg, rng, positive)
+            got = module.act(word, state)
+            assert got == ref(word, state), word
+            nonzero[positive] += not got.is_zero()
+            x, n = rng.randrange(alg.dim), rng.randint(-2, 2)
+            assert module.apply(x, n, state) == ref([(1, [(x, n)])], state)
+            elem = {rng.randrange(alg.dim): Fraction(rng.randint(1, 5), 3)
+                    for _ in range(2)}
+            assert module.apply_elem(elem, n, state) == \
+                ref([(c, [(y, n)]) for y, c in elem.items()], state)
+    assert all(nonzero.values()), nonzero
+
+
+@pytest.mark.parametrize("level", [Fraction(-5, 3), None], ids=str)
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_singular_space_from_scaled_rows(kind, level):
+    # solve_singular_space builds its rows from operator_terms, so its
+    # positive-mode rows arrive scaled by level.denominator; a row is one
+    # operator's, so the scale is uniform and the nullspace is the Fraction one
+    module = _fresh_module(kind, 4, level)
+    ref = _fresh_module(kind, 4, level)
+    memo = {}
+    ref._apply_mono = lambda x, n, mono: tuple(
+        v for pair in helpers.reference_apply_mono(ref, x, n, mono, memo)
+        for v in pair)
+    degree, weight = singular.expected_profile(module.alg)
+    for args in ((degree, weight, True), (2, None, True), (2, None, False)):
+        got = singular.solve_singular_space(module, *args)
+        want = singular.solve_singular_space(ref, *args)
+        assert [s.terms for s in got] == [s.terms for s in want], args
