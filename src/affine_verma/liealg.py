@@ -59,6 +59,15 @@ def root_norm(root):
     return sum(c * c for c in root)
 
 
+def coroot_ints(coeffs, norm):
+    """The ints 2 c / norm over coeffs, the coroot coordinates of a root of
+    that norm; ValueError if one does not divide."""
+    qr = [divmod(2 * c, norm) for c in coeffs]
+    if any(r for _, r in qr):
+        raise ValueError("2 * %r / %s is not integral" % (tuple(coeffs), norm))
+    return tuple(q for q, _ in qr)
+
+
 def root_label(root):
     """Compact label: "1-2" for e1-e2, "1+2" for e1+e2, "3" for e3."""
     pos = [i + 1 for i, c in enumerate(root) if c == 1]
@@ -317,10 +326,9 @@ class LieAlgebra:
 
     def coroot_coords(self, root):
         """Closed form h_alpha = sum_i (2 c_i / (alpha,alpha)) H_i."""
-        n = root_norm(root)
         return {
-            self.h_index(i + 1): Fraction(2 * c, n)
-            for i, c in enumerate(root) if c
+            self.h_index(i + 1): c
+            for i, c in enumerate(coroot_ints(root, root_norm(root))) if c
         }
 
     def cartan_pairing(self, beta, root):

@@ -42,19 +42,16 @@ class Echelon:
     def __init__(self):
         self.rows = {}  # pivot column -> integer row with positive pivot
 
-    def add(self, row):
-        """Reduce a {col: Fraction|int} row against the accumulated rows and
-        insert what is left.  Returns True if the row added a new pivot."""
+    def reduce(self, row):
+        """Reduce a {col: Fraction|int} row against the accumulated rows,
+        inserting nothing: the integer row left, whose smallest column holds
+        no pivot, or {} if the row is in their span."""
         row = clear_denominators(row)
         while row:
             col = min(row)
             piv = self.rows.get(col)
             if piv is None:
-                row = _gcd_reduce(row)
-                if row[col] < 0:
-                    row = {c: -v for c, v in row.items()}
-                self.rows[col] = row
-                return True
+                return row
             a, b = row[col], piv[col]
             new = {c: v * b for c, v in row.items()}
             for c, v in piv.items():
@@ -64,7 +61,18 @@ class Echelon:
                 else:
                     new.pop(c, None)
             row = _gcd_reduce(new)
-        return False
+        return row
+
+    def add(self, row):
+        """Reduce a row and insert what is left, primitive with a positive
+        pivot.  Returns True if the row added a new pivot."""
+        row = _gcd_reduce(self.reduce(row))
+        if row:
+            col = min(row)
+            if row[col] < 0:
+                row = {c: -v for c, v in row.items()}
+            self.rows[col] = row
+        return bool(row)
 
     @property
     def rank(self):

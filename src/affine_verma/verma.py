@@ -135,8 +135,8 @@ class VermaModule:
         return self.act([(cx, ((x, n),)) for x, cx in elem.items()], state)
 
     def act(self, word, state):
-        """Apply [(coeff, ((index, mode), ...)), ...] to a state, rightmost
-        factor first: int numerators over one common denominator go through
+        """Apply [(coeff, ((index, mode), ...)), ...], coeff an int or a
+        Fraction, to a state, rightmost factor first: int numerators over one common denominator go through
         each product, which comes out scaled by level.denominator per
         positive-mode factor (see _apply_mono); one division per monomial."""
         if state.module is not self:
@@ -144,7 +144,6 @@ class VermaModule:
         den = lcm(*(c.denominator for c in state.terms.values()))
         start = {mono: c.numerator * (den // c.denominator)
                  for mono, c in state.terms.items()}
-        word = [(Fraction(c), factors) for c, factors in word]
         scales = [c.denominator
                   * self.level.denominator ** sum(n > 0 for _, n in factors)
                   for c, factors in word]
@@ -179,7 +178,7 @@ class VermaModule:
         alg = self.alg
         word = []
         for coeff, factors in terms:
-            partial = [(Fraction(coeff), ())]
+            partial = [(coeff, ())]
             for factor in factors:
                 role, datum, mode = factor
                 if role == "e":

@@ -23,11 +23,24 @@ pass keeps each integral coroot, ordered by (mode, rho . v + big * m, label),
 that is not yet a nonnegative integer combination of those kept.  big makes
 every height positive; a short coroot of type B has mode component 2m, so big
 also orders coroots within one mode and the generating set depends on it.
+
+The cone test needs no search.  By Kac-Wakimoto (PNAS 1988) the integral
+real coroots form a root system, and the pass keeps its simple coroots.
+Those of one irreducible component are independent, and each coroot of the
+component is a nonnegative integer combination of them with connected
+support.  So kept coroots joined by nonzero finite dot products form pieces,
+each an incremental integer basis (_Basis), and a coroot is generated when
+its unique coordinates in a piece it touches are nonnegative integers.
+Pieces of several affine components share delta and are dependent together
+(a finite part that is not integral can give them).  All arithmetic is on
+int: pairings are scaled by the lcm of the denominators of lambda + rho_hat
+and the level, and heights are taken against 2 rho.
 """
 
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import liealg
 from . import linalg
@@ -88,11 +101,7 @@ class AffineRoot:
 
     def coroot_vector(self):
         """Integer vector (2 alpha/(alpha,alpha), 2 mode/(alpha,alpha)) in Z^(l+1)."""
-        n = self.norm()
-        vec = tuple(Fraction(2 * c, n) for c in self.finite)
-        md = Fraction(2 * self.mode, n)
-        assert all(v.denominator == 1 for v in vec) and md.denominator == 1
-        return tuple(int(v) for v in vec) + (int(md),)
+        return liealg.coroot_ints(self.finite + (self.mode,), self.norm())
 
     def as_weight(self):
         return AffineWeight.make(self.finite, 0, self.mode)
@@ -173,58 +182,44 @@ class AdmissibilityReport:
         }
 
 
-class _GeneratedTester:
-    """Decides whether a coroot vector is a nonnegative integer combination
-    of the accepted generator vectors.
+class _Basis:
+    """Independent integer vectors in Z^d and their nonnegative integer cone.
 
-    Generators with positive mode are tried by a memoized DFS (each
-    subtraction strictly lowers the mode), and the mode-zero remainder is
-    settled by linalg.solve_exact.  That needs independent mode-zero
-    generators, which check_admissible guarantees: it tests every mode-zero
-    candidate before any with positive mode, so the mode-zero generators it
-    keeps are the simple coroots of the finite integral subsystem
-    {alpha^v : <lambda, alpha^v> in Z}, a root system.  Dependent mode-zero
-    generators make solve_exact raise ValueError."""
+    Generator k is kept in a linalg.Echelon as its vector plus a 1 in
+    tracking column d + k; a query enters the same way, its marker 1 in the
+    next tracking column.  A column below d left after reduction puts it
+    outside the span; otherwise the row reads  c * query = sum_k x_k g_k
+    with c in the marker column and -x_k in column d + k."""
 
-    def __init__(self):
-        self.mode_gens = []
-        self.zero_gens = []
-        self._memo = {}
+    def __init__(self, d, vecs=()):
+        self.d = d
+        self.vecs = []
+        self._ech = linalg.Echelon()
+        for vec in vecs:
+            self.add(vec)
 
-    def add(self, vec):
-        if vec[-1] > 0:
-            self.mode_gens.append(vec)
-        else:
-            self.zero_gens.append(vec)
-        self._memo.clear()
+    def _reduce(self, vec):
+        row = dict(enumerate(vec))
+        row[self.d + len(self.vecs)] = 1
+        return self._ech.reduce(row)
 
     def generated(self, vec):
-        return self._mode_search(tuple(vec), 0)
+        row = self._reduce(vec)
+        c = row.pop(self.d + len(self.vecs))
+        return all(col >= self.d and t % c == 0 and t * c <= 0
+                   for col, t in row.items())
 
-    def _mode_search(self, vec, start):
-        if vec[-1] < 0:
-            return False
-        if vec[-1] == 0:
-            return self._zero_cone(vec[:-1])
-        key = (vec, start)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = False
-            for gi in range(start, len(self.mode_gens)):
-                rem = tuple(a - b for a, b in zip(vec, self.mode_gens[gi]))
-                if self._mode_search(rem, gi):
-                    hit = True
-                    break
-            self._memo[key] = hit
-        return hit
+    def add(self, vec):
+        """Append a generator; ValueError if it is in the span already."""
+        row = self._reduce(vec)
+        if min(row) >= self.d:
+            raise ValueError("%r depends on the generators" % (vec,))
+        self._ech.add(row)
+        self.vecs.append(vec)
 
-    def _zero_cone(self, v):
-        if not any(v):
-            return True
-        coords = linalg.solve_exact([g[:-1] for g in self.zero_gens], v)
-        if coords is None:
-            return False
-        return all(c.denominator == 1 and c >= 0 for c in coords)
+    def touches(self, vec):
+        """Whether some generator has a nonzero finite dot product with vec."""
+        return any(sum(a * b for a, b in zip(vec[:-1], g)) for g in self.vecs)
 
 
 def check_admissible(alg, weight, mode_bound=None):
@@ -251,54 +246,64 @@ def check_admissible(alg, weight, mode_bound=None):
         rep.notes.append("level 0 is the degenerate vacuum case; "
                          "trivially admissible, reported for completeness")
 
-    # condition (i): <w + rho, gamma^v> never a nonpositive integer; the
-    # integral ones are the candidates of condition (ii)
-    max_threshold = 0
+    # condition (i): <w + rho, gamma^v> = 2 (P + m T) / (n den) with the
+    # integers P = den (w + rho, alpha) and T = den (level + dual Coxeter);
+    # the integral pairings are the candidates of condition (ii)
+    den = lcm(weight.level.denominator,
+              *(c.denominator for c in shifted.finite))
+    fin = [int(c * den) for c in shifted.finite]
+    T = int(slope_base * den)
     candidates = []
     for root in all_finite_roots(alg):
         n = liealg.root_norm(root)
-        q = 2 * sum(s * a for s, a in zip(shifted.finite, root)) / Fraction(n)
-        t = 2 * slope_base / Fraction(n)
-        # smallest m with q + m t > 0
-        thr = 0
-        while q + thr * t <= 0:
-            thr += 1
-        max_threshold = max(max_threshold, thr)
+        P = sum(s * a for s, a in zip(fin, root))
+        # smallest m with P + m T > 0 (at most 0 when m = 0 has it)
+        rep.max_threshold = max(rep.max_threshold, (-P) // T + 1)
         start = 0 if root in alg.positive_roots else 1
         for m in range(start, mode_bound + 1):
-            p = q + m * t
-            if p.denominator == 1:
+            num = 2 * (P + m * T)
+            if num % (n * den) == 0:
                 candidates.append(AffineRoot(root, m))
-                if p <= 0:
+                if num <= 0:
                     rep.violations.append(
-                        {"root": candidates[-1].label(), "pairing": str(p)})
-    rep.max_threshold = max_threshold
-    rep.certified = max_threshold <= mode_bound
+                        {"root": candidates[-1].label(),
+                         "pairing": str(num // (n * den))})
+    rep.certified = rep.max_threshold <= mode_bound
     if not rep.certified:
         rep.notes.append(
             "mode bound %d below positivity threshold %d; raise %s"
-            % (mode_bound, max_threshold, MODE_BOUND_ENV))
+            % (mode_bound, rep.max_threshold, MODE_BOUND_ENV))
 
-    # condition (ii): integer-pairing coroots span the full rational span
+    # condition (ii): integer-pairing coroots span the full rational span.
+    # Heights are doubled; big = max(1, int(1 - (rho . v) / v_m) + 1) over
+    # v_m > 0, where floor and int agree on every value that can exceed 1
     vecs = {root: root.coroot_vector() for root in candidates}
-    rho_f = alg.rho()
+    rho2 = [int(2 * c) for c in alg.rho()]
     big = 1
     for vec in vecs.values():
         if vec[-1] > 0:
-            h_fin = sum(r * v for r, v in zip(rho_f, vec[:-1]))
-            big = max(big, int((-h_fin) / vec[-1] + 1) + 1)
+            num = 2 * vec[-1] - sum(r * v for r, v in zip(rho2, vec))
+            big = max(big, num // (2 * vec[-1]) + 1)
 
     def order(root):
         vec = vecs[root]
-        height = sum(r * v for r, v in zip(rho_f, vec[:-1])) + big * vec[-1]
+        height = sum(r * v for r, v in zip(rho2, vec)) + 2 * big * vec[-1]
         return root.mode, height, root.label()
 
-    tester = _GeneratedTester()
+    # a coroot is tested against the pieces it touches (the only piece
+    # when there is one: its span holds no orthogonal coroot)
+    pieces = []
     accepted = []
     for root in sorted(candidates, key=order):
-        if not tester.generated(vecs[root]):
-            tester.add(vecs[root])
-            accepted.append(root)
+        vec = vecs[root]
+        near = pieces if len(pieces) == 1 else \
+            [p for p in pieces if p.touches(vec)]
+        if any(p.generated(vec) for p in near):
+            continue
+        near = [p for p in pieces if p.touches(vec)]
+        pieces = [p for p in pieces if p not in near]
+        pieces.append(_Basis(l + 1, [g for p in near for g in p.vecs] + [vec]))
+        accepted.append(root)
     rep.generators = [
         {"finite": list(r.finite), "mode": r.mode, "label": r.label()}
         for r in accepted

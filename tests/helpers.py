@@ -6,7 +6,7 @@ holds); callers assert emptiness so failures show the offending cases.
 
 from fractions import Fraction
 
-from affine_verma import verma
+from affine_verma import liealg, linalg, verma, weights
 
 
 def leaf_filtered_monomials(alg, degree):
@@ -214,3 +214,134 @@ def roundtrip_cases(module, rng, cases=100):
         if back != s:
             bad.append(case)
     return bad
+
+
+class reference_generated_tester:
+    """Reference for the cone test of weights.check_admissible: the memoized
+    DFS over positive-mode generators it replaced.
+
+    Decides whether a coroot vector is a nonnegative integer combination of
+    the accepted vectors.  Each subtraction of a positive-mode generator
+    strictly lowers the mode; the mode-zero remainder is settled by
+    linalg.solve_exact, which needs independent mode-zero generators."""
+
+    def __init__(self):
+        self.mode_gens = []
+        self.zero_gens = []
+        self._memo = {}
+
+    def add(self, vec):
+        if vec[-1] > 0:
+            self.mode_gens.append(vec)
+        else:
+            self.zero_gens.append(vec)
+        self._memo.clear()
+
+    def generated(self, vec):
+        return self._mode_search(tuple(vec), 0)
+
+    def _mode_search(self, vec, start):
+        if vec[-1] < 0:
+            return False
+        if vec[-1] == 0:
+            return self._zero_cone(vec[:-1])
+        key = (vec, start)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = False
+            for gi in range(start, len(self.mode_gens)):
+                rem = tuple(a - b for a, b in zip(vec, self.mode_gens[gi]))
+                if self._mode_search(rem, gi):
+                    hit = True
+                    break
+            self._memo[key] = hit
+        return hit
+
+    def _zero_cone(self, v):
+        if not any(v):
+            return True
+        coords = linalg.solve_exact([g[:-1] for g in self.zero_gens], v)
+        if coords is None:
+            return False
+        return all(c.denominator == 1 and c >= 0 for c in coords)
+
+
+def reference_check_admissible(alg, weight, mode_bound):
+    """Reference for weights.check_admissible: Fraction pairings, thresholds
+    and heights, and the greedy pass on reference_generated_tester."""
+    l = alg.l
+    rep = weights.AdmissibilityReport(
+        kind=alg.kind, l=l, weight=weight, mode_bound=mode_bound,
+        admissible=False, full_rank=l + 1)
+    shifted = weight + weights.rho_hat(alg)
+    slope_base = weight.level + alg.dual_coxeter
+    if slope_base == 0:
+        rep.critical = True
+        rep.notes.append("critical level: level + dual Coxeter = 0; rejected")
+        return rep
+    if slope_base < 0:
+        rep.notes.append(
+            "level + dual Coxeter < 0: pairings decrease with the mode, "
+            "no finite certificate; rejected")
+        return rep
+    if weight.level == 0:
+        rep.notes.append("level 0 is the degenerate vacuum case; "
+                         "trivially admissible, reported for completeness")
+    candidates = []
+    for root in weights.all_finite_roots(alg):
+        n = liealg.root_norm(root)
+        q = 2 * sum(s * a for s, a in zip(shifted.finite, root)) / Fraction(n)
+        t = 2 * slope_base / Fraction(n)
+        thr = 0
+        while q + thr * t <= 0:
+            thr += 1
+        rep.max_threshold = max(rep.max_threshold, thr)
+        start = 0 if root in alg.positive_roots else 1
+        for m in range(start, mode_bound + 1):
+            p = q + m * t
+            if p.denominator == 1:
+                candidates.append(weights.AffineRoot(root, m))
+                if p <= 0:
+                    rep.violations.append(
+                        {"root": candidates[-1].label(), "pairing": str(p)})
+    rep.certified = rep.max_threshold <= mode_bound
+    if not rep.certified:
+        rep.notes.append(
+            "mode bound %d below positivity threshold %d; raise %s"
+            % (mode_bound, rep.max_threshold, weights.MODE_BOUND_ENV))
+    vecs = {root: root.coroot_vector() for root in candidates}
+    rho_f = alg.rho()
+    big = 1
+    for vec in vecs.values():
+        if vec[-1] > 0:
+            h_fin = sum(r * v for r, v in zip(rho_f, vec[:-1]))
+            big = max(big, int((-h_fin) / vec[-1] + 1) + 1)
+
+    def order(root):
+        vec = vecs[root]
+        height = sum(r * v for r, v in zip(rho_f, vec[:-1])) + big * vec[-1]
+        return root.mode, height, root.label()
+
+    tester = reference_generated_tester()
+    accepted = []
+    for root in sorted(candidates, key=order):
+        if not tester.generated(vecs[root]):
+            tester.add(vecs[root])
+            accepted.append(root)
+    rep.generators = [
+        {"finite": list(r.finite), "mode": r.mode, "label": r.label()}
+        for r in accepted
+    ]
+    rep.rank = linalg.rank(vecs[r] for r in accepted)
+    shifted_pairs = rep.simple_pairings
+    for i, a in enumerate(alg.simple_roots, start=1):
+        shifted_pairs["alpha_%d" % i] = str(
+            weights.pairing(shifted, weights.AffineRoot(a, 0)))
+    theta = tuple(-c for c in alg.theta)
+    shifted_pairs["alpha_0"] = str(
+        weights.pairing(shifted, weights.AffineRoot(theta, 1)))
+    shifted_pairs["two_delta_minus_theta"] = str(
+        weights.pairing(shifted, weights.AffineRoot(theta, 2)))
+    rep.admissible = (not rep.violations) and rep.certified \
+        and rep.rank == l + 1
+    return rep

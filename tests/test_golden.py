@@ -1,8 +1,9 @@
 """Whole-report digests, pinned so that kernel changes keep every byte.
 
 The sha256 values were taken from the Fraction kernels, before the int
-straightening, bracket-table and back-substitution kernels replaced them.
-Regenerate them only when report text is meant to change.
+straightening, bracket-table and back-substitution kernels replaced them;
+the admissibility ones from the memoized DFS cone test, before the integer
+basis replaced it.  Regenerate them only when report text is meant to change.
 """
 
 import hashlib
@@ -27,6 +28,28 @@ def test_verify_all_document():
      "d7682f4455e12abc795a1a93b1448cdf35c4d20a797ef9a145419224b9d90008"),
     ("verify singular --type D --l 4 --strict",
      "31d91ecf6f7ab85bdacc2fcd10042f4840671bd015b4564f331d7c9b34f0bb0d"),
+    ("verify admissible --type B --l 4",
+     "1a65dde328828fb42011d36a12f69f8d894cb8c2d4c8b57b567c57b57ae8e55b"),
+    ("verify admissible --type B --l 5",
+     "ca61782be028f7cddb3dfae32fe81ede49935407045bad26daf1939fedfa9eba"),
+    ("verify admissible --type B --l 6",
+     "d24f25110fb399d75bb03ee27ce287e17ee4c79c439a39868ef3d060fc24bc69"),
+    ("verify admissible --type B --l 7",
+     "abccb6b94c64ede1a50fffa5717fd4b201e66a18b7244af7218bc484ea19ac7f"),
+    ("verify admissible --type B --l 8",
+     "e06c2d2e55fbcc0994c2c4812e8579771deb38d94e74e6ae90b76e87a1c65aa9"),
+    ("verify admissible --type D --l 4",
+     "c1a641b2d3803f3a833ffe03686c7db5489bb59cd96463117795034d9beef584"),
+    ("verify admissible --type D --l 5",
+     "e9495b1784af2ce8a00d47a634d1146d529979ee4f8c6359f38413782c883ab5"),
+    ("verify admissible --type D --l 6",
+     "ca50ccfc43399b54c2d6470f7e535e551feee291bccaa864103a067047d6905b"),
+    ("verify admissible --type D --l 7",
+     "489acb3bf1f3fc7740c8ed4ecd4ce79d4f4720dc899a28a26879d2436c961db4"),
+    ("verify admissible --type D --l 8",
+     "300e16e6116ba8e8bd4bbcf548dd9de87391bc013797ba556aff0a9192a40f04"),
+    ("verify admissible --type D --l 16",
+     "32e3ce1bbfc25c5513cceac3553e02b2487e66757887c0aaa2e55a2523dbae1a"),
     ("dump-algebra --type B --l 4",
      "f76caf65a112754dd1e8c83198543ffb05b252477bb4175d0a00f855cd9f4c87"),
     ("dump-algebra --type B --l 5",

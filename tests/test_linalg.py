@@ -38,6 +38,35 @@ def test_echelon_drops_zero_entries():
     assert dense.rows == sparse.rows
 
 
+def test_echelon_reduce_leaves_accumulator_unchanged(rng):
+    for _ in range(100):
+        ech = Echelon()
+        for _ in range(rng.randint(0, 4)):
+            ech.add({c: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for c in range(5) if rng.random() < 0.6})
+        before = {p: dict(row) for p, row in ech.rows.items()}
+        row = {c: rng.randint(-4, 4) for c in range(5)}
+        left = ech.reduce(row)
+        assert ech.rows == before
+        # what is left differs from the row by the row space, and its
+        # smallest column is free
+        assert not left or min(left) not in ech.rows
+        probe = Echelon()
+        for r in list(before.values()) + [left]:
+            probe.add(r)
+        assert probe.add(row) is False
+        # add inserts exactly what reduce leaves, up to a positive scale
+        assert ech.add(row) == bool(left)
+        if left:
+            col = min(left)
+            inserted = ech.rows[col]
+            assert all(inserted[c] * left[col] == v * inserted[col]
+                       for c, v in left.items())
+            assert set(inserted) == set(left)
+        else:
+            assert ech.rows == before
+
+
 def test_nullspace_known_kernel():
     # x + y + z = 0, x - z = 0  =>  kernel spanned by (1, -2, 1)
     rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}]

@@ -1,10 +1,12 @@
 """Affine weights, pairings, shifted reflections, and admissibility."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
+import helpers
 from affine_verma import liealg, linalg, weights, verma, singular
 from affine_verma.claims import verifies
 
@@ -62,6 +64,19 @@ def test_mode_bound_env_and_argument(monkeypatch):
         weights.mode_bound_from_env()
 
 
+def test_mode_bound_scaling():
+    # the cost is linear in the mode bound: D_8 at bound 1000 takes about
+    # 2 s on a 2-core machine, against about 40 s for the memoized DFS cone
+    # test that walked every positive-mode decomposition
+    alg = liealg.algebra("D", 8)
+    start = time.perf_counter()
+    rep = weights.check_admissible(
+        alg, weights.vacuum_weight(8, special_level(8)), 1000)
+    elapsed = time.perf_counter() - start
+    assert rep.admissible and rep.rank == 9
+    assert elapsed < 15, elapsed
+
+
 @verifies("weight-reflection")
 @pytest.mark.parametrize("l", [4, 5, 6])
 def test_singular_weight_is_shifted_reflection(l):
@@ -116,39 +131,69 @@ def test_weight_arithmetic():
 
 
 def test_generated_tester_matches_brute_force():
-    # independent mode-zero generators that span three of the four finite
-    # coordinates, and two generators with positive mode
-    zero = [(1, -1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 2, 0, 0)]
-    mode = [(-1, 0, 0, 0, 1), (0, 1, -1, 0, 2)]
-    tester = weights._GeneratedTester()
-    for g in zero + mode:
-        tester.add(g)
-    gens = zero + mode
+    # independent generators: three with mode zero spanning three of the
+    # five finite coordinates, and two with positive mode
+    gens = [(1, -1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0),
+            (-1, 0, 0, 0, 0, 1), (0, 1, -1, 1, 0, 2)]
+    assert linalg.rank(gens) == len(gens)
+    basis = weights._Basis(6, gens)
     # these coefficient bounds cover every representation of the targets
     # below: at most 2 and 1 of the mode generators, and then the remainder
     # fixes the mode-zero coefficients
     reachable = {
-        tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(5))
+        tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(6))
         for coeffs in itertools.product(range(9), range(9), range(5),
                                         range(3), range(2))
     }
-    targets = [(a, b, c, d, m) for a in range(-3, 4) for b in range(-3, 4)
+    targets = [(a, b, c, d, 0, m) for a in range(-3, 4) for b in range(-3, 4)
                for c in range(-2, 5) for d in (0, 1) for m in (-1, 0, 1, 2)]
     assert [t for t in targets
-            if tester.generated(t) != (t in reachable)] == []
-    assert tester.generated((1, 0, 0, 0, 0))      # in the cone
-    assert tester.generated((-1, 1, 0, 0, 1))     # needs a positive mode
-    assert not tester.generated((-1, 0, 0, 0, 0))  # in the span, not the cone
-    assert not tester.generated((0, 0, 1, 0, 0))  # in the span, not integral
-    assert not tester.generated((0, 0, 0, 1, 0))  # outside the span
+            if basis.generated(t) != (t in reachable)] == []
+    assert basis.generated((1, 0, 0, 0, 0, 0))      # in the cone
+    assert basis.generated((-1, 1, 0, 0, 0, 1))     # needs a positive mode
+    assert not basis.generated((-1, 0, 0, 0, 0, 0))  # in the span, not the cone
+    assert not basis.generated((0, 0, 1, 0, 0, 0))  # in the span, not integral
+    assert not basis.generated((0, 0, 0, 0, 1, 0))  # outside the span
 
 
 def test_generated_tester_rejects_dependent_zero_generators():
-    tester = weights._GeneratedTester()
-    for g in [(1, 0, 0), (0, 1, 0), (1, 1, 0)]:
-        tester.add(g)
+    basis = weights._Basis(3, [(1, 0, 0), (0, 1, 0)])
     with pytest.raises(ValueError):
-        tester.generated((2, 1, 0))
+        basis.add((1, 1, 0))
+    # the failed add leaves the basis as it was
+    assert basis.vecs == [(1, 0, 0), (0, 1, 0)]
+    assert basis.generated((2, 1, 0))
+    assert not basis.generated((2, -1, 0))
+
+
+def test_matches_reference_tester_on_grid():
+    # the DFS tester and Fraction arithmetic that the integer basis replaced;
+    # the finite part e1/2 is not integral, so its integral coroots can split
+    # into several affine components whose generators are dependent
+    seen = {"inadmissible": 0, "violations": 0, "low_rank": 0, "dependent": 0}
+    for kind, l in (("B", 2), ("B", 3), ("B", 4), ("B", 5),
+                    ("D", 3), ("D", 4), ("D", 5)):
+        alg = liealg.algebra(kind, l)
+        finites = [(0,) * l, (1,) + (0,) * (l - 1), (Fraction(1, 2),) * l,
+                   (Fraction(1, 2),) + (0,) * (l - 1)]
+        # every fourth level n/d in [-(h + 1), 1] with d <= 4 keeps the
+        # test near 4 s, about 3 of it in the reference
+        h = alg.dual_coxeter
+        levels = sorted({Fraction(n, d) for d in (1, 2, 3, 4)
+                         for n in range(-d * (h + 1), d + 1)})[::4]
+        for finite in finites:
+            for level in levels:
+                weight = weights.AffineWeight.make(finite, level)
+                for bound in (2, 5):
+                    got = weights.check_admissible(alg, weight, bound)
+                    want = helpers.reference_check_admissible(alg, weight, bound)
+                    assert got.to_obj() == want.to_obj(), \
+                        (kind, l, finite, level, bound)
+                    seen["inadmissible"] += not got.admissible
+                    seen["violations"] += bool(got.violations)
+                    seen["low_rank"] += got.rank < l + 1
+                    seen["dependent"] += got.rank < len(got.generators)
+    assert all(seen.values()), seen
 
 
 def test_mode_zero_generators_are_independent():
