@@ -62,10 +62,9 @@ def root_norm(root):
 def coroot_ints(coeffs, norm):
     """The ints 2 c / norm over coeffs, the coroot coordinates of a root of
     that norm; ValueError if one does not divide."""
-    qr = [divmod(2 * c, norm) for c in coeffs]
-    if any(r for _, r in qr):
+    if any(2 * c % norm for c in coeffs):
         raise ValueError("2 * %r / %s is not integral" % (tuple(coeffs), norm))
-    return tuple(q for q, _ in qr)
+    return tuple(2 * c // norm for c in coeffs)
 
 
 def root_label(root):

@@ -136,9 +136,10 @@ class VermaModule:
 
     def act(self, word, state):
         """Apply [(coeff, ((index, mode), ...)), ...], coeff an int or a
-        Fraction, to a state, rightmost factor first: int numerators over one common denominator go through
-        each product, which comes out scaled by level.denominator per
-        positive-mode factor (see _apply_mono); one division per monomial."""
+        Fraction, to a state, rightmost factor first: int numerators over
+        one common denominator go through each product, which comes out
+        scaled by level.denominator per positive-mode factor (see
+        _apply_mono); one division per monomial."""
         if state.module is not self:
             raise ValueError("state belongs to a different module")
         den = lcm(*(c.denominator for c in state.terms.values()))

@@ -290,15 +290,11 @@ def check_admissible(alg, weight, mode_bound=None):
         height = sum(r * v for r, v in zip(rho2, vec)) + 2 * big * vec[-1]
         return root.mode, height, root.label()
 
-    # a coroot is tested against the pieces it touches (the only piece
-    # when there is one: its span holds no orthogonal coroot)
     pieces = []
     accepted = []
     for root in sorted(candidates, key=order):
         vec = vecs[root]
-        near = pieces if len(pieces) == 1 else \
-            [p for p in pieces if p.touches(vec)]
-        if any(p.generated(vec) for p in near):
+        if any(p.generated(vec) for p in pieces):
             continue
         near = [p for p in pieces if p.touches(vec)]
         pieces = [p for p in pieces if p not in near]

@@ -65,9 +65,7 @@ def test_mode_bound_env_and_argument(monkeypatch):
 
 
 def test_mode_bound_scaling():
-    # the cost is linear in the mode bound: D_8 at bound 1000 takes about
-    # 2 s on a 2-core machine, against about 40 s for the memoized DFS cone
-    # test that walked every positive-mode decomposition
+    # the cost is linear in the mode bound; the budget is generous
     alg = liealg.algebra("D", 8)
     start = time.perf_counter()
     rep = weights.check_admissible(
