@@ -25,7 +25,7 @@ CHECKS = ("singular", "embedding", "conformal", "admissible", "triality",
           "appendix", "all")
 
 # the bracket-table budget: the stored cells grow as l^3 and the build as
-# about l^4; B_16 has 32256 cells and builds in about 1.4 s on a 2-core host
+# about l^4; B_16 has 32256 cells and builds in about 0.3 s on a 2-core host
 MAX_L = 16
 
 

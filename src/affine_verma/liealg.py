@@ -1,28 +1,30 @@
-"""Orthogonal Lie algebras of types B_l and D_l realized inside a Clifford algebra.
+"""Orthogonal Lie algebras of types B_l and D_l realized by fermion bilinears.
 
 The Cartan subalgebra and root vectors are the quadratic (for type B also
-linear) Clifford expressions
+linear) fermion monomials
 
     H_i          = :a_i a*_i:
     e_{ei-ej}    = :a_i a*_j:      f_{ei-ej} = :a_j a*_i:      (i < j)
     e_{ei+ej}    = :a_i a_j:       f_{ei+ej} = :a*_j a*_i:     (i < j)
     e_{ei}       = a_i             f_{ei}    = a*_i            (type B only)
 
-and every structure constant below is obtained by multiplying these out in
-the Clifford algebra and decomposing the result back into the basis; none is
-entered by hand; the build runs on the doubled realizations 2 :xy: = xy - yx,
-which are integral, so it never leaves int.  Roots live in the
-epsilon-coordinate lattice (tuples of l integers), the invariant form is
-normalized so that long roots have square length 2, and the basis is
-enumerated in a frozen order: all e_alpha by the fixed positive-root order,
-then all f_alpha in the same root order, then H_1, ..., H_l.  The downstream
-loop-module straightening depends on this order staying put.
+where {a_i, a*_j} = delta_ij, all other anticommutators vanish, and
+:xy: = (xy - yx) / 2.  Each basis element is a single signed monomial, so
+every structure constant follows from the single-contraction rule for
+commutators of fermion monomials, in int arithmetic; none is entered by
+hand.  clifford.py multiplies the same monomials out and is the reference
+the tests hold the table against.
+
+Roots live in the epsilon-coordinate lattice (tuples of l integers), the
+invariant form is normalized so that long roots have square length 2, and
+the basis is enumerated in a frozen order: all e_alpha by the fixed
+positive-root order, then all f_alpha in the same root order, then
+H_1, ..., H_l.  The downstream loop-module straightening depends on this
+order staying put.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-
-from . import clifford
 
 
 def _root_minus(l, i, j):
@@ -91,7 +93,7 @@ def parse_root_label(label, l):
 
 
 class LieAlgebra:
-    """Type B_l or D_l with Clifford-derived structure constants.
+    """Type B_l or D_l with structure constants from the contraction rule.
 
     Use the module-level factory algebra(kind, l); instances are cached and
     treated as immutable.
@@ -104,7 +106,6 @@ class LieAlgebra:
             raise ValueError("rank too small for type %s" % kind)
         self.kind = kind
         self.l = l
-        self.cliff = clifford.CliffordAlgebra(l)
 
         self.positive_roots = []
         for i in range(1, l + 1):
@@ -175,102 +176,82 @@ class LieAlgebra:
             return tuple(-c for c in datum)
         return (0,) * self.l
 
-    # ---- realization and structure constants -------------------------------
+    # ---- fermionic codes and structure constants ---------------------------
 
-    def _realize(self, role, datum):
-        """Twice the basis element, 2 :xy: = xy - yx, with int coefficients."""
-        A = self.cliff
+    def _codes(self, role, datum):
+        """(sign, codes) with x = sign :psi_p psi_q: (p < q), or sign psi_p."""
+        l = self.l
         if role == "h":
-            return A.a(datum).commutator(A.a_star(datum))
-        pos = [i + 1 for i, c in enumerate(datum) if c == 1]
-        neg = [i + 1 for i, c in enumerate(datum) if c == -1]
-        if len(pos) == 1 and len(neg) == 1:
-            i, j = pos[0], neg[0]
-            if role == "e":
-                return A.a(i).commutator(A.a_star(j))
-            return A.a(j).commutator(A.a_star(i))
+            return 1, (datum - 1, l + datum - 1)
+        pos = [i for i, c in enumerate(datum) if c == 1]
+        neg = [i for i, c in enumerate(datum) if c == -1]
+        if neg:
+            (i,), (j,) = pos, neg
+            return 1, ((i, l + j) if role == "e" else (j, l + i))
         if len(pos) == 2:
             i, j = pos
-            if role == "e":
-                return A.a(i).commutator(A.a(j))
-            return A.a_star(j).commutator(A.a_star(i))
+            # f_{ei+ej} = :a*_j a*_i: = -:a*_i a*_j:
+            return (1, (i, j)) if role == "e" else (-1, (l + i, l + j))
         (i,) = pos
-        if self.kind != "B":
-            raise ValueError("short roots only exist in type B")
-        return 2 * (A.a(i) if role == "e" else A.a_star(i))
-
-    def realization(self, idx):
-        """The basis element x_idx as a Clifford element."""
-        return self._realize(*self.basis[idx]) * Fraction(1, 2)
-
-    def _decompose(self, x):
-        """Write a Clifford element in the Lie basis; reject anything outside it.
-        int coefficients stay int: the unit constant is tracked doubled."""
-        out = {}
-        scalar2 = 0
-        l = self.l
-        # reduced monomials map one-to-one onto basis elements
-        for mono, c in x.terms.items():
-            if len(mono) == 0:
-                scalar2 += 2 * c
-            elif len(mono) == 1:
-                if self.kind != "B":
-                    raise ValueError("linear term in type D decomposition")
-                (g,) = mono
-                if g < l:
-                    out[self._e_index[_root_short(l, g + 1)]] = c
-                else:
-                    out[self._f_index[_root_short(l, g - l + 1)]] = c
-            elif len(mono) == 2:
-                g, h = mono
-                if h < l:
-                    out[self._e_index[_root_plus(l, g + 1, h + 1)]] = c
-                elif g >= l:
-                    # a*_i a*_j (i<j) is -f_{ei+ej}
-                    out[self._f_index[_root_plus(l, g - l + 1, h - l + 1)]] = -c
-                else:
-                    i, j = g + 1, h - l + 1
-                    if i < j:
-                        out[self._e_index[_root_minus(l, i, j)]] = c
-                    elif i > j:
-                        out[self._f_index[_root_minus(l, j, i)]] = c
-                    else:
-                        # a_i a*_i = H_i + 1/2
-                        out[self.h_index(i)] = c
-                        scalar2 += c
-            else:
-                raise ValueError("degree > 2 term in decomposition")
-        if scalar2:
-            raise ValueError("element is not in the Lie algebra span")
-        return out
+        return 1, ((i,) if role == "e" else (l + i,))
 
     def _build_bracket_table(self):
         """Row i maps j to the nonzero [x_i, x_j] as sorted (index, coeff) pairs.
 
-        [x_i, x_j] has weight w_i + w_j and the basis carries only the roots
-        and 0, so pairs whose weight sum is neither bracket to zero and are
-        not commuted; the Clifford algebra fixes every sign of the rest.
-        The doubled realizations give 4 [x_i, x_j] in int arithmetic; every
-        structure constant is stored as an int, and one that is not (a
-        decomposed coefficient not divisible by 4) raises ValueError.
+        Every basis element is one signed fermion monomial, so each bracket
+        follows from the single-contraction rule with g(p, q) = {psi_p, psi_q}
+        (1 on a dual pair, else 0):
+
+            [:pq:, :rs:] = g(q,r) :ps: - g(q,s) :pr: - g(p,r) :qs: + g(p,s) :qr:
+            [:pq:, psi_r] = g(q,r) psi_p - g(p,r) psi_q
+            [psi_p, psi_r] = 2 :pr:
+
+        with :qp: = -:pq: and :pp: = 0.  Every structure constant is an int.
         """
+        l = self.l
+        codes = [self._codes(role, datum) for role, datum in self.basis]
+        index = {c: (k, s) for k, (s, c) in enumerate(codes)}
+        # the code contracting with code p; g(p, r) = 1 exactly for r = dual[p]
+        dual = [p + l if p < l else p - l for p in range(2 * l)]
+
+        def contract(pq, r):
+            # [:pq:, psi_r] as (coeff, code) terms: at most one is nonzero
+            p, q = pq
+            if r == dual[q]:
+                return ((1, p),)
+            if r == dual[p]:
+                return ((-1, q),)
+            return ()
+
         n = self.dim
-        weights = [self.weight(i) for i in range(n)]
-        carried = set(weights)
-        doubled = [self._realize(role, datum) for role, datum in self.basis]
         table = [{} for _ in range(n)]
         for i in range(n):
-            xi = doubled[i]
+            si, ci = codes[i]
             for j in range(i + 1, n):
-                w = tuple(a + b for a, b in zip(weights[i], weights[j]))
-                if w not in carried:
+                sj, cj = codes[j]
+                if len(ci) == 2:
+                    # [:pq:, psi_r psi_s] = [:pq:, psi_r] psi_s
+                    #                       + psi_r [:pq:, psi_s]
+                    terms = [(c, (x,) + cj[1:]) for c, x in contract(ci, cj[0])]
+                    if len(cj) == 2:
+                        terms += [(c, (cj[0], x))
+                                  for c, x in contract(ci, cj[1])]
+                elif len(cj) == 2:
+                    terms = [(-c, (x,)) for c, x in contract(cj, ci[0])]
+                else:
+                    terms = [(2, ci + cj)]
+                if not terms:
                     continue
-                dec = self._decompose(xi.commutator(doubled[j]))
-                if any(c % 4 for c in dec.values()):
-                    raise ValueError("[x_%d, x_%d] = %r / 4 has a non-integer "
-                                     "coefficient" % (i, j, dec))
-                if dec:
-                    items = tuple((k, c // 4) for k, c in sorted(dec.items()))
+                out = {}
+                for c, mono in terms:
+                    if len(mono) == 2 and mono[0] >= mono[1]:
+                        if mono[0] == mono[1]:
+                            continue
+                        c, mono = -c, mono[::-1]
+                    k, s = index[mono]
+                    out[k] = out.get(k, 0) + si * sj * s * c
+                items = tuple((k, c) for k, c in sorted(out.items()) if c)
+                if items:
                     table[i][j] = items
                     table[j][i] = tuple((k, -c) for k, c in items)
         return table

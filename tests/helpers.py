@@ -5,8 +5,9 @@ holds); callers assert emptiness so failures show the offending cases.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from affine_verma import liealg, linalg, verma, weights
+from affine_verma import clifford, liealg, linalg, verma, weights
 
 
 def leaf_filtered_monomials(alg, degree):
@@ -89,15 +90,54 @@ def reference_act(module, word, state, memo):
     return verma.PBWState(module, out)
 
 
+@lru_cache(maxsize=None)
+def clifford_algebra(l):
+    """One shared CliffordAlgebra per rank; elements compare only within one."""
+    return clifford.CliffordAlgebra(l)
+
+
+def realize(alg, role, datum):
+    """Twice the basis element, 2 :xy: = xy - yx, with int coefficients."""
+    A = clifford_algebra(alg.l)
+    if role == "h":
+        return A.a(datum).commutator(A.a_star(datum))
+    pos = [i + 1 for i, c in enumerate(datum) if c == 1]
+    neg = [i + 1 for i, c in enumerate(datum) if c == -1]
+    if len(pos) == 1 and len(neg) == 1:
+        i, j = pos[0], neg[0]
+        if role == "e":
+            return A.a(i).commutator(A.a_star(j))
+        return A.a(j).commutator(A.a_star(i))
+    if len(pos) == 2:
+        i, j = pos
+        if role == "e":
+            return A.a(i).commutator(A.a(j))
+        return A.a_star(j).commutator(A.a_star(i))
+    (i,) = pos
+    if alg.kind != "B":
+        raise ValueError("short roots only exist in type B")
+    return 2 * (A.a(i) if role == "e" else A.a_star(i))
+
+
+def realize_elem(alg, elem):
+    """Twice the sparse element {index: coeff} as a Clifford element."""
+    return sum((c * realize(alg, *alg.basis[k]) for k, c in elem.items()),
+               clifford_algebra(alg.l).zero())
+
+
 def full_bracket_table(alg):
-    """Every basis commutator, decomposed with no weight filter: {(i, j): items}."""
-    table = {}
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            comm = alg.realization(i).commutator(alg.realization(j))
-            dec = alg._decompose(comm)
-            table[i, j] = tuple(sorted(dec.items()))
-    return table
+    """Every basis commutator of the doubled realizations, with no weight
+    filter: {(i, j): [2 x_i, 2 x_j]} in the Clifford algebra."""
+    doubled = [realize(alg, role, datum) for role, datum in alg.basis]
+    return {(i, j): doubled[i].commutator(doubled[j])
+            for i in range(alg.dim) for j in range(alg.dim)}
+
+
+def table_mismatches(alg, full):
+    """Pairs of full whose table bracket disagrees with the Clifford one:
+    [2 x_i, 2 x_j] = 4 [x_i, x_j] = 2 sum_k c_k (2 x_k)."""
+    return [(i, j) for (i, j), comm in full.items()
+            if 2 * realize_elem(alg, dict(alg.bracket(i, j))) != comm]
 
 
 def exhaustive_jacobi(alg, limit=5):

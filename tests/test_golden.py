@@ -3,7 +3,9 @@
 The sha256 values were taken from the Fraction kernels, before the int
 straightening, bracket-table and back-substitution kernels replaced them;
 the admissibility ones from the memoized DFS cone test, before the integer
-basis replaced it.  Regenerate them only when report text is meant to change.
+basis replaced it; the dump-algebra ones at l = 8, 12 and 16 from the table
+built by Clifford multiplication, before the contraction rule replaced it.
+Regenerate them only when report text is meant to change.
 """
 
 import hashlib
@@ -62,6 +64,18 @@ def test_verify_all_document():
      "778811cb3bd048153d94f4f04de896440f53791f41f93615dda722a4771c35ea"),
     ("dump-algebra --type D --l 6",
      "6c19626332aa3c4de59aacf6baa5cad2bcaee64b046a54d42cd49e9dd11416d3"),
+    ("dump-algebra --type B --l 8",
+     "bff355b2cc33f513bb47c5a4e30c1e63c2a2ebe3ba62056ba67cb7be6e442050"),
+    ("dump-algebra --type B --l 12",
+     "f857b4c02697bb11d79e2ba6905e57c8fad2fe6b9b4d811c1e4283e1e88d6f61"),
+    ("dump-algebra --type B --l 16",
+     "73e325d4200642e85d4a15ed09657f3a5e7b5e1963440852d0fcfb65c1a1fbbe"),
+    ("dump-algebra --type D --l 8",
+     "430975330008827bee1c8e8faeb22d0615747a0f495d6a5180b1a43ff86f4b90"),
+    ("dump-algebra --type D --l 12",
+     "04c62d1ccf7d21c1a0c7661490e860818110e4be3a91081e42798af21fe53a77"),
+    ("dump-algebra --type D --l 16",
+     "b2955317bf7a3e63faad74eb5aa3bce9b540b60aa93929c73e14ce511b784ebf"),
 ])
 def test_command_output(capsys, argv, digest):
     assert cli.main(argv.split()) == 0

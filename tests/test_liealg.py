@@ -173,14 +173,12 @@ def test_bracket_elem_matches_table(alg, rng):
                                                  rng.randint(1, 4))
                 for _ in range(rng.randint(1, 3))}
 
-    def realize(elem):
-        return sum((c * alg.realization(i) for i, c in elem.items()),
-                   alg.cliff.zero())
-
     for _ in range(50):
         x, y = random_elem(), random_elem()
-        expected = alg._decompose(realize(x).commutator(realize(y)))
-        assert alg.bracket_elem(x, y) == expected, (x, y)
+        comm = helpers.realize_elem(alg, x).commutator(
+            helpers.realize_elem(alg, y))
+        assert 2 * helpers.realize_elem(alg, alg.bracket_elem(x, y)) \
+            == comm, (x, y)
 
 
 @verifies("clifford-realization")
@@ -196,9 +194,26 @@ def test_weight_pruned_table_is_sound(kind, l):
         not in carried
     ]
     assert skipped
-    # the builder never commutes these pairs; the Clifford algebra agrees
+    # no basis element carries these weight sums; the Clifford algebra and
+    # the table agree that the pairs commute
     assert [p for p in skipped if full[p]] == []
-    assert [p for p, items in full.items() if alg.bracket(*p) != items] == []
+    assert helpers.table_mismatches(alg, full) == []
+
+
+@verifies("clifford-realization")
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_rule_table_matches_clifford(kind):
+    # the contraction rule against Clifford multiplication, cell by cell
+    # and on every absent pair; the lower triangle is the negated upper one
+    for l in range(2, 11):
+        alg = liealg.algebra(kind, l)
+        doubled = [helpers.realize(alg, *b) for b in alg.basis]
+        upper = {(i, j): doubled[i].commutator(doubled[j])
+                 for i in range(alg.dim) for j in range(i, alg.dim)}
+        assert helpers.table_mismatches(alg, upper) == [], (kind, l)
+        assert all(alg.bracket(j, i) == tuple((k, -c)
+                                              for k, c in alg.bracket(i, j))
+                   for i, j in upper), (kind, l)
 
 
 @pytest.mark.parametrize("kind", ["B", "D"])
@@ -222,12 +237,3 @@ def test_structure_constants_are_small_ints(kind):
                                    module.alg.theta), -1, module.vacuum())))
     coeffs = [c for s in states for c in s.terms.values()]
     assert coeffs and all(type(c) is Fraction for c in coeffs)
-
-
-def test_non_integral_structure_constant_raises(monkeypatch):
-    # the doubled realizations give 4 [x_i, x_j]; a coefficient that 4 does
-    # not divide is no integer structure constant and must not be stored
-    monkeypatch.setattr(liealg.LieAlgebra, "_decompose",
-                        lambda self, x: {0: 2} if x else {})
-    with pytest.raises(ValueError, match="non-integer"):
-        liealg.LieAlgebra("B", 2)
