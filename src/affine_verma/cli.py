@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import conformal
 from . import embedding
@@ -133,15 +134,10 @@ def _human_lines(report):
     return lines
 
 
-def _emit(report, args):
-    text = to_json(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    elif args.human:
-        sys.stdout.write("\n".join(_human_lines(report)) + "\n")
-    else:
-        sys.stdout.write(text)
+def _render(report, human):
+    if human:
+        return "\n".join(_human_lines(report)) + "\n"
+    return to_json(report)
 
 
 def _parse_l_range(raw):
@@ -212,6 +208,8 @@ def _validate(parser, args):
             ("--jobs", args.jobs is not None, ("all",))):
         if given and check not in users:
             parser.error("%s does not apply to 'verify %s'" % (flag, check))
+    if args.l is not None and args.l_range is not None:
+        parser.error("--l and --l-range cannot be combined")
     if check == "all":
         if args.l_range is None:
             args.l_range = (args.l, args.l) if args.l is not None else (4, 6)
@@ -248,20 +246,25 @@ def main(argv=None):
         _validate(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # open --out before any work, so a bad path costs no computation
+    try:
+        sink = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        sys.stderr.write("affine-verma: error: --out: %s\n" % exc)
+        return 2
 
-    if args.command == "dump-algebra":
-        report = liealg.algebra(args.type, args.l).to_dump()
-        _emit(report, args)
-        return 0
-
-    if args.check == "all":
-        lo, hi = args.l_range
-        report = run_all(range(lo, hi + 1), args.jobs, args.mode_bound)
-    else:
-        report = run_check(args.check, args.type, args.l,
-                           mode_bound=args.mode_bound, strict=args.strict)
-    _emit(report, args)
-    return 0 if report["passed"] else 1
+    with sink as fh:
+        if args.command == "dump-algebra":
+            report = liealg.algebra(args.type, args.l).to_dump()
+        elif args.check == "all":
+            lo, hi = args.l_range
+            report = run_all(range(lo, hi + 1), args.jobs, args.mode_bound)
+        else:
+            report = run_check(args.check, args.type, args.l,
+                               mode_bound=args.mode_bound, strict=args.strict)
+        fh.write(_render(report, args.human))
+    # a dump carries no verdict
+    return 0 if report.get("passed", True) else 1
 
 
 if __name__ == "__main__":

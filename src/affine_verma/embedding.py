@@ -46,10 +46,8 @@ def embed_state(state, bmodule):
     if state.module.level != bmodule.level:
         raise ValueError("levels differ")
     imap = embed_index_map(dalg, bmodule.alg)
-    terms = {}
-    for mono, c in state.terms.items():
-        terms[tuple((n, imap[x]) for n, x in mono)] = c
-    return bmodule.state(terms)
+    return bmodule.state({tuple((n, imap[x]) for n, x in mono): v
+                          for mono, v in state.nums.items()}, state.den)
 
 
 # ---- the nine zero-mode identities --------------------------------------------

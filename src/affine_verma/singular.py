@@ -277,6 +277,6 @@ def solve_singular_space(module, degree, weight, strict=False, degree_bound=4):
                 rows.setdefault((oi, target), {})[col] = c
     basis = linalg.nullspace((rows[key] for key in sorted(rows)), len(cands))
     return [
-        module.state({cands[i]: Fraction(v) for i, v in enumerate(vec) if v})
+        module.state({cands[i]: v for i, v in enumerate(vec) if v})
         for vec in basis
     ]

@@ -99,17 +99,17 @@ class Automorphism:
         module = state.module
         if module.alg is not self.alg:
             raise ValueError("state over a different algebra")
-        out = module.zero()
-        for mono, c in state.terms.items():
-            partial = [(c, ())]
+        word = []
+        for mono, v in state.nums.items():
+            partial = [(v, ())]
             for n, x in mono:
                 partial = [
                     (cc * cy, fs + ((y, n),))
                     for cc, fs in partial
                     for y, cy in self.images[x].items()
                 ]
-            out = out + module.act(partial, module.vacuum())
-        return out
+            word += partial
+        return module.act(word, module.state({(): 1}, state.den))
 
     def to_obj(self):
         return {

@@ -14,17 +14,17 @@ monomials only produces brackets.  Results of single-factor applications are
 memoized per module, keyed by (basis index, mode, monomial tail), which is
 what makes repeated singular-vector and certificate computations cheap.
 
-Straightening runs on int (see _apply_mono and act); a state's coefficients
-are Fraction.  There is no floating point anywhere.
+Straightening and state arithmetic run on int: a state is int numerators
+over one denominator (see PBWState), and Fraction is built only where a
+scalar leaves the module (coefficient, multiple_of, to_obj, terms).  There is
+no floating point anywhere.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import liealg
-
-_ZERO = Fraction(0)
 
 
 def E(root, mode=-1):
@@ -54,23 +54,26 @@ class VermaModule:
         return "VermaModule(%s_%d, k=%s)" % (self.alg.kind, self.alg.l, self.level)
 
     def vacuum(self, coeff=1):
-        return PBWState(self, {(): Fraction(coeff)})
+        if coeff == 1:
+            return PBWState(self, {(): 1})
+        return self.state({(): coeff})
 
     def zero(self):
         return PBWState(self, {})
 
-    def state(self, terms):
-        """State from {monomial: coeff}; monomials must be canonical (sorted,
+    def state(self, terms, den=1):
+        """State sum terms[m] / den * m from {monomial: coeff}, coeff an int
+        or anything Fraction takes; monomials must be canonical (sorted,
         every mode negative)."""
         out = {}
         for mono, c in terms.items():
             mono = tuple(mono)
             if list(mono) != sorted(mono) or any(n >= 0 for n, _ in mono):
                 raise ValueError("monomial %r is not canonical" % (mono,))
-            c = Fraction(c)
-            if c:
-                out[mono] = c
-        return PBWState(self, out)
+            out[mono] = c if isinstance(c, int) else Fraction(c)
+        d = lcm(*(c.denominator for c in out.values()))
+        return PBWState(self, {mono: c.numerator * (d // c.denominator)
+                               for mono, c in out.items()}, d * den)
 
     # ---- the straightening kernel -------------------------------------------
 
@@ -136,15 +139,14 @@ class VermaModule:
 
     def act(self, word, state):
         """Apply [(coeff, ((index, mode), ...)), ...], coeff an int or a
-        Fraction, to a state, rightmost factor first: int numerators over
-        one common denominator go through each product, which comes out
-        scaled by level.denominator per positive-mode factor (see
-        _apply_mono); one division per monomial."""
+        Fraction, to a state, rightmost factor first: the state's int
+        numerators go through each product, which comes out scaled by
+        level.denominator per positive-mode factor (see _apply_mono); the
+        result is int numerators over the lcm of those scales times the
+        state's denominator, with no Fraction built."""
         if state.module is not self:
             raise ValueError("state belongs to a different module")
-        den = lcm(*(c.denominator for c in state.terms.values()))
-        start = {mono: c.numerator * (den // c.denominator)
-                 for mono, c in state.terms.items()}
+        start = state.nums
         scales = [c.denominator
                   * self.level.denominator ** sum(n > 0 for _, n in factors)
                   for c, factors in word]
@@ -161,9 +163,7 @@ class VermaModule:
             mult = c.numerator * (out_den // d)
             for mono, v in cur.items():
                 out[mono] = out.get(mono, 0) + mult * v
-        out_den *= den
-        return PBWState(self, {mono: Fraction(v, out_den)
-                               for mono, v in out.items() if v})
+        return PBWState(self, out, out_den * state.den)
 
     def expand_terms(self, terms):
         """Resolve symbolic terms into a concrete word.
@@ -174,12 +174,13 @@ class VermaModule:
             ("h", root, mode)   the coroot h_root = sum_i (2 c_i/(root,root)) H_i
         and roots are epsilon-coordinate tuples; the module-level E, F and H
         build the "e", "f" and "h" factors.  "h" factors expand
-        multilinearly, so one symbolic term may yield several word terms.
+        multilinearly, so one symbolic term may yield several word terms;
+        their int multipliers scale coeff once per word term.
         """
         alg = self.alg
         word = []
         for coeff, factors in terms:
-            partial = [(coeff, ())]
+            partial = [(1, ())]
             for factor in factors:
                 role, datum, mode = factor
                 if role == "e":
@@ -195,7 +196,8 @@ class VermaModule:
                     for c, fs in partial
                     for idx, cx in options
                 ]
-            word.extend(partial)
+            word.extend((coeff if c == 1 else coeff * c, fs)
+                        for c, fs in partial)
         return word
 
     def build(self, terms):
@@ -204,64 +206,88 @@ class VermaModule:
 
 
 class PBWState:
-    """Sparse element of a VermaModule: {canonical monomial: Fraction}.
+    """Sparse element of a VermaModule: sum nums[m] / den * m over canonical
+    monomials m, with int numerators over one int denominator.
 
-    Treated as immutable; all arithmetic returns new states.
+    The form is canonical (den >= 1, no zero numerator, gcd(den, *nums) ==
+    1), so == and hash compare ints.  Fraction is built only for callers:
+    terms, coefficient, multiple_of, to_obj and repr.  Treated as
+    immutable; all arithmetic returns new states.
     """
 
-    __slots__ = ("module", "terms")
+    __slots__ = ("module", "nums", "den")
 
-    def __init__(self, module, terms):
+    def __init__(self, module, nums, den=1):
+        nums = {m: v for m, v in nums.items() if v}
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {m: v // g for m, v in nums.items()}
+            den //= g
         self.module = module
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.nums = nums
+        self.den = den
+
+    @property
+    def terms(self):
+        """{monomial: Fraction}, a copy for reading."""
+        return {m: Fraction(v, self.den) for m, v in self.nums.items()}
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, PBWState):
             return NotImplemented
-        return self.module is other.module and self.terms == other.terms
+        return (self.module is other.module and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.nums.items()), self.den))
 
     def __add__(self, other):
         if other == 0:
             return self
         if not isinstance(other, PBWState) or other.module is not self.module:
             raise ValueError("can only add states of the same module")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, _ZERO) + c
-        return PBWState(self.module, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {m: a * v for m, v in self.nums.items()}
+        for m, v in other.nums.items():
+            out[m] = out.get(m, 0) + b * v
+        return PBWState(self.module, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PBWState(self.module, {m: -c for m, c in self.terms.items()})
+        return PBWState(self.module, {m: -v for m, v in self.nums.items()},
+                        self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        return PBWState(self.module, {m: scalar * c for m, c in self.terms.items()})
+        if not isinstance(scalar, (int, Fraction)):
+            scalar = Fraction(scalar)
+        p = scalar.numerator
+        return PBWState(self.module, {m: p * v for m, v in self.nums.items()},
+                        self.den * scalar.denominator)
 
     __rmul__ = __mul__
 
     def coefficient(self, mono):
-        return self.terms.get(tuple(mono), _ZERO)
+        return Fraction(self.nums.get(tuple(mono), 0), self.den)
 
     def degree(self):
         """Common conformal degree sum(-modes), or None if mixed or zero."""
-        degs = {-sum(n for n, _ in m) for m in self.terms}
+        degs = {-sum(n for n, _ in m) for m in self.nums}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -270,7 +296,7 @@ class PBWState:
         """Common finite h-weight as an epsilon tuple, or None if mixed or zero."""
         alg = self.module.alg
         seen = set()
-        for m in self.terms:
+        for m in self.nums:
             w = [0] * alg.l
             for _, x in m:
                 for i, c in enumerate(alg.weight(x)):
@@ -286,12 +312,9 @@ class PBWState:
             raise ValueError("states of different modules")
         if other.is_zero():
             return None
-        mono = min(other.terms)
-        c = self.terms.get(mono)
-        if c is None:
-            s = _ZERO
-        else:
-            s = c / other.terms[mono]
+        mono = min(other.nums)
+        s = Fraction(self.nums.get(mono, 0) * other.den,
+                     other.nums[mono] * self.den)
         return s if self == s * other else None
 
     # ---- serialization -------------------------------------------------------
@@ -303,12 +326,13 @@ class PBWState:
         """
         alg = self.module.alg
         out = []
-        for mono in sorted(self.terms):
+        for mono in sorted(self.nums):
             enc = []
             for n, x in mono:
                 role, datum = alg.basis[x]
                 enc.append([role, datum if role == "h" else liealg.root_label(datum), n])
-            out.append({"coeff": str(self.terms[mono]), "monomial": enc})
+            out.append({"coeff": str(Fraction(self.nums[mono], self.den)),
+                        "monomial": enc})
         return out
 
     @classmethod
@@ -328,17 +352,18 @@ class PBWState:
                     raise ValueError("bad factor role %r" % (role,))
                 mono.append((n, idx))
             mono = tuple(mono)
-            terms[mono] = terms.get(mono, _ZERO) + Fraction(item["coeff"])
+            terms[mono] = terms.get(mono, 0) + Fraction(item["coeff"])
         return module.state(terms)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         alg = self.module.alg
         bits = []
-        for mono in sorted(self.terms):
+        for mono in sorted(self.nums):
             fac = " ".join("%s(%d)" % (alg.label(x), n) for n, x in mono)
-            bits.append("%s * %s|0>" % (self.terms[mono], fac + " " if fac else ""))
+            bits.append("%s * %s|0>" % (Fraction(self.nums[mono], self.den),
+                                        fac + " " if fac else ""))
         return " + ".join(bits)
 
 

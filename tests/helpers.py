@@ -76,6 +76,12 @@ def reference_apply_mono(module, x, n, mono, memo):
 
 def reference_act(module, word, state, memo):
     """Reference for VermaModule.act: factor by factor in Fraction."""
+    return module.state(reference_act_terms(module, word, state, memo))
+
+
+def reference_act_terms(module, word, state, memo):
+    """reference_act as a {monomial: Fraction} dict; state is a PBWState
+    or a FractionState."""
     out = {}
     for coeff, factors in word:
         cur = dict(state.terms)
@@ -87,7 +93,46 @@ def reference_act(module, word, state, memo):
             cur = {mono: c for mono, c in nxt.items() if c}
         for mono, c in cur.items():
             out[mono] = out.get(mono, Fraction(0)) + Fraction(coeff) * c
-    return verma.PBWState(module, out)
+    return out
+
+
+class FractionState:
+    """Reference for PBWState arithmetic: {canonical monomial: Fraction},
+    one Fraction per coefficient and no common denominator."""
+
+    def __init__(self, terms):
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c}
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return FractionState(out)
+
+    def __neg__(self):
+        return FractionState({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        return FractionState({m: Fraction(scalar) * c
+                              for m, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def coefficient(self, mono):
+        return self.terms.get(tuple(mono), Fraction(0))
+
+    def multiple_of(self, other):
+        if not other.terms:
+            return None
+        mono = min(other.terms)
+        s = self.coefficient(mono) / other.terms[mono]
+        return s if self == s * other else None
 
 
 @lru_cache(maxsize=None)

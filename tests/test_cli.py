@@ -61,6 +61,7 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "singular", "--type", "B", "--l", "4", "--l-range", "4..5"],
         ["verify", "embedding", "--l", "4", "--jobs", "3"],
         ["verify", "all", "--l", "4", "--jobs", "0"],
+        ["verify", "all", "--l", "300", "--l-range", "4..4", "--jobs", "1"],
     ]
     for argv in cases:
         assert cli.main(argv) == 2, argv
@@ -213,6 +214,30 @@ def test_out_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     rep = json.loads(target.read_text())
     assert rep["check"] == "embedding"
+
+
+def test_unopenable_out_exits_two_fast(capsys, tmp_path):
+    t0 = time.perf_counter()
+    code = cli.main(["verify", "all", "--l-range", "4..5", "--jobs", "1",
+                     "--out", str(tmp_path / "missing" / "x.json")])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and "--out" in captured.err
+
+
+def test_human_out_writes_text(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    code = cli.main(["verify", "conformal", "--l", "4", "--human",
+                     "--out", str(target)])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    text = target.read_text()
+    assert "passed: True" in text
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(text)
 
 
 def test_human_rendering(capsys):

@@ -4,7 +4,9 @@ The sha256 values were taken from the Fraction kernels, before the int
 straightening, bracket-table and back-substitution kernels replaced them;
 the admissibility ones from the memoized DFS cone test, before the integer
 basis replaced it; the dump-algebra ones at l = 8, 12 and 16 from the table
-built by Clifford multiplication, before the contraction rule replaced it.
+built by Clifford multiplication, before the contraction rule replaced it;
+the `verify all` one at l = 6, 7 from states of Fraction coefficients,
+before int numerators over one denominator replaced them.
 Regenerate them only when report text is meant to change.
 """
 
@@ -12,7 +14,7 @@ import hashlib
 
 import pytest
 
-from affine_verma import cli
+from affine_verma import cli, liealg, verma
 
 
 def _digest(text):
@@ -23,6 +25,30 @@ def test_verify_all_document():
     text = cli.to_json(cli.run_all(range(4, 6), 1))
     assert _digest(text) == \
         "d2518c89feb805528247e922e69fa8f1d897cb836dab8b8995232805d4723384"
+
+
+def test_verify_all_document_upper_ranks():
+    text = cli.to_json(cli.run_all(range(6, 8), 1))
+    assert _digest(text) == \
+        "12f9cdd9132620e5682d25557b5c0d4f8874f4d343163d8f105537e0f049998b"
+
+
+def test_warm_rerun_is_byte_identical():
+    # the benchmark's warm set at l = 4, 5: a cold run fills the memos, and
+    # the rerun in reverse order answers from them alone
+    specs = [(check, kind, l) for l in (4, 5)
+             for check, kind in (("singular", "B"), ("singular", "D"),
+                                 ("embedding", None), ("conformal", None),
+                                 ("appendix", None))]
+    specs.append(("triality", None, 4))
+    liealg.algebra.cache_clear()
+    verma.vacuum_module.cache_clear()
+    cold = {spec: cli.to_json(cli.run_check(*spec)) for spec in specs}
+    modules = [verma.vacuum_module(kind, l) for kind in "BD" for l in (4, 5)]
+    sizes = [len(m._memo) for m in modules]
+    for spec in reversed(specs):
+        assert cli.to_json(cli.run_check(*spec)) == cold[spec], spec
+    assert [len(m._memo) for m in modules] == sizes
 
 
 @pytest.mark.parametrize("argv, digest", [

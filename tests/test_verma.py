@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -240,3 +241,38 @@ def test_singular_space_from_scaled_rows(kind, level):
         got = singular.solve_singular_space(module, *args)
         want = singular.solve_singular_space(ref, *args)
         assert [s.terms for s in got] == [s.terms for s in want], args
+
+
+def _canonical(state):
+    """The state, after asserting its int-over-one-denominator form."""
+    assert all(type(v) is int and v for v in state.nums.values())
+    assert type(state.den) is int and state.den >= 1
+    assert gcd(state.den, *state.nums.values()) == 1
+    return state
+
+
+@pytest.mark.parametrize("level", [Fraction(-5, 2), Fraction(7, 4)], ids=str)
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_int_state_matches_fraction_reference(kind, level, rng):
+    module = _fresh_module(kind, 4, level)
+    memo = {}
+    states = [helpers.random_state(module, rng) for _ in range(8)]
+    states.append(module.zero())
+    for a, b in zip(states, states[1:] + states[:1]):
+        ra, rb = helpers.FractionState(a.terms), helpers.FractionState(b.terms)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for got, want in ((a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+                          (c * a, c * ra), (a * 6, ra * 6), (0 + a, ra)):
+            assert _canonical(got).terms == want.terms
+        for same in ((a + b) - b, a * 6 * Fraction(1, 6), -(-a)):
+            assert same == a and hash(same) == hash(a)
+        assert (a == b) == (ra == rb)
+        assert (c * a).multiple_of(a) == (c * ra).multiple_of(ra)
+        assert (a + b).multiple_of(b) == (ra + rb).multiple_of(rb)
+        for mono in sorted(ra.terms)[:2] + [(), ((-1, 0),)]:
+            assert a.coefficient(mono) == ra.coefficient(mono)
+        word = _random_word(module.alg, rng, rng.randint(0, 2))
+        assert _canonical(module.act(word, a)).terms == \
+            helpers.reference_act_terms(module, word, ra, memo)
+        back = PBWState.from_obj(module, a.to_obj())
+        assert _canonical(back) == a and back.terms == ra.terms
