@@ -151,7 +151,7 @@ def equality_control(l, level):
 
 def report(l):
     """Combined conformal verdict for one rank."""
-    level = Fraction(3 - 2 * l, 2)
+    level = verma.special_level(l)
     alg_b = liealg.algebra("B", l)
     alg_d = liealg.algebra("D", l)
     c_b = central_charge(alg_b, level)

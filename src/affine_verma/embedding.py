@@ -268,7 +268,7 @@ def report(l):
     return {
         "check": "embedding",
         "l": l,
-        "level": str(Fraction(3 - 2 * l, 2)),
+        "level": str(verma.special_level(l)),
         "relations": relations["relations"],
         "certificate": certificate,
         "passed": relations["passed"] and certificate["passed"],

@@ -267,7 +267,7 @@ class LieAlgebra:
             row = self._brackets[i]
             for j, cj in y.items():
                 for k, c in row.get(j, ()):
-                    out[k] = out.get(k, Fraction(0)) + ci * cj * c
+                    out[k] = out.get(k, 0) + ci * cj * c
         return {k: c for k, c in out.items() if c}
 
     # ---- invariant form ----------------------------------------------------
@@ -311,11 +311,6 @@ class LieAlgebra:
             for i, c in enumerate(coroot_ints(root, root_norm(root))) if c
         }
 
-    def cartan_pairing(self, beta, root):
-        """<beta, h_alpha> = 2 (beta, alpha) / (alpha, alpha) for a weight beta."""
-        dot = sum(Fraction(b) * a for b, a in zip(beta, root))
-        return 2 * dot / root_norm(root)
-
     def rho(self):
         """Finite Weyl vector, half the sum of the positive roots."""
         acc = [Fraction(0)] * self.l
@@ -325,8 +320,10 @@ class LieAlgebra:
         return tuple(c / 2 for c in acc)
 
     def cartan_matrix(self):
+        """Row i, column j holds the int <alpha_j, h_alpha_i>."""
         return [
-            [self.cartan_pairing(b, a) for b in self.simple_roots]
+            [sum(x * y for x, y in zip(coroot_ints(a, root_norm(a)), b))
+             for b in self.simple_roots]
             for a in self.simple_roots
         ]
 

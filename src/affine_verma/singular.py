@@ -190,14 +190,15 @@ def check_singular(module, state):
     return {"passed": passed, "operators": checks}
 
 
-def report(kind, l):
-    """Build the entered vector, check annihilation, and grade it."""
+def report(kind, l, strict=False):
+    """Build the entered vector, check annihilation, and grade it; strict
+    also requires the solved singular space to be the vector's line."""
     module = verma.vacuum_module(kind, l)
     vec = singular_vector(module)
     degree, weight = expected_profile(module.alg)
     res = check_singular(module, vec)
     graded = vec.degree() == degree and vec.weight() == weight
-    return {
+    rep = {
         "check": "singular",
         "type": kind,
         "l": l,
@@ -209,6 +210,17 @@ def report(kind, l):
         "operators": res["operators"],
         "passed": bool(res["passed"] and graded),
     }
+    if strict:
+        space = solve_singular_space(module, degree, weight)
+        contains = any(vec.multiple_of(s) is not None for s in space)
+        rep["oracle"] = {
+            "degree": degree,
+            "dimension": len(space),
+            "contains_vector": contains,
+            "passed": len(space) == 1 and contains,
+        }
+        rep["passed"] = rep["passed"] and rep["oracle"]["passed"]
+    return rep
 
 
 # ---- independent recomputation -----------------------------------------------

@@ -5,7 +5,10 @@ From a node permutation the Lie algebra automorphism is built without any
 hand-chosen signs: simple root vectors map by the permutation, every other
 root vector is reached once through a bracket with a simple generator (so
 its image is the same bracket of images), and the Cartan images follow from
-the simple coroots.  The construction is validated by brute force: bracket
+the simple coroots.  Positive roots are ordered by their pairing with rho,
+which is positive on every simple root, so each root comes after the root it
+splits off; the image of a simple coroot is the closed-form coroot of the
+permuted simple root.  The construction is validated by brute force: bracket
 preservation over every basis pair.  Extension to the vacuum module is
 factorwise on canonical monomials.  The two generating symmetries - the
 3-cycle and a swap of two outer nodes - must fix both the degree-4 singular
@@ -15,17 +18,10 @@ vector and the Sugawara vector exactly.
 from fractions import Fraction
 
 from . import conformal
+from . import liealg
 from . import linalg
 from . import singular
 from . import verma
-
-
-def _simple_coordinates(alg, root):
-    cols = [list(r) for r in alg.simple_roots]
-    coords = linalg.solve_exact(cols, list(root))
-    if coords is None:
-        raise ValueError("root outside the simple-root lattice")
-    return coords
 
 
 def is_diagram_symmetry(alg, sigma):
@@ -54,7 +50,7 @@ class Automorphism:
         out = {}
         for x, c in elem.items():
             for y, cy in self.images[x].items():
-                out[y] = out.get(y, Fraction(0)) + c * cy
+                out[y] = out.get(y, 0) + c * cy
         return {y: c for y, c in out.items() if c}
 
     def __eq__(self, other):
@@ -71,7 +67,7 @@ class Automorphism:
 
     def is_identity(self):
         return all(
-            img == {i: Fraction(1)} for i, img in enumerate(self.images)
+            img == {i: 1} for i, img in enumerate(self.images)
         )
 
     def order(self, bound=24):
@@ -111,23 +107,14 @@ class Automorphism:
             word += partial
         return module.act(word, module.state({(): 1}, state.den))
 
-    def to_obj(self):
-        return {
-            "name": self.name,
-            "images": [
-                [[y, str(c)] for y, c in sorted(img.items())]
-                for img in self.images
-            ],
-        }
-
 
 def build_automorphism(alg, sigma, name="automorphism"):
     """Automorphism from a diagram symmetry, one bracket word per vector.
 
     sigma maps simple-root positions to simple-root positions.  Positive
-    roots are processed by height; each non-simple root is split once as
-    beta + alpha_i with beta positive, and the structure constant of
-    [e_beta, e_simple] transports to the image side unchanged.
+    roots are processed by their pairing with rho; each non-simple root is
+    split once as beta + alpha_i with beta positive, and the structure
+    constant of [e_beta, e_simple] transports to the image side unchanged.
     """
     if not is_diagram_symmetry(alg, sigma):
         raise ValueError("not a diagram symmetry")
@@ -140,11 +127,12 @@ def build_automorphism(alg, sigma, name="automorphism"):
 
     simple_set = {tuple(r) for r in alg.simple_roots}
     root_set = {tuple(r) for r in alg.positive_roots}
-    by_height = sorted(
+    rho = alg.rho()
+    by_rho = sorted(
         alg.positive_roots,
-        key=lambda r: (sum(_simple_coordinates(alg, r)), r),
+        key=lambda r: (sum(a * b for a, b in zip(rho, r)), r),
     )
-    for root in by_height:
+    for root in by_rho:
         if tuple(root) in simple_set:
             continue
         split = None
@@ -166,26 +154,14 @@ def build_automorphism(alg, sigma, name="automorphism"):
             images[index_of(root)] = {y: c / constant for y, c in img.items()}
 
     # Cartan block: H_j in simple-coroot coordinates, coroots map by sigma
-    coroot_cols = [
-        [alg.coroot_coords(r).get(alg.h_index(i + 1), Fraction(0))
-         for i in range(alg.l)]
-        for r in alg.simple_roots
-    ]
-    auto = Automorphism(alg, images, name, sigma=tuple(sigma))
-    coroot_images = [
-        alg.bracket_elem(images[alg.e_index(r)], images[alg.f_index(r)])
-        for r in alg.simple_roots
-    ]
+    cols = [liealg.coroot_ints(r, liealg.root_norm(r)) for r in alg.simple_roots]
     for j in range(alg.l):
-        unit = [Fraction(0)] * alg.l
-        unit[j] = one
-        coords = linalg.solve_exact(coroot_cols, unit)
-        acc = {}
-        for c, img in zip(coords, coroot_images):
-            for y, cy in img.items():
-                acc[y] = acc.get(y, Fraction(0)) + c * cy
-        images[alg.h_index(j + 1)] = {y: c for y, c in acc.items() if c}
-    return auto
+        coords = linalg.solve_exact(cols, [int(i == j) for i in range(alg.l)])
+        image = [sum(c * cols[s][k] for c, s in zip(coords, sigma))
+                 for k in range(alg.l)]
+        images[alg.h_index(j + 1)] = {
+            alg.h_index(k + 1): c for k, c in enumerate(image) if c}
+    return Automorphism(alg, images, name, sigma=tuple(sigma))
 
 
 def identity_automorphism(alg):

@@ -53,10 +53,8 @@ class VermaModule:
     def __repr__(self):
         return "VermaModule(%s_%d, k=%s)" % (self.alg.kind, self.alg.l, self.level)
 
-    def vacuum(self, coeff=1):
-        if coeff == 1:
-            return PBWState(self, {(): 1})
-        return self.state({(): coeff})
+    def vacuum(self):
+        return PBWState(self, {(): 1})
 
     def zero(self):
         return PBWState(self, {})
@@ -367,9 +365,14 @@ class PBWState:
         return " + ".join(bits)
 
 
+def special_level(l):
+    """The level -l + 3/2 at which the paper's identities hold."""
+    return Fraction(3 - 2 * l, 2)
+
+
 @lru_cache(maxsize=None)
 def vacuum_module(kind, l, level=None):
-    """Cached module; level defaults to -l + 3/2."""
+    """Cached module; level defaults to special_level(l)."""
     if level is None:
-        level = Fraction(3 - 2 * l, 2)
+        level = special_level(l)
     return VermaModule(liealg.algebra(kind, l), Fraction(level))

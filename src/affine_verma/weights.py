@@ -44,6 +44,7 @@ from math import lcm
 
 from . import liealg
 from . import linalg
+from . import verma
 
 DEFAULT_MODE_BOUND = 20
 MODE_BOUND_ENV = "AFFINE_VERMA_MODE_BOUND"
@@ -320,7 +321,7 @@ def check_admissible(alg, weight, mode_bound=None):
 def report(l, kind="D", mode_bound=None):
     """Admissibility verdict for the vacuum weight at level -l + 3/2."""
     alg = liealg.algebra(kind, l)
-    weight = vacuum_weight(l, Fraction(3 - 2 * l, 2))
+    weight = vacuum_weight(l, verma.special_level(l))
     rep = check_admissible(alg, weight, mode_bound)
     obj = rep.to_obj()
     obj["check"] = "admissible"

@@ -9,8 +9,6 @@ formula the rows give a term-by-term audit trail for the cancellation, which
 the end-to-end annihilation check cannot provide on its own.
 """
 
-from fractions import Fraction
-
 from . import liealg
 from . import verma
 from .verma import E, F, H
@@ -26,14 +24,13 @@ def identity_table(alg):
     l = alg.l
     rm, rp, rs = alg.rm, alg.rp, alg.rs
     th = alg.theta
-    q = Fraction
 
     def one(*factors):
-        return [(q(1), factors)]
+        return [(1, factors)]
 
     def balanced(root):
-        return [(q(1), (E(th), E(th), E(root), F(root))),
-                (q(1), (E(th), E(th), F(root), E(root)))]
+        return [(1, (E(th), E(th), E(root), F(root))),
+                (1, (E(th), E(th), F(root), E(root)))]
 
     J = range(3, l + 1)
     pairs = [(i, j) for i in J for j in J]
@@ -60,7 +57,7 @@ def identity_table(alg):
          + one(E(rm(1, i)), E(rp(2, i)), E(rm(1, j)), E(rp(1, j)))),
         ("(e(1-i)e(2+i))^2", singles,
          lambda i: one(E(rm(1, i)), E(rp(2, i)), E(rm(1, i)), E(rp(2, i))),
-         lambda i: [(q(2), (E(rm(1, i)), E(rm(1, i)), E(rp(1, i)), E(rp(2, i))))]
+         lambda i: [(2, (E(rm(1, i)), E(rm(1, i)), E(rp(1, i)), E(rp(2, i))))]
          + one(E(th, -2), E(rm(1, i)), E(rp(1, i)))),
         ("e(1+i)e(2-i)e(1+j)e(2-j), i!=j", pairs_ne,
          lambda i, j: one(E(rp(1, i)), E(rm(2, i)), E(rp(1, j)), E(rm(2, j))),
@@ -68,7 +65,7 @@ def identity_table(alg):
          + one(E(rp(1, i)), E(rm(2, i)), E(rp(1, j)), E(rm(1, j)))),
         ("(e(1+i)e(2-i))^2", singles,
          lambda i: one(E(rp(1, i)), E(rm(2, i)), E(rp(1, i)), E(rm(2, i))),
-         lambda i: [(q(2), (E(rp(1, i)), E(rp(1, i)), E(rm(1, i)), E(rm(2, i))))]
+         lambda i: [(2, (E(rp(1, i)), E(rp(1, i)), E(rm(1, i)), E(rm(2, i))))]
          + one(E(th, -2), E(rp(1, i)), E(rm(1, i)))),
         ("e(t)e(1+j)e(2-i)f(j-i), j<i", pairs_jlti,
          lambda i, j: one(E(th), E(rp(1, j)), E(rm(2, i)), F(rm(j, i))),
@@ -104,16 +101,16 @@ def identity_table(alg):
         ("e(t)e(1+i)e(2-i)h(1-2)", singles,
          lambda i: one(E(th), E(rp(1, i)), E(rm(2, i)), H(rm(1, 2))),
          lambda i: one(E(th), E(rp(1, i)), E(rm(1, i)), H(rm(1, 2)))
-         + [(q(-2), (E(th), E(rm(1, 2)), E(rp(1, i)), E(rm(2, i))))]
-         + [(q(2), (E(th), E(rp(1, i)), E(rm(1, i), -2)))]),
+         + [(-2, (E(th), E(rm(1, 2)), E(rp(1, i)), E(rm(2, i))))]
+         + [(2, (E(th), E(rp(1, i)), E(rm(1, i), -2)))]),
         ("e(t)e(1-i)e(2+i)h(i)", singles,
          lambda i: one(E(th), E(rm(1, i)), E(rp(2, i)), H(rs(i))),
          lambda i: one(E(th), E(rm(1, i)), E(rp(1, i)), H(rs(i)))),
         ("e(t)e(1-i)e(2+i)h(1-2)", singles,
          lambda i: one(E(th), E(rm(1, i)), E(rp(2, i)), H(rm(1, 2))),
          lambda i: one(E(th), E(rm(1, i)), E(rp(1, i)), H(rm(1, 2)))
-         + [(q(-2), (E(th), E(rm(1, 2)), E(rm(1, i)), E(rp(2, i))))]
-         + [(q(2), (E(th), E(rm(1, i)), E(rp(1, i), -2)))]),
+         + [(-2, (E(th), E(rm(1, 2)), E(rm(1, i)), E(rp(2, i))))]
+         + [(2, (E(th), E(rm(1, i)), E(rp(1, i), -2)))]),
         ("e(t)e(1+i)(-2)e(2-i)", singles,
          lambda i: one(E(th), E(rp(1, i), -2), E(rm(2, i))),
          lambda i: one(E(th), E(rp(1, i), -2), E(rm(1, i)))),
@@ -134,10 +131,10 @@ def identity_table(alg):
          lambda i: one(E(th), E(rm(1, i)), E(rp(1, i), -2))),
         ("e(t)(-2)e(t)h(1-2)", fixed,
          lambda: one(E(th, -2), E(th), H(rm(1, 2))),
-         lambda: [(q(-2), (E(th, -2), E(th), E(rm(1, 2))))]),
+         lambda: [(-2, (E(th, -2), E(th), E(rm(1, 2))))]),
         ("e(t)(-2)e(t)h(1)", fixed,
          lambda: one(E(th, -2), E(th), H(rs(1))),
-         lambda: [(q(-2), (E(th, -2), E(th), E(rm(1, 2))))]),
+         lambda: [(-2, (E(th, -2), E(th), E(rm(1, 2))))]),
         ("e(t)(-2)^2", fixed,
          lambda: one(E(th, -2), E(th, -2)),
          lambda: []),
@@ -146,24 +143,24 @@ def identity_table(alg):
          lambda: []),
         ("e(t)^2 (ef+fe)(1-2)", fixed,
          lambda: balanced(rm(1, 2)),
-         lambda: [(q(2), (E(th), E(th), E(rm(1, 2)), H(rm(1, 2)))),
-                  (q(2), (E(th), E(th), E(rm(1, 2), -2)))]),
+         lambda: [(2, (E(th), E(th), E(rm(1, 2)), H(rm(1, 2)))),
+                  (2, (E(th), E(th), E(rm(1, 2), -2)))]),
         ("e(t)^2 (ef+fe)(2-i)", singles,
          lambda i: balanced(rm(2, i)),
-         lambda i: [(q(2), (E(th), E(th), E(rm(1, i)), F(rm(2, i)))),
-                    (q(-1), (E(th), E(th), E(rm(1, 2), -2)))]),
+         lambda i: [(2, (E(th), E(th), E(rm(1, i)), F(rm(2, i)))),
+                    (-1, (E(th), E(th), E(rm(1, 2), -2)))]),
         ("e(t)^2 (ef+fe)(2+i)", singles,
          lambda i: balanced(rp(2, i)),
-         lambda i: [(q(2), (E(th), E(th), E(rp(1, i)), F(rp(2, i)))),
-                    (q(-1), (E(th), E(th), E(rm(1, 2), -2)))]),
+         lambda i: [(2, (E(th), E(th), E(rp(1, i)), F(rp(2, i)))),
+                    (-1, (E(th), E(th), E(rm(1, 2), -2)))]),
         ("e(t)^2 (ef+fe)(1-i)", singles,
          lambda i: balanced(rm(1, i)),
-         lambda i: [(q(-2), (E(th), E(th), E(rm(1, i)), F(rm(2, i)))),
-                    (q(1), (E(th), E(th), E(rm(1, 2), -2)))]),
+         lambda i: [(-2, (E(th), E(th), E(rm(1, i)), F(rm(2, i)))),
+                    (1, (E(th), E(th), E(rm(1, 2), -2)))]),
         ("e(t)^2 (ef+fe)(1+i)", singles,
          lambda i: balanced(rp(1, i)),
-         lambda i: [(q(-2), (E(th), E(th), E(rp(1, i)), F(rp(2, i)))),
-                    (q(1), (E(th), E(th), E(rm(1, 2), -2)))]),
+         lambda i: [(-2, (E(th), E(th), E(rp(1, i)), F(rp(2, i)))),
+                    (1, (E(th), E(th), E(rm(1, 2), -2)))]),
         ("e(t)^2 (ef+fe)(t)", fixed,
          lambda: balanced(th),
          lambda: []),
@@ -172,19 +169,19 @@ def identity_table(alg):
          lambda r: []),
         ("e(t)^2 h(1-2)^2", fixed,
          lambda: one(E(th), E(th), H(rm(1, 2)), H(rm(1, 2))),
-         lambda: [(q(-4), (E(th), E(th), E(rm(1, 2)), H(rm(1, 2)))),
-                  (q(-4), (E(th), E(th), E(rm(1, 2), -2)))]),
+         lambda: [(-4, (E(th), E(th), E(rm(1, 2)), H(rm(1, 2)))),
+                  (-4, (E(th), E(th), E(rm(1, 2), -2)))]),
         ("e(t)^2 h(1)^2", fixed,
          lambda: one(E(th), E(th), H(rs(1)), H(rs(1))),
-         lambda: [(q(-4), (E(th), E(th), E(rm(1, 2)), H(rs(1)))),
-                  (q(-4), (E(th), E(th), E(rm(1, 2), -2)))]),
+         lambda: [(-4, (E(th), E(th), E(rm(1, 2)), H(rs(1)))),
+                  (-4, (E(th), E(th), E(rm(1, 2), -2)))]),
         ("e(t)^2 h(1-2)h(1+2)", fixed,
          lambda: one(E(th), E(th), H(rm(1, 2)), H(rp(1, 2))),
-         lambda: [(q(-2), (E(th), E(th), E(rm(1, 2)), H(rp(1, 2))))]),
+         lambda: [(-2, (E(th), E(th), E(rm(1, 2)), H(rp(1, 2))))]),
         ("e(t)^2 h(1-i)h(1+i)", singles,
          lambda i: one(E(th), E(th), H(rm(1, i)), H(rp(1, i))),
-         lambda i: [(q(-1), (E(th), E(th), E(rm(1, 2)), H(rs(1)))),
-                    (q(-1), (E(th), E(th), E(rm(1, 2), -2)))]),
+         lambda i: [(-1, (E(th), E(th), E(rm(1, 2)), H(rs(1)))),
+                    (-1, (E(th), E(th), E(rm(1, 2), -2)))]),
         ("e(t)^2 h(1+2)(-2)", fixed,
          lambda: one(E(th), E(th), H(rp(1, 2), -2)),
          lambda: []),
@@ -237,7 +234,7 @@ def report(l):
         "check": "appendix",
         "type": "D",
         "l": l,
-        "level": str(Fraction(3 - 2 * l, 2)),
+        "level": str(verma.special_level(l)),
         "identities": res["identities"],
         "passed": res["passed"],
     }

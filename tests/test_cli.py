@@ -152,6 +152,48 @@ def test_parallel_matches_sequential():
     assert seq.stdout == par.stdout
 
 
+@pytest.mark.parametrize("argv, tasks, workers", [
+    (["--l-range", "4..4", "--jobs", "64"], 7, 7),
+    (["--l-range", "4..7", "--jobs", "2"], 25, 2),
+])
+def test_pool_never_exceeds_task_count(capsys, monkeypatch, argv, tasks,
+                                       workers):
+    # a fake pool records the size it is asked for and maps serially, so
+    # no process is started; the checks themselves are stubbed out
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "_run_task", lambda task: {
+        "check": task[0], "type": task[1], "passed": True})
+    code, rep = main_json(capsys, "verify", "all", *argv)
+    assert code == 0 and len(rep["reports"]) == tasks
+    assert asked == [workers]
+
+
+def test_one_task_runs_without_a_pool(monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError("a pool for one task")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_all_tasks", lambda l_values, mode_bound: [
+        ("conformal", None, 4, None)])
+    monkeypatch.setattr(cli, "_run_task", lambda task: {"passed": True})
+    assert cli.run_all([4], 8)["passed"] is True
+
+
 def test_fraction_rendering(capsys):
     code, rep = main_json(capsys, "verify", "conformal", "--l", "5")
     assert code == 0

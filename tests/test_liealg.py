@@ -125,6 +125,7 @@ def test_root_vectors_shift_weights(alg):
 def test_cartan_matrix(alg):
     cm = alg.cartan_matrix()
     l = alg.l
+    assert all(type(c) is int for row in cm for c in row)
     for i in range(l):
         assert cm[i][i] == 2
     if alg.kind == "B":

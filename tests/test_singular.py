@@ -207,3 +207,10 @@ def test_report_payload():
     names = [op["operator"] for op in rep["operators"]]
     assert names == sorted(set(names), key=names.index)
     assert any(name.startswith("f(") for name in names)
+    assert "oracle" not in rep
+    strict = singular.report("D", 4, strict=True)
+    assert strict["passed"] is True
+    assert strict["oracle"] == {"degree": 4, "dimension": 1,
+                                "contains_vector": True, "passed": True}
+    del strict["oracle"]
+    assert strict == rep
