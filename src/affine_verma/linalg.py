@@ -7,6 +7,11 @@ and intermediate growth stays tame.  Pivots are chosen as the smallest column
 index of the incoming row, which makes echelon forms (and therefore nullspace
 bases) deterministic.  Solving, rank and nullspaces all run on the one
 Echelon accumulator; there is no other elimination loop.
+
+Nullspace bases do not depend on row order or repeated rows: the pivot
+columns depend on the row space alone, and each basis vector is the one
+kernel vector on its free column and the pivots below it.  So nullspace adds
+rows sparsest first, which cuts fill-in.
 """
 
 from fractions import Fraction
@@ -124,7 +129,7 @@ class Echelon:
 def nullspace(rows, ncols):
     """Right nullspace of the matrix whose rows are {col: value} dicts."""
     ech = Echelon()
-    for row in rows:
+    for row in sorted(rows, key=len):
         if row:
             ech.add(row)
     return ech.nullspace(ncols)

@@ -232,36 +232,53 @@ def enumerate_monomials(alg, degree, weight=None):
     A canonical monomial is a nondecreasing tuple of (mode, index) factors
     with all modes negative; degree is the sum of -mode.  With weight set,
     only monomials whose index weights sum to it are kept, and the walk
-    carries the residual weight still to be reached.  Every basis weight has
-    L1 norm at most 2 and every factor uses at least one unit of degree, so a
-    branch whose residual has L1 norm above twice the remaining degree is
-    cut: it cannot reach the weight.  Pruning never reorders the output.
+    carries the residual weight still to be reached in one list, updating
+    its L1 norm over the at most 2 nonzero coordinates of each basis weight.
+    Every factor uses at least one unit of degree, so a branch whose residual
+    norm exceeds twice the remaining degree is cut.  The last factor must
+    carry the residual exactly, so it is looked up in a weight -> ascending
+    indices table.  Pruning never reorders the output.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if weight is not None and len(weight) != alg.l:
+        raise ValueError("weight must have l = %d coordinates" % alg.l)
     dim = alg.dim
     weights = [alg.weight(x) for x in range(dim)]
-    out = []
+    by_weight = {}
+    for x, w in enumerate(weights):
+        by_weight.setdefault(w, []).append(x)
+    # without a weight every branch is kept: no coordinates, zero norm
+    support = [() if weight is None else [(i, c) for i, c in enumerate(w) if c]
+               for w in weights]
+    res = [] if weight is None else list(weight)
+    out = [] if degree or any(res) else [()]
     mono = []
 
-    def rec(remaining, floor, residual):
-        if remaining == 0:
-            if residual is None or not any(residual):
-                out.append(tuple(mono))
-            return
+    def rec(remaining, floor, norm):
         for n in range(max(floor[0], -remaining), 0):
             left = remaining + n
-            for x in range(floor[1] if n == floor[0] else 0, dim):
-                rest = None if residual is None else tuple(
-                    r - w for r, w in zip(residual, weights[x]))
-                if rest is not None and sum(map(abs, rest)) > 2 * left:
+            low = floor[1] if n == floor[0] else 0
+            if not left:
+                last = range(dim) if weight is None else \
+                    by_weight.get(tuple(res), ())
+                out.extend(tuple(mono) + ((n, x),) for x in last if x >= low)
+                continue
+            for x in range(low, dim):
+                after = norm
+                for i, c in support[x]:
+                    after += abs(res[i] - c) - abs(res[i])
+                if after > 2 * left:
                     continue
-                entry = (n, x)
-                mono.append(entry)
-                rec(left, entry, rest)
+                for i, c in support[x]:
+                    res[i] -= c
+                mono.append((n, x))
+                rec(left, (n, x), after)
                 mono.pop()
+                for i, c in support[x]:
+                    res[i] += c
 
-    rec(degree, (-degree, 0), None if weight is None else tuple(weight))
+    rec(degree, (-degree, 0), sum(map(abs, res)))
     return out
 
 
@@ -287,7 +304,7 @@ def solve_singular_space(module, degree, weight, strict=False, degree_bound=4):
         for oi, (x, n) in enumerate(ops):
             for target, c in module.operator_terms(x, n, mono):
                 rows.setdefault((oi, target), {})[col] = c
-    basis = linalg.nullspace((rows[key] for key in sorted(rows)), len(cands))
+    basis = linalg.nullspace(rows.values(), len(cands))
     return [
         module.state({cands[i]: v for i, v in enumerate(vec) if v})
         for vec in basis

@@ -86,7 +86,8 @@ class VermaModule:
     def _apply_mono(self, x, n, mono):
         """x(n) applied to a canonical monomial, as the flat tuple
         (monomial, coeff, monomial, coeff, ...): one object per memo entry
-        rather than one per term (read it with operator_terms).
+        rather than one per term, read in place as zip(it, it) over one
+        iterator it (operator_terms does the same by slicing).
 
         Coefficients are int.  For n <= 0 they are the exact values.  For
         n > 0 they are the exact values times level.denominator: the central
@@ -109,13 +110,16 @@ class VermaModule:
             rest = mono[1:]
             acc = {}
             # x(n) y(m) = y(m) x(n) + [x,y](n+m) + n delta_{n+m,0} (x,y) k
-            for mono1, c1 in self.operator_terms(x, n, rest):
-                for mono2, c2 in self.operator_terms(y, m, mono1):
+            it = iter(self._apply_mono(x, n, rest))
+            for mono1, c1 in zip(it, it):
+                it2 = iter(self._apply_mono(y, m, mono1))
+                for mono2, c2 in zip(it2, it2):
                     acc[mono2] = acc.get(mono2, 0) + c1 * c2
             scale = self.level.denominator if n > 0 >= n + m else 1
             for z, cz in self.alg.bracket(x, y):
                 cz *= scale
-                for mono1, c1 in self.operator_terms(z, n + m, rest):
+                it = iter(self._apply_mono(z, n + m, rest))
+                for mono1, c1 in zip(it, it):
                     acc[mono1] = acc.get(mono1, 0) + cz * c1
             if n > 0 and n + m == 0:
                 cf = self.alg.form(x, y)
@@ -155,7 +159,8 @@ class VermaModule:
             for x, n in reversed(factors):
                 nxt = {}
                 for mono, v in cur.items():
-                    for mono1, c1 in self.operator_terms(x, n, mono):
+                    it = iter(self._apply_mono(x, n, mono))
+                    for mono1, c1 in zip(it, it):
                         nxt[mono1] = nxt.get(mono1, 0) + v * c1
                 cur = {mono: v for mono, v in nxt.items() if v}
             mult = c.numerator * (out_den // d)

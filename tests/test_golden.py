@@ -56,6 +56,10 @@ def test_warm_rerun_is_byte_identical():
      "d7682f4455e12abc795a1a93b1448cdf35c4d20a797ef9a145419224b9d90008"),
     ("verify singular --type D --l 4 --strict",
      "31d91ecf6f7ab85bdacc2fcd10042f4840671bd015b4564f331d7c9b34f0bb0d"),
+    ("verify singular --type B --l 10 --strict",
+     "100f0bac48b39feb17f69bc9fa8d99a0fdc7bdc8f1dfee4af1bf9be7b073af24"),
+    ("verify singular --type D --l 10 --strict",
+     "e6c2b49dc11dde5e4c66a89468cd057d9934d28e6d812a60e3b7170618b4f420"),
     ("verify admissible --type B --l 4",
      "1a65dde328828fb42011d36a12f69f8d894cb8c2d4c8b57b567c57b57ae8e55b"),
     ("verify admissible --type B --l 5",

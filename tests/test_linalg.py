@@ -111,6 +111,39 @@ def test_nullspace_members_annihilate(rng):
                 assert sum(row.get(j, 0) * vec[j] for j in range(ncols)) == 0
 
 
+def test_nullspace_ignores_row_order(rng):
+    # nullspace adds rows sparsest first; the basis must be the one of the
+    # given order, whatever the order, with zero and repeated rows mixed in
+    for trial in range(60):
+        ncols = rng.randint(1, 9)
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            row = {}
+            for c in rng.sample(range(ncols), rng.randint(1, min(3, ncols))):
+                v = rng.randint(-5, 5)
+                row[c] = Fraction(v, rng.randint(1, 4)) if trial % 2 else v
+            rows.append(row)
+        # rank-deficient: sums of earlier rows, copies and zero rows
+        for _ in range(rng.randint(1, 3)):
+            if rows:
+                a, b = rng.choice(rows), rng.choice(rows)
+                rows.append({c: a.get(c, 0) + b.get(c, 0)
+                             for c in set(a) | set(b)})
+                rows.append(dict(rng.choice(rows)))
+            rows.append({})
+            rows.append({rng.randrange(ncols): 0})
+        ech = Echelon()
+        for row in rows:
+            if row:
+                ech.add(row)
+        want = ech.nullspace(ncols)
+        assert nullspace(rows, ncols) == want
+        for _ in range(3):
+            rng.shuffle(rows)
+            assert nullspace(rows, ncols) == want
+            assert nullspace(iter(rows), ncols) == want
+
+
 def test_echelon_rank():
     e = Echelon()
     e.add({0: Fraction(1), 1: Fraction(1)})

@@ -143,6 +143,30 @@ def test_pruned_enumeration_matches_leaf_filter(kind, l):
         assert singular.enumerate_monomials(alg, degree, unreachable) == []
 
 
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_enumeration_on_every_reachable_weight(kind):
+    alg = liealg.algebra(kind, 4)
+    for degree in range(1, 4):
+        leaves = helpers.leaf_filtered_monomials(alg, degree)
+        by_weight = {}
+        for mono, w in leaves:
+            by_weight.setdefault(w, []).append(mono)
+        for weight, want in by_weight.items():
+            got = singular.enumerate_monomials(alg, degree, weight)
+            assert got == want, (degree, weight)
+
+
+def test_wrong_length_weight_is_rejected():
+    # a zip against the basis weights would truncate the weight, so D_4 at
+    # degree 2 with weight (2, 0) would list monomials of weight (2, 0, -2, 0)
+    module = verma.vacuum_module("D", 4)
+    for weight in ((2, 0), (2, 0, 0, 0, 0), ()):
+        with pytest.raises(ValueError):
+            singular.enumerate_monomials(module.alg, 2, weight)
+        with pytest.raises(ValueError):
+            singular.solve_singular_space(module, 2, weight)
+
+
 @verifies("singular-vector-B", "singular-vector-D")
 @pytest.mark.parametrize("kind", ["B", "D"])
 @pytest.mark.parametrize("l", [7, 8])
