@@ -24,9 +24,9 @@ from . import zero_modes
 CHECKS = ("singular", "embedding", "conformal", "admissible", "triality",
           "appendix", "all")
 
-# the bracket-table budget: the stored cells grow as l^3 and the build as
-# about l^4; B_16 has 32256 cells and builds in about 0.3 s on a 2-core host
-MAX_L = 16
+# the rank budget: on a 2-core host `verify all --l 24 --jobs 1` takes
+# about 3 s and `verify singular --type D --l 24 --strict` about 7 s
+MAX_L = 24
 
 
 def to_json(obj):
@@ -175,8 +175,7 @@ def build_parser():
 def _validate(parser, args):
     top = (getattr(args, "l_range", None) or (None, args.l))[1]
     if top is not None and top > MAX_L:
-        parser.error("rank %d is above %d, the bracket-table budget"
-                     % (top, MAX_L))
+        parser.error("rank %d is above %d, the rank budget" % (top, MAX_L))
     if args.command == "dump-algebra":
         if args.l < 4:
             parser.error("--l must be at least 4")

@@ -11,9 +11,10 @@ linear) fermion monomials
 where {a_i, a*_j} = delta_ij, all other anticommutators vanish, and
 :xy: = (xy - yx) / 2.  Each basis element is a single signed monomial, so
 every structure constant follows from the single-contraction rule for
-commutators of fermion monomials, in int arithmetic; none is entered by
-hand.  clifford.py multiplies the same monomials out and is the reference
-the tests hold the table against.
+commutators of fermion monomials, in int arithmetic, computed for a pair
+when it is first asked for; none is entered by hand.  clifford.py
+multiplies the same monomials out and is the reference the tests hold the
+rule against.
 
 Roots live in the epsilon-coordinate lattice (tuples of l integers), the
 invariant form is normalized so that long roots have square length 2, and
@@ -138,7 +139,14 @@ class LieAlgebra:
         self._e_index = {r: i for i, r in enumerate(self.positive_roots)}
         self._f_index = {r: self.npos + i for i, r in enumerate(self.positive_roots)}
 
-        self._brackets = self._build_bracket_table()
+        self._signed_codes = [self._codes(role, datum)
+                              for role, datum in self.basis]
+        self._code_index = {c: (k, sgn)
+                            for k, (sgn, c) in enumerate(self._signed_codes)}
+        # the code contracting with code p; g(p, r) = 1 exactly for r = dual[p]
+        self._dual = [p + l if p < l else p - l for p in range(2 * l)]
+        # (i, j) -> bracket(i, j), filled on demand
+        self._brackets = {}
 
     # ---- basis bookkeeping -------------------------------------------------
 
@@ -195,8 +203,8 @@ class LieAlgebra:
         (i,) = pos
         return 1, ((i,) if role == "e" else (l + i,))
 
-    def _build_bracket_table(self):
-        """Row i maps j to the nonzero [x_i, x_j] as sorted (index, coeff) pairs.
+    def _rule(self, i, j):
+        """[x_i, x_j] as sorted (index, coeff) pairs, () when it vanishes.
 
         Every basis element is one signed fermion monomial, so each bracket
         follows from the single-contraction rule with g(p, q) = {psi_p, psi_q}
@@ -208,65 +216,46 @@ class LieAlgebra:
 
         with :qp: = -:pq: and :pp: = 0.  Every structure constant is an int.
         """
-        l = self.l
-        codes = [self._codes(role, datum) for role, datum in self.basis]
-        index = {c: (k, s) for k, (s, c) in enumerate(codes)}
-        # the code contracting with code p; g(p, r) = 1 exactly for r = dual[p]
-        dual = [p + l if p < l else p - l for p in range(2 * l)]
-
-        def contract(pq, r):
-            # [:pq:, psi_r] as (coeff, code) terms: at most one is nonzero
-            p, q = pq
-            if r == dual[q]:
-                return ((1, p),)
-            if r == dual[p]:
-                return ((-1, q),)
-            return ()
-
-        n = self.dim
-        table = [{} for _ in range(n)]
-        for i in range(n):
-            si, ci = codes[i]
-            for j in range(i + 1, n):
-                sj, cj = codes[j]
-                if len(ci) == 2:
-                    # [:pq:, psi_r psi_s] = [:pq:, psi_r] psi_s
-                    #                       + psi_r [:pq:, psi_s]
-                    terms = [(c, (x,) + cj[1:]) for c, x in contract(ci, cj[0])]
-                    if len(cj) == 2:
-                        terms += [(c, (cj[0], x))
-                                  for c, x in contract(ci, cj[1])]
-                elif len(cj) == 2:
-                    terms = [(-c, (x,)) for c, x in contract(cj, ci[0])]
-                else:
-                    terms = [(2, ci + cj)]
-                if not terms:
+        si, ci = self._signed_codes[i]
+        sj, cj = self._signed_codes[j]
+        if len(ci) == len(cj) == 1:
+            terms = [(2, ci + cj)]
+        else:
+            # Leibniz: [:pq:, y] puts [:pq:, psi_r] on each factor psi_r of
+            # y; sign is -1 when :pq: is x_j, as [x_i, x_j] = -[x_j, x_i]
+            sign, (p, q), y = (1, ci, cj) if len(ci) == 2 else (-1, cj, ci)
+            dp, dq = self._dual[p], self._dual[q]
+            terms = []
+            for k, r in enumerate(y):
+                if r == dq:
+                    terms.append((sign, y[:k] + (p,) + y[k + 1:]))
+                elif r == dp:
+                    terms.append((-sign, y[:k] + (q,) + y[k + 1:]))
+            if not terms:
+                return ()
+        out = {}
+        for c, mono in terms:
+            if len(mono) == 2 and mono[0] >= mono[1]:
+                if mono[0] == mono[1]:
                     continue
-                out = {}
-                for c, mono in terms:
-                    if len(mono) == 2 and mono[0] >= mono[1]:
-                        if mono[0] == mono[1]:
-                            continue
-                        c, mono = -c, mono[::-1]
-                    k, s = index[mono]
-                    out[k] = out.get(k, 0) + si * sj * s * c
-                items = tuple((k, c) for k, c in sorted(out.items()) if c)
-                if items:
-                    table[i][j] = items
-                    table[j][i] = tuple((k, -c) for k, c in items)
-        return table
+                c, mono = -c, mono[::-1]
+            k, s = self._code_index[mono]
+            out[k] = out.get(k, 0) + si * sj * s * c
+        return tuple((k, c) for k, c in sorted(out.items()) if c)
 
     def bracket(self, i, j):
         """[x_i, x_j] as a sparse tuple of (basis index, coefficient)."""
-        return self._brackets[i].get(j, ())
+        items = self._brackets.get((i, j))
+        if items is None:
+            items = self._brackets[i, j] = self._rule(i, j)
+        return items
 
     def bracket_elem(self, x, y):
         """Bracket of sparse elements {index: coeff}."""
         out = {}
         for i, ci in x.items():
-            row = self._brackets[i]
             for j, cj in y.items():
-                for k, c in row.get(j, ()):
+                for k, c in self.bracket(i, j):
                     out[k] = out.get(k, 0) + ci * cj * c
         return {k: c for k, c in out.items() if c}
 
@@ -330,11 +319,19 @@ class LieAlgebra:
     # ---- dump ----------------------------------------------------------------
 
     def to_dump(self):
-        """Plain-data description: basis, bracket table, invariant form, roots."""
-        brackets = []
-        for i, row in enumerate(self._brackets):
-            for j in sorted(row):
-                brackets.append([i, j, [[k, str(c)] for k, c in row[j]]])
+        """Plain-data description: basis, nonzero brackets, invariant form,
+        roots."""
+        # one rule call per unordered pair; row j gets its cells below the
+        # diagonal before its own pass, so every row comes out sorted
+        rows = [[] for _ in range(self.dim)]
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                items = self._rule(i, j)
+                if items:
+                    rows[i].append((j, [[k, str(c)] for k, c in items]))
+                    rows[j].append((i, [[k, str(-c)] for k, c in items]))
+        brackets = [[i, j, items] for i, row in enumerate(rows)
+                    for j, items in row]
         form = []
         for i in range(self.dim):
             for j in range(i, self.dim):

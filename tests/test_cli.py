@@ -72,8 +72,8 @@ def test_usage_errors_exit_two(capsys):
     "verify embedding --l 300",
     "verify all --l-range 4..300",
     "dump-algebra --type B --l 300",
-    "verify all --l 17",
-    "verify singular --type D --l 17",
+    "verify all --l 25",
+    "verify singular --type D --l 25",
 ])
 def test_rank_above_budget_exits_two_fast(capsys, argv):
     t0 = time.perf_counter()
@@ -84,8 +84,8 @@ def test_rank_above_budget_exits_two_fast(capsys, argv):
 
 def test_ranks_within_budget_run(capsys, tmp_path):
     parser = cli.build_parser()
-    for argv in ("verify embedding --l 16", "verify all --l-range 4..16",
-                 "dump-algebra --type B --l 16"):
+    for argv in ("verify embedding --l 24", "verify all --l-range 4..24",
+                 "dump-algebra --type B --l 24"):
         cli._validate(parser, parser.parse_args(argv.split()))
     out = tmp_path / "d12.json"
     assert cli.main(["dump-algebra", "--type", "D", "--l", "12",

@@ -6,7 +6,9 @@ the admissibility ones from the memoized DFS cone test, before the integer
 basis replaced it; the dump-algebra ones at l = 8, 12 and 16 from the table
 built by Clifford multiplication, before the contraction rule replaced it;
 the `verify all` one at l = 6, 7 from states of Fraction coefficients,
-before int numerators over one denominator replaced them.
+before int numerators over one denominator replaced them; the l = 24 ones
+from the stored bracket table, with the rank ceiling raised past 24, before
+brackets computed on demand replaced it.
 Regenerate them only when report text is meant to change.
 """
 
@@ -106,6 +108,10 @@ def test_warm_rerun_is_byte_identical():
      "04c62d1ccf7d21c1a0c7661490e860818110e4be3a91081e42798af21fe53a77"),
     ("dump-algebra --type D --l 16",
      "b2955317bf7a3e63faad74eb5aa3bce9b540b60aa93929c73e14ce511b784ebf"),
+    ("dump-algebra --type B --l 24",
+     "49c1a8af1f5404114bfcef021dc9ad15c39f57a2bf2fdf0f93e529ef694e2015"),
+    ("verify all --l 24 --jobs 1",
+     "dce8b1960b39a76c67d29008f0af0f9ced1fa451e0e06254721bd9ec69c8e6dd"),
 ])
 def test_command_output(capsys, argv, digest):
     assert cli.main(argv.split()) == 0

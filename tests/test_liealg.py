@@ -167,8 +167,8 @@ def test_algebra_cache_and_validation():
 
 @verifies("clifford-realization")
 def test_bracket_elem_matches_table(alg, rng):
-    # bracket_elem reads the table; the Clifford commutator of the
-    # realizations is computed independently of it
+    # bracket_elem goes through the contraction rule; the Clifford
+    # commutator of the realizations is computed independently of it
     def random_elem():
         return {rng.randrange(alg.dim): Fraction(rng.randint(-5, 5) or 1,
                                                  rng.randint(1, 4))
@@ -185,7 +185,7 @@ def test_bracket_elem_matches_table(alg, rng):
 @verifies("clifford-realization")
 @pytest.mark.parametrize("kind", ["B", "D"])
 @pytest.mark.parametrize("l", [4, 5, 6])
-def test_weight_pruned_table_is_sound(kind, l):
+def test_bracket_respects_weight_grading(kind, l):
     alg = liealg.algebra(kind, l)
     full = helpers.full_bracket_table(alg)
     carried = {alg.weight(k) for k in range(alg.dim)}
@@ -196,7 +196,7 @@ def test_weight_pruned_table_is_sound(kind, l):
     ]
     assert skipped
     # no basis element carries these weight sums; the Clifford algebra and
-    # the table agree that the pairs commute
+    # the contraction rule agree that the pairs commute
     assert [p for p in skipped if full[p]] == []
     assert helpers.table_mismatches(alg, full) == []
 
@@ -221,8 +221,8 @@ def test_rule_table_matches_clifford(kind):
 def test_structure_constants_are_small_ints(kind):
     for l in range(2, 9):
         alg = liealg.algebra(kind, l)
-        values = [c for row in alg._brackets for items in row.values()
-                  for _, c in items]
+        values = [c for i in range(alg.dim) for j in range(alg.dim)
+                  for _, c in alg.bracket(i, j)]
         assert values and all(type(c) is int for c in values), (kind, l)
         assert set(values) <= {-2, -1, 1, 2}, (kind, l)
         form = [alg.form(i, j) for i in range(alg.dim) for j in range(alg.dim)]

@@ -49,6 +49,16 @@ def test_admissibility_negative_controls():
     assert bad.violations
 
 
+def test_admissibility_computes_no_bracket(monkeypatch):
+    # admissibility reads root data only; no structure constant is computed
+    def refuse(self, i, j):
+        raise AssertionError("bracket (%d, %d) computed" % (i, j))
+
+    liealg.algebra.cache_clear()
+    monkeypatch.setattr(liealg.LieAlgebra, "_rule", refuse)
+    assert weights.report(8, "D")["passed"]
+
+
 def test_mode_bound_env_and_argument(monkeypatch):
     monkeypatch.delenv(weights.MODE_BOUND_ENV, raising=False)
     assert weights.mode_bound_from_env() == weights.DEFAULT_MODE_BOUND
