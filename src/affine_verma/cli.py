@@ -18,6 +18,7 @@ from . import embedding
 from . import liealg
 from . import singular
 from . import triality
+from . import verma
 from . import weights
 from . import zero_modes
 
@@ -49,8 +50,18 @@ def run_check(check, kind, l, mode_bound=None, strict=False):
     raise ValueError("unknown check: %r" % (check,))
 
 
+_last_rank = None
+
+
 def _run_task(task):
+    # tasks reach a process in rank order and no check reads another rank's
+    # objects, so a new rank drops the caches; one out of order only rebuilds
+    global _last_rank
     check, kind, l, mode_bound = task
+    if l != _last_rank:
+        liealg.algebra.cache_clear()
+        verma.vacuum_module.cache_clear()
+        _last_rank = l
     return run_check(check, kind, l, mode_bound)
 
 
@@ -147,7 +158,6 @@ def build_parser():
                           help="emit basis, brackets, form and root data")
     dump.add_argument("--type", required=True, choices=("B", "D"))
     dump.add_argument("--l", required=True, type=int)
-    dump.add_argument("--format", choices=("json",), default="json")
     dump.add_argument("--out")
     dump.add_argument("--human", action="store_true")
 

@@ -50,10 +50,10 @@ def sugawara_vector(module):
     k = module.level
     if k == -alg.dual_coxeter:
         raise ValueError("critical level has no conformal vector")
-    acc = module.zero()
-    for idx, dual in alg.dual_basis():
-        acc = acc + module.apply(idx, -1, module.apply_elem(dual, -1, module.vacuum()))
-    return acc * (1 / (2 * (k + alg.dual_coxeter)))
+    scale = 1 / (2 * (k + alg.dual_coxeter))
+    return module.act([(c * scale, ((idx, -1), (j, -1)))
+                       for idx, dual in alg.dual_basis()
+                       for j, c in dual.items()], module.vacuum())
 
 
 # ---- certificates in the B module ---------------------------------------------

@@ -34,11 +34,13 @@ its unique coordinates in a piece it touches are nonnegative integers.
 Pieces of several affine components share delta and are dependent together
 (a finite part that is not integral can give them).  All arithmetic is on
 int: pairings are scaled by the lcm of the denominators of lambda + rho_hat
-and the level, and heights are taken against 2 rho.
+and the level, and heights are taken against 2 rho; the report's simple
+pairings come from the same integers.  check_admissible returns the report
+of `verify admissible` as a plain dict, less its check and passed keys.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -50,10 +52,10 @@ DEFAULT_MODE_BOUND = 20
 MODE_BOUND_ENV = "AFFINE_VERMA_MODE_BOUND"
 
 
-def mode_bound_from_env(default=DEFAULT_MODE_BOUND):
+def mode_bound_from_env():
     raw = os.environ.get(MODE_BOUND_ENV)
     if raw is None:
-        return default
+        return DEFAULT_MODE_BOUND
     try:
         value = int(raw)
     except ValueError:
@@ -143,46 +145,6 @@ def all_finite_roots(alg):
     return pos + [tuple(-c for c in r) for r in pos]
 
 
-@dataclass
-class AdmissibilityReport:
-    kind: str
-    l: int
-    weight: AffineWeight
-    mode_bound: int
-    admissible: bool
-    critical: bool = False
-    violations: list = field(default_factory=list)
-    max_threshold: int = 0
-    certified: bool = False
-    generators: list = field(default_factory=list)
-    rank: int = 0
-    full_rank: int = 0
-    simple_pairings: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    def to_obj(self):
-        return {
-            "type": self.kind,
-            "l": self.l,
-            "level": str(self.weight.level),
-            "mode_bound": self.mode_bound,
-            "admissible": self.admissible,
-            "critical": self.critical,
-            "condition_i": {
-                "violations": self.violations,
-                "max_positivity_threshold": self.max_threshold,
-                "certified_beyond_bound": self.certified,
-            },
-            "condition_ii": {
-                "generators": self.generators,
-                "rank": self.rank,
-                "required_rank": self.full_rank,
-            },
-            "simple_pairings": self.simple_pairings,
-            "notes": self.notes,
-        }
-
-
 class _Basis:
     """Independent integer vectors in Z^d and their nonnegative integer cone.
 
@@ -192,7 +154,7 @@ class _Basis:
     outside the span; otherwise the row reads  c * query = sum_k x_k g_k
     with c in the marker column and -x_k in column d + k."""
 
-    def __init__(self, d, vecs=()):
+    def __init__(self, d, vecs):
         self.d = d
         self.vecs = []
         self._ech = linalg.Echelon()
@@ -224,56 +186,68 @@ class _Basis:
 
 
 def check_admissible(alg, weight, mode_bound=None):
-    """Kac-Wakimoto admissibility of an affine weight for the given algebra."""
+    """Kac-Wakimoto admissibility of an affine weight for the given algebra,
+    as the `verify admissible` report without its check and passed keys."""
     if mode_bound is None:
         mode_bound = mode_bound_from_env()
     l = alg.l
-    rep = AdmissibilityReport(
-        kind=alg.kind, l=l, weight=weight, mode_bound=mode_bound,
-        admissible=False, full_rank=l + 1)
-
-    shifted = weight + rho_hat(alg)
     slope_base = weight.level + alg.dual_coxeter  # = <weight + rho, c>
+    cond_i = {"violations": [], "max_positivity_threshold": 0,
+              "certified_beyond_bound": False}
+    cond_ii = {"generators": [], "rank": 0, "required_rank": l + 1}
+    rep = {"type": alg.kind, "l": l, "level": str(weight.level),
+           "mode_bound": mode_bound, "admissible": False,
+           "critical": slope_base == 0, "condition_i": cond_i,
+           "condition_ii": cond_ii, "simple_pairings": {}, "notes": []}
+    notes = rep["notes"]
     if slope_base == 0:
-        rep.critical = True
-        rep.notes.append("critical level: level + dual Coxeter = 0; rejected")
+        notes.append("critical level: level + dual Coxeter = 0; rejected")
         return rep
     if slope_base < 0:
-        rep.notes.append(
+        notes.append(
             "level + dual Coxeter < 0: pairings decrease with the mode, "
             "no finite certificate; rejected")
         return rep
     if weight.level == 0:
-        rep.notes.append("level 0 is the degenerate vacuum case; "
-                         "trivially admissible, reported for completeness")
+        notes.append("level 0 is the degenerate vacuum case; "
+                     "trivially admissible, reported for completeness")
 
     # condition (i): <w + rho, gamma^v> = 2 (P + m T) / (n den) with the
     # integers P = den (w + rho, alpha) and T = den (level + dual Coxeter);
     # the integral pairings are the candidates of condition (ii)
+    shifted = weight + rho_hat(alg)
     den = lcm(weight.level.denominator,
               *(c.denominator for c in shifted.finite))
     fin = [int(c * den) for c in shifted.finite]
     T = int(slope_base * den)
+
+    def pair(root, m):
+        P = sum(s * a for s, a in zip(fin, root))
+        return Fraction(2 * (P + m * T), liealg.root_norm(root) * den)
+
+    threshold = 0
     candidates = []
-    for root in all_finite_roots(alg):
+    # the positive roots come first, and only they start at mode 0
+    for k, root in enumerate(all_finite_roots(alg)):
         n = liealg.root_norm(root)
         P = sum(s * a for s, a in zip(fin, root))
         # smallest m with P + m T > 0 (at most 0 when m = 0 has it)
-        rep.max_threshold = max(rep.max_threshold, (-P) // T + 1)
-        start = 0 if root in alg.positive_roots else 1
-        for m in range(start, mode_bound + 1):
+        threshold = max(threshold, (-P) // T + 1)
+        for m in range(int(k >= alg.npos), mode_bound + 1):
             num = 2 * (P + m * T)
             if num % (n * den) == 0:
                 candidates.append(AffineRoot(root, m))
                 if num <= 0:
-                    rep.violations.append(
+                    cond_i["violations"].append(
                         {"root": candidates[-1].label(),
                          "pairing": str(num // (n * den))})
-    rep.certified = rep.max_threshold <= mode_bound
-    if not rep.certified:
-        rep.notes.append(
+    certified = threshold <= mode_bound
+    cond_i.update(max_positivity_threshold=threshold,
+                  certified_beyond_bound=certified)
+    if not certified:
+        notes.append(
             "mode bound %d below positivity threshold %d; raise %s"
-            % (mode_bound, rep.max_threshold, MODE_BOUND_ENV))
+            % (mode_bound, threshold, MODE_BOUND_ENV))
 
     # condition (ii): integer-pairing coroots span the full rational span.
     # Heights are doubled; big = max(1, int(1 - (rho . v) / v_m) + 1) over
@@ -301,29 +275,28 @@ def check_admissible(alg, weight, mode_bound=None):
         pieces = [p for p in pieces if p not in near]
         pieces.append(_Basis(l + 1, [g for p in near for g in p.vecs] + [vec]))
         accepted.append(root)
-    rep.generators = [
+    cond_ii["generators"] = [
         {"finite": list(r.finite), "mode": r.mode, "label": r.label()}
         for r in accepted
     ]
-    rep.rank = linalg.rank(vecs[r] for r in accepted)
+    cond_ii["rank"] = rank = linalg.rank(vecs[r] for r in accepted)
 
+    pairs = rep["simple_pairings"]
     for i, a in enumerate(alg.simple_roots, start=1):
-        rep.simple_pairings["alpha_%d" % i] = str(pairing(shifted, AffineRoot(a, 0)))
-    theta = AffineRoot(tuple(-c for c in alg.theta), 1)
-    rep.simple_pairings["alpha_0"] = str(pairing(shifted, theta))
-    reflection = AffineRoot(tuple(-c for c in alg.theta), 2)
-    rep.simple_pairings["two_delta_minus_theta"] = str(pairing(shifted, reflection))
+        pairs["alpha_%d" % i] = str(pair(a, 0))
+    theta = tuple(-c for c in alg.theta)
+    pairs["alpha_0"] = str(pair(theta, 1))
+    pairs["two_delta_minus_theta"] = str(pair(theta, 2))
 
-    rep.admissible = (not rep.violations) and rep.certified and rep.rank == l + 1
+    rep["admissible"] = certified and rank == l + 1 and not cond_i["violations"]
     return rep
 
 
 def report(l, kind="D", mode_bound=None):
     """Admissibility verdict for the vacuum weight at level -l + 3/2."""
     alg = liealg.algebra(kind, l)
-    weight = vacuum_weight(l, verma.special_level(l))
-    rep = check_admissible(alg, weight, mode_bound)
-    obj = rep.to_obj()
-    obj["check"] = "admissible"
-    obj["passed"] = obj["admissible"]
-    return obj
+    rep = check_admissible(alg, vacuum_weight(l, verma.special_level(l)),
+                           mode_bound)
+    rep["check"] = "admissible"
+    rep["passed"] = rep["admissible"]
+    return rep

@@ -353,17 +353,94 @@ class reference_generated_tester:
 
 def reference_check_admissible(alg, weight, mode_bound):
     """Reference for weights.check_admissible: Fraction pairings, thresholds
-    and heights, and the greedy pass on reference_generated_tester."""
+    and heights, and the greedy pass on reference_generated_tester; returns
+    the same report dict."""
     l = alg.l
-    rep = weights.AdmissibilityReport(
-        kind=alg.kind, l=l, weight=weight, mode_bound=mode_bound,
-        admissible=False, full_rank=l + 1)
+    violations, generators, pairs, notes = [], [], {}, []
+    max_threshold, certified, rank = 0, False, 0
     shifted = weight + weights.rho_hat(alg)
     slope_base = weight.level + alg.dual_coxeter
+
+    def rep():
+        return {
+            "type": alg.kind, "l": l, "level": str(weight.level),
+            "mode_bound": mode_bound,
+            "admissible": not violations and certified and rank == l + 1,
+            "critical": slope_base == 0,
+            "condition_i": {"violations": violations,
+                            "max_positivity_threshold": max_threshold,
+                            "certified_beyond_bound": certified},
+            "condition_ii": {"generators": generators, "rank": rank,
+                             "required_rank": l + 1},
+            "simple_pairings": pairs, "notes": notes,
+        }
+
     if slope_base == 0:
-        rep.critical = True
-        rep.notes.append("critical level: level + dual Coxeter = 0; rejected")
-        return rep
+        notes.append("critical level: level + dual Coxeter = 0; rejected")
+        return rep()
+    if slope_base < 0:
+        notes.append(
+            "level + dual Coxeter < 0: pairings decrease with the mode, "
+            "no finite certificate; rejected")
+        return rep()
+    if weight.level == 0:
+        notes.append("level 0 is the degenerate vacuum case; "
+                     "trivially admissible, reported for completeness")
+    candidates = []
+    for root in weights.all_finite_roots(alg):
+        n = liealg.root_norm(root)
+        q = 2 * sum(s * a for s, a in zip(shifted.finite, root)) / Fraction(n)
+        t = 2 * slope_base / Fraction(n)
+        thr = 0
+        while q + thr * t <= 0:
+            thr += 1
+        max_threshold = max(max_threshold, thr)
+        start = 0 if root in alg.positive_roots else 1
+        for m in range(start, mode_bound + 1):
+            p = q + m * t
+            if p.denominator == 1:
+                candidates.append(weights.AffineRoot(root, m))
+                if p <= 0:
+                    violations.append(
+                        {"root": candidates[-1].label(), "pairing": str(p)})
+    certified = max_threshold <= mode_bound
+    if not certified:
+        notes.append(
+            "mode bound %d below positivity threshold %d; raise %s"
+            % (mode_bound, max_threshold, weights.MODE_BOUND_ENV))
+    vecs = {root: root.coroot_vector() for root in candidates}
+    rho_f = alg.rho()
+    big = 1
+    for vec in vecs.values():
+        if vec[-1] > 0:
+            h_fin = sum(r * v for r, v in zip(rho_f, vec[:-1]))
+            big = max(big, int((-h_fin) / vec[-1] + 1) + 1)
+
+    def order(root):
+        vec = vecs[root]
+        height = sum(r * v for r, v in zip(rho_f, vec[:-1])) + big * vec[-1]
+        return root.mode, height, root.label()
+
+    tester = reference_generated_tester()
+    accepted = []
+    for root in sorted(candidates, key=order):
+        if not tester.generated(vecs[root]):
+            tester.add(vecs[root])
+            accepted.append(root)
+    generators = [
+        {"finite": list(r.finite), "mode": r.mode, "label": r.label()}
+        for r in accepted
+    ]
+    rank = linalg.rank(vecs[r] for r in accepted)
+    for i, a in enumerate(alg.simple_roots, start=1):
+        pairs["alpha_%d" % i] = str(
+            weights.pairing(shifted, weights.AffineRoot(a, 0)))
+    theta = tuple(-c for c in alg.theta)
+    pairs["alpha_0"] = str(
+        weights.pairing(shifted, weights.AffineRoot(theta, 1)))
+    pairs["two_delta_minus_theta"] = str(
+        weights.pairing(shifted, weights.AffineRoot(theta, 2)))
+    return rep()
     if slope_base < 0:
         rep.notes.append(
             "level + dual Coxeter < 0: pairings decrease with the mode, "

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from affine_verma import cli, singular
+from affine_verma import cli, liealg, singular, verma
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -192,6 +192,15 @@ def test_one_task_runs_without_a_pool(monkeypatch):
         ("conformal", None, 4, None)])
     monkeypatch.setattr(cli, "_run_task", lambda task: {"passed": True})
     assert cli.run_all([4], 8)["passed"] is True
+
+
+def test_verify_all_releases_finished_ranks():
+    # a process entering a new rank drops the algebras and modules of the
+    # ranks before it, so only the last rank's B and D objects stay cached
+    rep = cli.run_all(range(4, 7), 1)
+    assert rep["passed"]
+    assert liealg.algebra.cache_info().currsize <= 2
+    assert verma.vacuum_module.cache_info().currsize <= 2
 
 
 def test_fraction_rendering(capsys):

@@ -1,5 +1,6 @@
 """Energy vectors: construction, central charges, equality certificates."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,18 @@ def test_energy_vector_shape():
     assert omega.degree() == 2
     assert tuple(omega.weight()) == (0, 0, 0, 0)
     assert not omega.is_zero()
+    # 1/(2(k + h)) sum_i x_i(-1) x^i(-1) 1, one dual basis element at a time
+    for kind, l, level in itertools.product(
+            "BD", (4, 5), (Fraction(1), Fraction(-5, 3))):
+        module = verma.vacuum_module(kind, l, level)
+        alg = module.alg
+        total = module.zero()
+        for idx, dual in alg.dual_basis():
+            inner = module.apply_elem(dual, -1, module.vacuum())
+            total = total + module.apply(idx, -1, inner)
+        scale = Fraction(1, 2 * (level + alg.dual_coxeter))
+        assert conformal.sugawara_vector(module) == scale * total, \
+            (kind, l, level)
 
 
 @verifies("quadratic-relation")
