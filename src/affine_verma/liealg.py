@@ -147,6 +147,13 @@ class LieAlgebra:
         self._dual = [p + l if p < l else p - l for p in range(2 * l)]
         # (i, j) -> bracket(i, j), filled on demand
         self._brackets = {}
+        # x^i = x_j / form(x_i, x_j) for the one x_j that pairs with x_i; the
+        # form is 2 on short roots and 1 on every other such pair
+        n = self.npos
+        partner = [*range(n, 2 * n), *range(n), *range(2 * n, self.dim)]
+        self._dual_basis = tuple(
+            (i, {j: 1 if self.form(i, j) == 1 else Fraction(1, 2)})
+            for i, j in enumerate(partner))
 
     # ---- basis bookkeeping -------------------------------------------------
 
@@ -279,17 +286,11 @@ class LieAlgebra:
         return 0
 
     def dual_basis(self):
-        """Pairs (i, b) with form(x_i, b) = 1 and form(x_j, b) = 0 for j != i."""
-        pairs = []
-        for idx, (role, datum) in enumerate(self.basis):
-            if role == "e":
-                dual = {self._f_index[datum]: Fraction(root_norm(datum), 2)}
-            elif role == "f":
-                dual = {self._e_index[datum]: Fraction(root_norm(datum), 2)}
-            else:
-                dual = {idx: Fraction(1)}
-            pairs.append((idx, dual))
-        return pairs
+        """Tuple of pairs (i, b) with form(x_i, b) = 1 and form(x_j, b) = 0
+        for j != i, built once and shared by every caller, who must not
+        write to b; b has one int coefficient, or 1/2 for the short roots of
+        type B."""
+        return self._dual_basis
 
     # ---- Cartan data ---------------------------------------------------------
 
@@ -321,23 +322,30 @@ class LieAlgebra:
     def to_dump(self):
         """Plain-data description: basis, nonzero brackets, invariant form,
         roots."""
-        # one rule call per unordered pair; row j gets its cells below the
-        # diagonal before its own pass, so every row comes out sorted
+        # the rule is nonzero only where x_j holds the dual of a code of x_i,
+        # or both are single fermions; one rule call per such pair i < j, and
+        # row j gets its cells below the diagonal before its own pass, so
+        # every row comes out sorted
+        holders = [[] for _ in range(2 * self.l)]
+        for k, (_, codes) in enumerate(self._signed_codes):
+            for p in codes:
+                holders[p].append(k)
+        singles = [k for k, (_, c) in enumerate(self._signed_codes)
+                   if len(c) == 1]
         rows = [[] for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
+        for i, (_, codes) in enumerate(self._signed_codes):
+            partners = {j for p in codes for j in holders[self._dual[p]]}
+            if len(codes) == 1:
+                partners.update(singles)
+            for j in sorted(j for j in partners if j > i):
                 items = self._rule(i, j)
                 if items:
                     rows[i].append((j, [[k, str(c)] for k, c in items]))
                     rows[j].append((i, [[k, str(-c)] for k, c in items]))
         brackets = [[i, j, items] for i, row in enumerate(rows)
                     for j, items in row]
-        form = []
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                c = self.form(i, j)
-                if c:
-                    form.append([i, j, str(c)])
+        form = [[i, j, str(self.form(i, j))]
+                for i, dual in self._dual_basis for j in dual if j >= i]
         return {
             "type": self.kind,
             "l": self.l,

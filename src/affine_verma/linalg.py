@@ -1,12 +1,14 @@
 """Exact sparse linear algebra over the rationals.
 
 Rows are sparse {column: value} dicts.  Elimination is fraction-free: rows
-are cleared to integers up front and every update is an integer
-cross-multiplication followed by a gcd reduction, so no rounding can occur
-and intermediate growth stays tame.  Pivots are chosen as the smallest column
-index of the incoming row, which makes echelon forms (and therefore nullspace
-bases) deterministic.  Solving, rank and nullspaces all run on the one
-Echelon accumulator; there is no other elimination loop.
+are cleared to integers up front, and each step updates one working row in
+place: with a and b its entry and the pivot's in the pivot column and g
+their gcd, it scales the row by b / g and subtracts a / g times the pivot
+row.  No rounding can occur, dividing by g keeps the integers small, and a
+row is made primitive once, when it is stored.  Pivots are chosen as the
+smallest column index of the incoming row, which makes echelon forms (and
+therefore nullspace bases) deterministic.  Solving, rank and nullspaces all
+run on the one Echelon accumulator; there is no other elimination loop.
 
 Nullspace bases do not depend on row order or repeated rows: the pivot
 columns depend on the row space alone, and each basis vector is the one
@@ -15,30 +17,16 @@ rows sparsest first, which cuts fill-in.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def clear_denominators(row):
-    """{col: Fraction|int} -> {col: int} without zero entries, scaled by the
-    lcm of denominators; int entries are read as they are, with no Fraction."""
+    """{col: Fraction|int} -> a new {col: int} without zero entries, scaled
+    by the lcm of denominators; int entries are read as they are, with no
+    Fraction."""
     row = {c: v for c, v in row.items() if v}
-    mult = 1
-    for v in row.values():
-        d = v.denominator
-        mult = mult * d // gcd(mult, d)
-    # mult is a multiple of every denominator, so each entry is an integer
+    mult = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
-
-
-def _gcd_reduce(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
 
 
 class Echelon:
@@ -50,7 +38,8 @@ class Echelon:
     def reduce(self, row):
         """Reduce a {col: Fraction|int} row against the accumulated rows,
         inserting nothing: the integer row left, whose smallest column holds
-        no pivot, or {} if the row is in their span."""
+        no pivot, or {} if the row is in their span.  The row left is a new
+        dict; the argument and the stored rows are never written to."""
         row = clear_denominators(row)
         while row:
             col = min(row)
@@ -58,24 +47,29 @@ class Echelon:
             if piv is None:
                 return row
             a, b = row[col], piv[col]
-            new = {c: v * b for c, v in row.items()}
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                for c in row:
+                    row[c] *= b
             for c, v in piv.items():
-                w = new.get(c, 0) - v * a
+                w = row.get(c, 0) - v * a
                 if w:
-                    new[c] = w
+                    row[c] = w
                 else:
-                    new.pop(c, None)
-            row = _gcd_reduce(new)
+                    del row[c]
         return row
 
     def add(self, row):
         """Reduce a row and insert what is left, primitive with a positive
         pivot.  Returns True if the row added a new pivot."""
-        row = _gcd_reduce(self.reduce(row))
+        row = self.reduce(row)
         if row:
             col = min(row)
-            if row[col] < 0:
-                row = {c: -v for c, v in row.items()}
+            g = gcd(*row.values())
+            g = g if row[col] > 0 else -g
+            if g != 1:
+                row = {c: v // g for c, v in row.items()}
             self.rows[col] = row
         return bool(row)
 
@@ -114,15 +108,9 @@ class Echelon:
                         s *= k
                     x[p] = -s // piv
             ints = [x.get(c, 0) for c in range(ncols)]
-            g = 0
-            for v in ints:
-                g = gcd(g, abs(v))
-            if g > 1:
-                ints = [v // g for v in ints]
-            first = next(v for v in ints if v)
-            if first < 0:
-                ints = [-v for v in ints]
-            basis.append(ints)
+            g = gcd(*ints)
+            g = g if next(v for v in ints if v) > 0 else -g
+            basis.append([v // g for v in ints] if g != 1 else ints)
         return basis
 
 

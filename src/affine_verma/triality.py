@@ -15,8 +15,6 @@ factorwise on canonical monomials.  The two generating symmetries - the
 vector and the Sugawara vector exactly.
 """
 
-from fractions import Fraction
-
 from . import conformal
 from . import liealg
 from . import linalg
@@ -115,15 +113,17 @@ def build_automorphism(alg, sigma, name="automorphism"):
     roots are processed by their pairing with rho; each non-simple root is
     split once as beta + alpha_i with beta positive, and the structure
     constant of [e_beta, e_simple] transports to the image side unchanged.
+    Root-vector images have int coefficients (the constants are +-1 on D
+    and divide the image bracket exactly); a Cartan image keeps Fraction
+    only where a coefficient is 1/2.
     """
     if not is_diagram_symmetry(alg, sigma):
         raise ValueError("not a diagram symmetry")
-    one = Fraction(1)
     images = [None] * alg.dim
     for i, root in enumerate(alg.simple_roots):
         target = alg.simple_roots[sigma[i]]
-        images[alg.e_index(root)] = {alg.e_index(target): one}
-        images[alg.f_index(root)] = {alg.f_index(target): one}
+        images[alg.e_index(root)] = {alg.e_index(target): 1}
+        images[alg.f_index(root)] = {alg.f_index(target): 1}
 
     simple_set = {tuple(r) for r in alg.simple_roots}
     root_set = {tuple(r) for r in alg.positive_roots}
@@ -151,7 +151,9 @@ def build_automorphism(alg, sigma, name="automorphism"):
                 raise AssertionError("bracket split is not a single %s term" % block)
             constant = items[0][1]
             img = alg.bracket_elem(images[i], images[j])
-            images[index_of(root)] = {y: c / constant for y, c in img.items()}
+            if any(c % constant for c in img.values()):
+                raise AssertionError("image bracket is not a multiple")
+            images[index_of(root)] = {y: c // constant for y, c in img.items()}
 
     # Cartan block: H_j in simple-coroot coordinates, coroots map by sigma
     cols = [liealg.coroot_ints(r, liealg.root_norm(r)) for r in alg.simple_roots]
@@ -160,13 +162,13 @@ def build_automorphism(alg, sigma, name="automorphism"):
         image = [sum(c * cols[s][k] for c, s in zip(coords, sigma))
                  for k in range(alg.l)]
         images[alg.h_index(j + 1)] = {
-            alg.h_index(k + 1): c for k, c in enumerate(image) if c}
+            alg.h_index(k + 1): c if c.denominator > 1 else c.numerator
+            for k, c in enumerate(image) if c}
     return Automorphism(alg, images, name, sigma=tuple(sigma))
 
 
 def identity_automorphism(alg):
-    return Automorphism(
-        alg, [{i: Fraction(1)} for i in range(alg.dim)], "id")
+    return Automorphism(alg, [{i: 1} for i in range(alg.dim)], "id")
 
 
 def d4_symmetries(alg):

@@ -6,6 +6,7 @@ holds); callers assert emptiness so failures show the offending cases.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from affine_verma import clifford, liealg, linalg, verma, weights
 
@@ -299,6 +300,97 @@ def roundtrip_cases(module, rng, cases=100):
         if back != s:
             bad.append(case)
     return bad
+
+
+def _reference_clear_denominators(row):
+    row = {c: v for c, v in row.items() if v}
+    mult = 1
+    for v in row.values():
+        d = v.denominator
+        mult = mult * d // gcd(mult, d)
+    # mult is a multiple of every denominator, so each entry is an integer
+    return {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
+
+
+def _reference_gcd_reduce(row):
+    g = 0
+    for v in row.values():
+        g = gcd(g, abs(v))
+        if g == 1:
+            return row
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+class ReferenceEchelon(linalg.Echelon):
+    """Reference for linalg.Echelon: the elimination it replaced, which
+    builds a new row and divides out its content at every step, with the
+    add and nullspace normalizations of that version, so stored rows and
+    bases are checked against the old canonical form.  Only rank is
+    inherited."""
+
+    def reduce(self, row):
+        row = _reference_clear_denominators(row)
+        while row:
+            col = min(row)
+            piv = self.rows.get(col)
+            if piv is None:
+                return row
+            a, b = row[col], piv[col]
+            new = {c: v * b for c, v in row.items()}
+            for c, v in piv.items():
+                w = new.get(c, 0) - v * a
+                if w:
+                    new[c] = w
+                else:
+                    new.pop(c, None)
+            row = _reference_gcd_reduce(new)
+        return row
+
+    def add(self, row):
+        row = _reference_gcd_reduce(self.reduce(row))
+        if row:
+            col = min(row)
+            if row[col] < 0:
+                row = {c: -v for c, v in row.items()}
+            self.rows[col] = row
+        return bool(row)
+
+    def nullspace(self, ncols):
+        pivots = sorted(self.rows)
+        pivot_set = set(pivots)
+        basis = []
+        for free in range(ncols):
+            if free in pivot_set:
+                continue
+            x = {free: 1}
+            for p in reversed(pivots):
+                if p >= free:
+                    continue
+                rowp = self.rows[p]
+                s = 0
+                for c, v in rowp.items():
+                    if c != p and c in x:
+                        s += v * x[c]
+                if s:
+                    piv = rowp[p]
+                    if s % piv:
+                        k = piv // gcd(s, piv)
+                        x = {c: v * k for c, v in x.items()}
+                        s *= k
+                    x[p] = -s // piv
+            ints = [x.get(c, 0) for c in range(ncols)]
+            g = 0
+            for v in ints:
+                g = gcd(g, abs(v))
+            if g > 1:
+                ints = [v // g for v in ints]
+            first = next(v for v in ints if v)
+            if first < 0:
+                ints = [-v for v in ints]
+            basis.append(ints)
+        return basis
 
 
 class reference_generated_tester:

@@ -8,7 +8,9 @@ built by Clifford multiplication, before the contraction rule replaced it;
 the `verify all` one at l = 6, 7 from states of Fraction coefficients,
 before int numerators over one denominator replaced them; the l = 24 ones
 from the stored bracket table, with the rank ceiling raised past 24, before
-brackets computed on demand replaced it.
+brackets computed on demand replaced it; the strict D_12 one from the
+elimination that took each row's content gcd at every step, before the
+in-place integer kernel replaced it.
 Regenerate them only when report text is meant to change.
 """
 
@@ -62,6 +64,8 @@ def test_warm_rerun_is_byte_identical():
      "100f0bac48b39feb17f69bc9fa8d99a0fdc7bdc8f1dfee4af1bf9be7b073af24"),
     ("verify singular --type D --l 10 --strict",
      "e6c2b49dc11dde5e4c66a89468cd057d9934d28e6d812a60e3b7170618b4f420"),
+    ("verify singular --type D --l 12 --strict",
+     "7699fe05e8f4c749228840fe7be02499ec1cda99a5c3dd496be001d3fc66b90c"),
     ("verify admissible --type B --l 4",
      "1a65dde328828fb42011d36a12f69f8d894cb8c2d4c8b57b567c57b57ae8e55b"),
     ("verify admissible --type B --l 5",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from affine_verma import liealg, singular, verma
+from affine_verma import conformal, liealg, singular, triality, verma
 from affine_verma.claims import verifies
 
 
@@ -155,6 +155,18 @@ def test_dual_basis_pairs_to_identity(alg):
         for j in range(alg.dim):
             pair = sum(c * alg.form(x, j) for x, c in elem.items())
             assert pair == (1 if j == i else 0)
+
+
+def test_dual_basis_is_not_written_by_its_users():
+    # the dual basis is built once per cached algebra and shared, so the
+    # conformal and triality checks that read it must leave it as it was
+    algs = [liealg.algebra(kind, 4) for kind in "BD"]
+    before = [[(i, dict(b)) for i, b in alg.dual_basis()] for alg in algs]
+    assert all(type(alg.dual_basis()) is tuple for alg in algs)
+    assert conformal.report(4)["passed"]
+    assert triality.report(4)["passed"]
+    assert [[(i, dict(b)) for i, b in alg.dual_basis()]
+            for alg in algs] == before
 
 
 def test_algebra_cache_and_validation():

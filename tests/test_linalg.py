@@ -6,6 +6,7 @@ import pytest
 
 from math import gcd
 
+import helpers
 from affine_verma import linalg
 from affine_verma.linalg import Echelon, clear_denominators, nullspace, \
     rank, solve_exact
@@ -218,3 +219,66 @@ def test_int_back_substitution_matches_fraction(rng):
         got = ech.nullspace(ncols)
         assert all(type(v) is int for vec in got for v in vec)
         assert got == _fraction_back_substitution(ech, ncols)
+
+
+# large primes and prime powers: pairwise coprime, so neither the pivot
+# gcds nor the row contents divide them out
+_LARGE = (2**61 - 1, 2**31 - 1, 10**9 + 7, 998244353, 3**40, 5**27)
+
+
+def _random_rows(rng, ncols, fractions, large):
+    def entry():
+        v = rng.randint(-6, 6) or 1
+        if large and rng.random() < 0.4:
+            v *= rng.choice(_LARGE)
+        if not fractions:
+            return v
+        d = rng.choice(_LARGE) if large and rng.random() < 0.2 else 1
+        return Fraction(v, d * rng.randint(1, 6))
+
+    rows = []
+    for _ in range(rng.randint(0, 2 * ncols)):
+        if rows and rng.random() < 0.2:
+            # a combination of earlier rows, so some rows reduce to {}
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = rng.randint(-3, 3)
+            rows.append({c: a.get(c, 0) + k * b.get(c, 0)
+                         for c in set(a) | set(b)})
+        else:
+            rows.append({c: entry() for c in
+                         rng.sample(range(ncols), rng.randint(1, min(ncols, 5)))})
+    return rows
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+@pytest.mark.parametrize("large", [False, True])
+def test_reduce_matches_reference_kernel(rng, fractions, large):
+    # the in-place kernel against the one that built a new row and took its
+    # content gcd at every step: residuals agree up to a positive scale, and
+    # stored rows and nullspace bases are identical
+    for _ in range(120):
+        ncols = rng.randint(1, 10)
+        rows = _random_rows(rng, ncols, fractions, large)
+        ech, ref = Echelon(), helpers.ReferenceEchelon()
+        for row in rows:
+            given = dict(row)
+            stored = {p: dict(r) for p, r in ech.rows.items()}
+            got, want = ech.reduce(row), ref.reduce(row)
+            assert set(got) == set(want)
+            if got:
+                col = min(got)
+                assert got[col] * want[col] > 0
+                assert all(v * want[col] == want[c] * got[col]
+                           for c, v in got.items())
+            assert ech.add(row) == ref.add(row)
+            assert ech.rows == ref.rows
+            # neither the caller's row nor a stored row is written to
+            assert row == given
+            assert all(ech.rows[p] == r for p, r in stored.items())
+            assert all(r is not row for r in ech.rows.values())
+        assert ech.nullspace(ncols) == ref.nullspace(ncols)
+        ref = helpers.ReferenceEchelon()
+        for row in sorted(rows, key=len):
+            if row:
+                ref.add(row)
+        assert nullspace(rows, ncols) == ref.nullspace(ncols)
