@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from . import conformal
@@ -84,7 +83,10 @@ def run_all(l_values, jobs, mode_bound=None):
     # the fork start method launches every worker on the first submit
     jobs = min(jobs, len(tasks))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # imported only here: it pulls in multiprocessing, which no other
+        # command needs
+        import concurrent.futures
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_task, tasks))
     else:
         reports = [_run_task(t) for t in tasks]
@@ -107,7 +109,7 @@ def run_all(l_values, jobs, mode_bound=None):
 
 def _human_lines(report):
     lines = []
-    if report["check"] == "all":
+    if report.get("check") == "all":
         rows = [("check", "type", "l", "result")]
         for s in report["summary"]:
             rows.append((s["check"], s["type"] or "-", str(s["l"]),
@@ -224,7 +226,7 @@ def _validate(parser, args):
         parser.error("'verify singular' needs --type B or --type D")
     if check == "triality" and args.l != 4:
         parser.error("triality is specific to l = 4")
-    if check != "all" and args.l < 4:
+    if args.l is not None and args.l < 4:
         parser.error("--l must be at least 4")
     if check == "all" and args.l_range[0] < 4:
         parser.error("--l-range must start at 4 or above")

@@ -40,7 +40,7 @@ of `verify admissible` as a plain dict, less its check and passed keys.
 """
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -66,11 +66,8 @@ def mode_bound_from_env():
     return value
 
 
-@dataclass(frozen=True)
-class AffineWeight:
-    finite: tuple
-    level: Fraction
-    delta: Fraction
+class AffineWeight(namedtuple("AffineWeight", "finite level delta")):
+    __slots__ = ()
 
     @staticmethod
     def make(finite, level, delta=0):
@@ -93,11 +90,9 @@ class AffineWeight:
                             c * self.level, c * self.delta)
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(namedtuple("AffineRoot", "finite mode")):
     """Real root alpha + mode * delta; positive iff mode > 0, or mode = 0 and alpha > 0."""
-    finite: tuple
-    mode: int
+    __slots__ = ()
 
     def norm(self):
         return liealg.root_norm(self.finite)

@@ -1,5 +1,6 @@
 """Command line contract: exit codes, determinism, schemas, failure diffs."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -66,6 +67,13 @@ def test_usage_errors_exit_two(capsys):
     for argv in cases:
         assert cli.main(argv) == 2, argv
         capsys.readouterr()
+    # a rank below 4 is reported under the flag that gave it
+    for argv, flag in (
+            (["verify", "all", "--l", "3"], "--l must"),
+            (["verify", "all", "--l-range", "3..4"], "--l-range must"),
+            (["verify", "embedding", "--l", "3"], "--l must")):
+        assert cli.main(argv) == 2, argv
+        assert flag in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -175,7 +183,7 @@ def test_pool_never_exceeds_task_count(capsys, monkeypatch, argv, tasks,
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_run_task", lambda task: {
         "check": task[0], "type": task[1], "passed": True})
     code, rep = main_json(capsys, "verify", "all", *argv)
@@ -187,7 +195,7 @@ def test_one_task_runs_without_a_pool(monkeypatch):
     def no_pool(max_workers):
         raise AssertionError("a pool for one task")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(cli, "_all_tasks", lambda l_values, mode_bound: [
         ("conformal", None, 4, None)])
     monkeypatch.setattr(cli, "_run_task", lambda task: {"passed": True})
@@ -208,6 +216,17 @@ def test_fraction_rendering(capsys):
     assert code == 0
     assert rep["level"] == "-7/2"
     assert rep["central_charge_B"] == "-35"
+
+
+def test_cli_import_leaves_out_pool_and_dataclasses():
+    # -S keeps site hooks from adding modules; only a pool needs these
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, %r); import affine_verma.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing',"
+            " 'dataclasses', 'inspect') if m in sys.modules))" % str(src))
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 # ---- dump-algebra ---------------------------------------------------------------
@@ -302,6 +321,14 @@ def test_human_rendering(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "passed: True" in out
+
+
+def test_human_dump(capsys):
+    # a dump has no check key; it renders as key: value lines
+    code = cli.main(["dump-algebra", "--type", "B", "--l", "4", "--human"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "dim: 36\n" in out and "type: B\n" in out
 
 
 def test_mode_bound_env_and_flag_priority():

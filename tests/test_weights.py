@@ -138,6 +138,32 @@ def test_weight_arithmetic():
     assert w2.scale(2).delta == -4
 
 
+def test_weight_and_root_value_semantics():
+    # both records are tuples underneath: +, - and scale must stay
+    # componentwise, never tuple concatenation or repetition
+    w1 = weights.AffineWeight.make((1, 2), Fraction(1, 2), 3)
+    w2 = weights.AffineWeight.make((0, -1), 1, Fraction(-1, 3))
+    assert w1 + w2 == weights.AffineWeight.make((1, 1), Fraction(3, 2),
+                                                Fraction(8, 3))
+    assert w1 - w2 == weights.AffineWeight.make((1, 3), Fraction(-1, 2),
+                                                Fraction(10, 3))
+    assert w1.scale(2) == weights.AffineWeight.make((2, 4), 1, 6)
+    for w in (w1 + w2, w1 - w2, w1.scale(2)):
+        assert type(w) is weights.AffineWeight and len(w.finite) == 2
+    same = weights.AffineWeight((Fraction(1), Fraction(2)), Fraction(1, 2),
+                                Fraction(3))
+    assert same == w1 and hash(same) == hash(w1) and same != w2
+    r1 = weights.AffineRoot((1, -1), 2)
+    r2 = weights.AffineRoot((1, -1), 2)
+    assert r1 == r2 and hash(r1) == hash(r2) and len({r1, r2}) == 1
+    assert r1 != weights.AffineRoot((1, -1), 1)
+    assert repr(r1) == "AffineRoot(finite=(1, -1), mode=2)"
+    for obj, field in ((w1, "level"), (w1, "finite"), (r1, "mode"),
+                       (r1, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+
+
 def test_generated_tester_matches_brute_force():
     # independent generators: three with mode zero spanning three of the
     # five finite coordinates, and two with positive mode
