@@ -178,7 +178,7 @@ def build_parser():
                           "space independently and require dimension one")
     ver.add_argument("--jobs", type=int,
                      help="parallel workers for 'verify all' (default: "
-                          "one per CPU)")
+                          "one per CPU this process may run on)")
     ver.add_argument("--out")
     ver.add_argument("--human", action="store_true")
     return parser
@@ -207,7 +207,9 @@ def _validate(parser, args):
         if args.l_range is None:
             args.l_range = (args.l, args.l) if args.l is not None else (4, 6)
         if args.jobs is None:
-            args.jobs = os.cpu_count() or 1
+            args.jobs = (len(os.sched_getaffinity(0))
+                         if hasattr(os, "sched_getaffinity")
+                         else os.cpu_count() or 1)
     else:
         if args.l is None:
             args.l = 4 if check == "triality" else None

@@ -44,6 +44,7 @@ def solve_level_equation(l):
     return sorted(roots)
 
 
+@verma.fixed_state
 def sugawara_vector(module):
     """Degree-2 Casimir state 1/(2(k + h)) sum_i a_i(-1) b_i(-1) 1."""
     alg = module.alg
@@ -59,6 +60,7 @@ def sugawara_vector(module):
 # ---- certificates in the B module ---------------------------------------------
 
 
+@verma.fixed_state
 def quadratic_certificate(bmodule):
     """u = (2l f_s(0)^2 + 4 sum_i f_{e1-ei}(0) f_{e1+ei}(0)).v, v the
     degree-2 singular vector and s the first short root; u spans the
@@ -77,12 +79,11 @@ def quadratic_relation_state(bmodule, short_weight=None):
     """Difference of the two sides of the short/long quadratic relation.
 
     short_weight overrides the coefficient 2l - 1 on the short-root side;
-    the override exists purely as a negative control.
+    the override, purely a negative control, bypasses the module's store.
     """
-    alg = bmodule.alg
-    l = alg.l
     if short_weight is None:
-        short_weight = 2 * l - 1
+        return _default_relation_state(bmodule)
+    alg = bmodule.alg
     terms = []
     for r in alg.positive_roots:
         e, f = E(r), F(r)
@@ -92,6 +93,11 @@ def quadratic_relation_state(bmodule, short_weight=None):
         else:
             terms += [(-4, (e, f)), (-4, (f, e))]
     return bmodule.build(terms)
+
+
+@verma.fixed_state
+def _default_relation_state(bmodule):
+    return quadratic_relation_state(bmodule, 2 * bmodule.alg.l - 1)
 
 
 def verify_quadratic(l, short_weight=None):

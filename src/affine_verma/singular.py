@@ -48,6 +48,7 @@ def flat_terms(alg):
     return [t for fam in term_families(alg) for t in fam]
 
 
+@verma.fixed_state
 def singular_vector(module):
     """The distinguished singular vector as a canonical state."""
     return module.build(flat_terms(module.alg))
@@ -235,9 +236,10 @@ def enumerate_monomials(alg, degree, weight=None):
     carries the residual weight still to be reached in one list, updating
     its L1 norm over the at most 2 nonzero coordinates of each basis weight.
     Every factor uses at least one unit of degree, so a branch whose residual
-    norm exceeds twice the remaining degree is cut.  The last factor must
-    carry the residual exactly, so it is looked up in a weight -> ascending
-    indices table.  Pruning never reorders the output.
+    norm exceeds twice the remaining degree is cut; below a slack of 2 only
+    indices that move toward the residual, or have at most slack nonzero
+    coordinates, are tried.  The last factor is looked up in a weight ->
+    ascending indices table.  Pruning never reorders the output.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -251,6 +253,11 @@ def enumerate_monomials(alg, degree, weight=None):
     # without a weight every branch is kept: no coordinates, zero norm
     support = [() if weight is None else [(i, c) for i, c in enumerate(w) if c]
                for w in weights]
+    toward = {}  # (coordinate, sign > 0) -> indices of that sign there
+    for x, sup in enumerate(support):
+        for i, c in sup:
+            toward.setdefault((i, c > 0), []).append(x)
+    few = [x for x, sup in enumerate(support) if len(sup) < 2]
     res = [] if weight is None else list(weight)
     out = [] if degree or any(res) else [()]
     mono = []
@@ -264,7 +271,15 @@ def enumerate_monomials(alg, degree, weight=None):
                     by_weight.get(tuple(res), ())
                 out.extend(tuple(mono) + ((n, x),) for x in last if x >= low)
                 continue
-            for x in range(low, dim):
+            xs = range(low, dim)
+            slack = 2 * left - norm
+            if slack < 2:
+                near = [x for x in few if len(support[x]) <= slack]
+                for i, r in enumerate(res):
+                    if r:
+                        near += toward.get((i, r > 0), ())
+                xs = sorted({x for x in near if x >= low})
+            for x in xs:
                 after = norm
                 for i, c in support[x]:
                     after += abs(res[i] - c) - abs(res[i])

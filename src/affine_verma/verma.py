@@ -11,8 +11,8 @@ order of the finite algebra.  The commutation rule
 is applied recursively to push every factor into place; between two strictly
 negative modes the central term never fires, so straightening of canonical
 monomials only produces brackets.  Results of single-factor applications are
-memoized per module, keyed by (basis index, mode, monomial tail), which is
-what makes repeated singular-vector and certificate computations cheap.
+memoized per module, keyed by (basis index, mode, monomial tail), except a
+negative-mode factor that already sorts first, which is just prepended.
 
 Straightening and state arithmetic run on int: a state is int numerators
 over one denominator (see PBWState), and Fraction is built only where a
@@ -21,7 +21,7 @@ no floating point anywhere.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd, lcm
 
 from . import liealg
@@ -42,13 +42,22 @@ def H(vec, mode=-1):
     return ("h", vec, mode)
 
 
+def fixed_state(make):
+    """Decorator: make(module) through module.derived, built once per module."""
+    return wraps(make)(lambda module: module.derived(make))
+
+
 class VermaModule:
-    """Vacuum module at a fixed level over the affinization of one algebra."""
+    """Vacuum module at a fixed level over the affinization of one algebra,
+    with a store of fixed states: derived(make) builds make(self) once and
+    keeps its int numerators and denominator, not the state, which would
+    point back here and make a cycle only the cyclic collector frees."""
 
     def __init__(self, alg, level):
         self.alg = alg
         self.level = Fraction(level)
         self._memo = {}
+        self._derived = {}
 
     def __repr__(self):
         return "VermaModule(%s_%d, k=%s)" % (self.alg.kind, self.alg.l, self.level)
@@ -58,6 +67,13 @@ class VermaModule:
 
     def zero(self):
         return PBWState(self, {})
+
+    def derived(self, make):
+        """An equal new state make(self) per call, built on first use."""
+        if make not in self._derived:
+            state = make(self)
+            self._derived[make] = state.nums, state.den
+        return PBWState(self, *self._derived[make])
 
     def state(self, terms, den=1):
         """State sum terms[m] / den * m from {monomial: coeff}, coeff an int
@@ -95,14 +111,14 @@ class VermaModule:
         on any path and contributes n (x,y) level.numerator, and a bracket
         that lowers the mode to n + m <= 0 is scaled to match.
         """
+        entry = (n, x)
+        if n < 0 and (not mono or entry <= mono[0]):
+            return ((entry,) + mono, 1)
         key = (x, n, mono)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        entry = (n, x)
-        if n < 0 and (not mono or entry <= mono[0]):
-            result = ((entry,) + mono, 1)
-        elif not mono:
+        if not mono:
             # a nonnegative mode reaches the vacuum and kills it
             result = ()
         else:

@@ -43,6 +43,48 @@ def leaf_filtered_monomials(alg, degree):
     return out
 
 
+def reference_enumerate_monomials(alg, degree, weight=None):
+    """Reference for singular.enumerate_monomials: the pruned walk it
+    replaced, which tests every basis index against the norm bound at each
+    interior node, with the same exact test and output order."""
+    dim = alg.dim
+    weights = [alg.weight(x) for x in range(dim)]
+    by_weight = {}
+    for x, w in enumerate(weights):
+        by_weight.setdefault(w, []).append(x)
+    support = [() if weight is None else [(i, c) for i, c in enumerate(w) if c]
+               for w in weights]
+    res = [] if weight is None else list(weight)
+    out = [] if degree or any(res) else [()]
+    mono = []
+
+    def rec(remaining, floor, norm):
+        for n in range(max(floor[0], -remaining), 0):
+            left = remaining + n
+            low = floor[1] if n == floor[0] else 0
+            if not left:
+                last = range(dim) if weight is None else \
+                    by_weight.get(tuple(res), ())
+                out.extend(tuple(mono) + ((n, x),) for x in last if x >= low)
+                continue
+            for x in range(low, dim):
+                after = norm
+                for i, c in support[x]:
+                    after += abs(res[i] - c) - abs(res[i])
+                if after > 2 * left:
+                    continue
+                for i, c in support[x]:
+                    res[i] -= c
+                mono.append((n, x))
+                rec(left, (n, x), after)
+                mono.pop()
+                for i, c in support[x]:
+                    res[i] += c
+
+    rec(degree, (-degree, 0), sum(map(abs, res)))
+    return out
+
+
 def reference_apply_mono(module, x, n, mono, memo):
     """Reference for VermaModule._apply_mono: the straightening kernel over
     Fraction, exact at every mode (no level.denominator scaling), memoized

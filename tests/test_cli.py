@@ -109,6 +109,7 @@ def test_passing_checks_exit_zero(capsys):
     assert code == 0 and rep["passed"] is True
 
 
+@pytest.mark.usefixtures("fresh_caches")
 def test_corrupted_vector_fails_with_monomial_diff(capsys, monkeypatch):
     true_families = singular.term_families
 
@@ -200,6 +201,24 @@ def test_one_task_runs_without_a_pool(monkeypatch):
         ("conformal", None, 4, None)])
     monkeypatch.setattr(cli, "_run_task", lambda task: {"passed": True})
     assert cli.run_all([4], 8)["passed"] is True
+
+
+def test_jobs_default_counts_the_cpus_this_process_may_use(monkeypatch):
+    # under taskset or a cpuset the affinity mask is smaller than the host
+    parser = cli.build_parser()
+
+    def default_jobs():
+        args = parser.parse_args(["verify", "all"])
+        cli._validate(parser, args)
+        return args.jobs
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert default_jobs() == 3
+    # platforms without sched_getaffinity fall back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_jobs() == 64
 
 
 def test_verify_all_releases_finished_ranks():

@@ -143,6 +143,27 @@ def test_pruned_enumeration_matches_leaf_filter(kind, l):
         assert singular.enumerate_monomials(alg, degree, unreachable) == []
 
 
+@pytest.mark.parametrize("kind, ranks", [("B", range(2, 7)),
+                                          ("D", range(3, 7))])
+def test_enumeration_matches_the_full_scan_walk(kind, ranks):
+    # below a slack of 2 the walk tries only the indices that can pass the
+    # norm bound; the walk that tries every index is the reference
+    for l in ranks:
+        alg = liealg.algebra(kind, l)
+        zero = (0,) * l
+        for degree in range(5):
+            targets = [zero, alg.theta, alg.rs(1), alg.rm(1, 2),
+                       tuple(2 * c for c in alg.rs(1)),
+                       tuple(2 * c for c in alg.theta),
+                       (degree + 1,) + zero[1:]]
+            if degree <= 2:
+                targets.append(None)
+            for weight in targets:
+                assert singular.enumerate_monomials(alg, degree, weight) == \
+                    helpers.reference_enumerate_monomials(alg, degree, weight), \
+                    (l, degree, weight)
+
+
 @pytest.mark.parametrize("kind", ["B", "D"])
 def test_enumeration_on_every_reachable_weight(kind):
     alg = liealg.algebra(kind, 4)
