@@ -28,6 +28,11 @@ CHECKS = ("singular", "embedding", "conformal", "admissible", "triality",
 # about 3 s and `verify singular --type D --l 24 --strict` about 7 s
 MAX_L = 24
 
+# the scan budget for --mode-bound and the environment alike: on a 2-core
+# host `verify admissible --type D --l 24` takes about 1.6 s at bound 50 and
+# 6 s at 200, inside the rank budget's slowest check
+MAX_MODE_BOUND = 200
+
 
 def to_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -171,8 +176,10 @@ def build_parser():
     ver.add_argument("--l-range", type=_parse_l_range, metavar="N..M",
                      help="range of ranks for 'verify all'")
     ver.add_argument("--mode-bound", type=int,
-                     help="admissibility scan depth (else env %s, else %d)"
-                     % (weights.MODE_BOUND_ENV, weights.DEFAULT_MODE_BOUND))
+                     help="admissibility scan depth, at most %d (else env "
+                          "%s, else %d)" % (MAX_MODE_BOUND,
+                                           weights.MODE_BOUND_ENV,
+                                           weights.DEFAULT_MODE_BOUND))
     ver.add_argument("--strict", action="store_true",
                      help="singular only: also solve for the full singular "
                           "space independently and require dimension one")
@@ -224,6 +231,9 @@ def _validate(parser, args):
             args.mode_bound = weights.mode_bound_from_env()
         except ValueError as exc:
             parser.error(str(exc))
+    if args.mode_bound is not None and args.mode_bound > MAX_MODE_BOUND:
+        parser.error("mode bound %d is above %d, the scan budget"
+                     % (args.mode_bound, MAX_MODE_BOUND))
     if check == "singular" and args.type is None:
         parser.error("'verify singular' needs --type B or --type D")
     if check == "triality" and args.l != 4:

@@ -75,36 +75,27 @@ def quadratic_certificate(bmodule):
     return bmodule.act(bmodule.expand_terms(terms), singular.singular_vector(bmodule))
 
 
-def quadratic_relation_state(bmodule, short_weight=None):
-    """Difference of the two sides of the short/long quadratic relation.
-
-    short_weight overrides the coefficient 2l - 1 on the short-root side;
-    the override, purely a negative control, bypasses the module's store.
-    """
-    if short_weight is None:
-        return _default_relation_state(bmodule)
+@verma.fixed_state
+def quadratic_relation_state(bmodule):
+    """Difference of the two sides of the short/long quadratic relation."""
     alg = bmodule.alg
+    short = 2 * alg.l - 1  # the weight of the short-root side
     terms = []
     for r in alg.positive_roots:
         e, f = E(r), F(r)
         if liealg.root_norm(r) == 1:
-            terms += [(short_weight, (e, f)), (short_weight, (f, e))]
+            terms += [(short, (e, f)), (short, (f, e))]
             terms += [(-1, (H(r), H(r)))]
         else:
             terms += [(-4, (e, f)), (-4, (f, e))]
     return bmodule.build(terms)
 
 
-@verma.fixed_state
-def _default_relation_state(bmodule):
-    return quadratic_relation_state(bmodule, 2 * bmodule.alg.l - 1)
-
-
-def verify_quadratic(l, short_weight=None):
+def verify_quadratic(l):
     """Check that the relation state is a nonzero rational multiple of u."""
     bmodule = verma.vacuum_module("B", l)
     u = quadratic_certificate(bmodule)
-    rel = quadratic_relation_state(bmodule, short_weight)
+    rel = quadratic_relation_state(bmodule)
     scalar = rel.multiple_of(u)
     ok = scalar is not None and scalar != 0
     out = {
@@ -137,21 +128,6 @@ def verify_equality(l):
         "scalar": None if scalar is None else str(scalar),
         "ratio_consistent": ratio_ok,
         "passed": scalar is not None and ratio_ok,
-    }
-
-
-def equality_control(l, level):
-    """The same difference away from the special level; reports whether it
-    is nonzero and whether it still reduces to the certificate."""
-    bmodule = verma.vacuum_module("B", l, level)
-    dmodule = verma.vacuum_module("D", l, level)
-    delta = sugawara_vector(bmodule) - embedding.embed_state(
-        sugawara_vector(dmodule), bmodule)
-    scalar = delta.multiple_of(quadratic_certificate(bmodule))
-    return {
-        "level": str(Fraction(level)),
-        "nonzero": not delta.is_zero(),
-        "proportional": scalar is not None,
     }
 
 

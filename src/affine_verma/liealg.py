@@ -12,9 +12,9 @@ where {a_i, a*_j} = delta_ij, all other anticommutators vanish, and
 :xy: = (xy - yx) / 2.  Each basis element is a single signed monomial, so
 every structure constant follows from the single-contraction rule for
 commutators of fermion monomials, in int arithmetic, computed for a pair
-when it is first asked for; none is entered by hand.  clifford.py
-multiplies the same monomials out and is the reference the tests hold the
-rule against.
+when it is first asked for; none is entered by hand.  The tests hold the
+rule against a reference that multiplies the same monomials out in the
+Clifford algebra (tests/clifford.py).
 
 Roots live in the epsilon-coordinate lattice (tuples of l integers), the
 invariant form is normalized so that long roots have square length 2, and

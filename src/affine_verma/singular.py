@@ -16,6 +16,10 @@ from . import linalg
 from . import verma
 from .verma import E, F, H
 
+# the oracle's degree ceiling: both vectors have degree at most 4, and the
+# candidate monomials grow steeply with the degree
+MAX_DEGREE = 4
+
 
 def raising_operators(alg):
     """Loop generators whose kernel cuts out singular vectors.
@@ -297,16 +301,17 @@ def enumerate_monomials(alg, degree, weight=None):
     return out
 
 
-def solve_singular_space(module, degree, weight, strict=False, degree_bound=4):
+def solve_singular_space(module, degree, weight, strict=False):
     """Nullspace of the raising conditions at fixed degree and weight.
 
     Returns a deterministic list of states spanning every solution of
     {op.v = 0 for op in raising_operators}; strict mode additionally
     imposes x(1).v = 0 for the whole Lie algebra basis.  The system is
-    solved exactly by fraction-free elimination.
+    solved exactly by fraction-free elimination.  A degree above
+    MAX_DEGREE raises ValueError.
     """
-    if degree > degree_bound:
-        raise ValueError("degree %d exceeds bound %d" % (degree, degree_bound))
+    if degree > MAX_DEGREE:
+        raise ValueError("degree %d exceeds bound %d" % (degree, MAX_DEGREE))
     alg = module.alg
     cands = enumerate_monomials(alg, degree, weight)
     if not cands:

@@ -51,11 +51,6 @@ class Automorphism:
                 out[y] = out.get(y, 0) + c * cy
         return {y: c for y, c in out.items() if c}
 
-    def __eq__(self, other):
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        return self.alg is other.alg and self.images == other.images
-
     def compose(self, other):
         """self after other."""
         if self.alg is not other.alg:
@@ -67,15 +62,6 @@ class Automorphism:
         return all(
             img == {i: 1} for i, img in enumerate(self.images)
         )
-
-    def order(self, bound=24):
-        """Smallest positive power that is the identity."""
-        power = self
-        for n in range(1, bound + 1):
-            if power.is_identity():
-                return n
-            power = power.compose(self)
-        raise ValueError("order exceeds %d" % bound)
 
     def preserves_brackets(self):
         """[pi x, pi y] == pi [x, y] over every basis pair."""
@@ -165,10 +151,6 @@ def build_automorphism(alg, sigma, name="automorphism"):
             alg.h_index(k + 1): c if c.denominator > 1 else c.numerator
             for k, c in enumerate(image) if c}
     return Automorphism(alg, images, name, sigma=tuple(sigma))
-
-
-def identity_automorphism(alg):
-    return Automorphism(alg, [{i: 1} for i in range(alg.dim)], "id")
 
 
 def d4_symmetries(alg):

@@ -16,8 +16,8 @@ negative-mode factor that already sorts first, which is just prepended.
 
 Straightening and state arithmetic run on int: a state is int numerators
 over one denominator (see PBWState), and Fraction is built only where a
-scalar leaves the module (coefficient, multiple_of, to_obj, terms).  There is
-no floating point anywhere.
+scalar leaves the module (multiple_of, to_obj, terms).  There is no
+floating point anywhere.
 """
 
 from fractions import Fraction
@@ -151,10 +151,6 @@ class VermaModule:
         """Act by the loop generator x(n) on a state."""
         return self.act(((1, ((x, n),)),), state)
 
-    def apply_elem(self, elem, n, state):
-        """Act by (sum_i elem[i] x_i)(n); elem is a sparse {index: coeff}."""
-        return self.act([(cx, ((x, n),)) for x, cx in elem.items()], state)
-
     def act(self, word, state):
         """Apply [(coeff, ((index, mode), ...)), ...], coeff an int or a
         Fraction, to a state, rightmost factor first: the state's int
@@ -230,8 +226,8 @@ class PBWState:
 
     The form is canonical (den >= 1, no zero numerator, gcd(den, *nums) ==
     1), so == and hash compare ints.  Fraction is built only for callers:
-    terms, coefficient, multiple_of, to_obj and repr.  Treated as
-    immutable; all arithmetic returns new states.
+    terms, multiple_of, to_obj and repr.  Treated as immutable; all
+    arithmetic returns new states.
     """
 
     __slots__ = ("module", "nums", "den")
@@ -300,9 +296,6 @@ class PBWState:
                         self.den * scalar.denominator)
 
     __rmul__ = __mul__
-
-    def coefficient(self, mono):
-        return Fraction(self.nums.get(tuple(mono), 0), self.den)
 
     def degree(self):
         """Common conformal degree sum(-modes), or None if mixed or zero."""

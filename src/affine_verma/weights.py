@@ -32,11 +32,12 @@ support.  So kept coroots joined by nonzero finite dot products form pieces,
 each an incremental integer basis (_Basis), and a coroot is generated when
 its unique coordinates in a piece it touches are nonnegative integers.
 Pieces of several affine components share delta and are dependent together
-(a finite part that is not integral can give them).  All arithmetic is on
-int: pairings are scaled by the lcm of the denominators of lambda + rho_hat
-and the level, and heights are taken against 2 rho; the report's simple
-pairings come from the same integers.  check_admissible returns the report
-of `verify admissible` as a plain dict, less its check and passed keys.
+(a finite part that is not integral can give them).  The walk and the cone
+test are on int: pairings are scaled by the lcm of the denominators of
+lambda + rho_hat and the level, and heights are taken against 2 rho; only
+the report's simple pairings are exact rationals, from pairing.
+check_admissible returns the report of `verify admissible` as a plain dict,
+less its check and passed keys.
 """
 
 import os
@@ -215,11 +216,6 @@ def check_admissible(alg, weight, mode_bound=None):
               *(c.denominator for c in shifted.finite))
     fin = [int(c * den) for c in shifted.finite]
     T = int(slope_base * den)
-
-    def pair(root, m):
-        P = sum(s * a for s, a in zip(fin, root))
-        return Fraction(2 * (P + m * T), liealg.root_norm(root) * den)
-
     threshold = 0
     candidates = []
     # the positive roots come first, and only they start at mode 0
@@ -278,10 +274,10 @@ def check_admissible(alg, weight, mode_bound=None):
 
     pairs = rep["simple_pairings"]
     for i, a in enumerate(alg.simple_roots, start=1):
-        pairs["alpha_%d" % i] = str(pair(a, 0))
+        pairs["alpha_%d" % i] = str(pairing(shifted, AffineRoot(a, 0)))
     theta = tuple(-c for c in alg.theta)
-    pairs["alpha_0"] = str(pair(theta, 1))
-    pairs["two_delta_minus_theta"] = str(pair(theta, 2))
+    pairs["alpha_0"] = str(pairing(shifted, AffineRoot(theta, 1)))
+    pairs["two_delta_minus_theta"] = str(pairing(shifted, AffineRoot(theta, 2)))
 
     rep["admissible"] = certified and rank == l + 1 and not cond_i["violations"]
     return rep

@@ -8,7 +8,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from affine_verma import clifford, liealg, linalg, verma, weights
+import clifford
+from affine_verma import liealg, linalg, verma, weights
 
 
 def leaf_filtered_monomials(alg, degree):
@@ -266,6 +267,11 @@ def exhaustive_invariance(alg, limit=5):
     return bad
 
 
+def apply_elem(module, elem, n, state):
+    """Act by (sum_i elem[i] x_i)(n); elem is a sparse {index: coeff}."""
+    return module.act([(c, ((x, n),)) for x, c in elem.items()], state)
+
+
 def random_state(module, rng, max_terms=3, max_factors=3):
     """Small random state: a few random negative-mode products of the vacuum."""
     alg = module.alg
@@ -292,7 +298,7 @@ def module_axiom_cases(module, rng, cases=300):
         s = random_state(module, rng)
         lhs = module.apply(x, m, module.apply(y, n, s)) \
             - module.apply(y, n, module.apply(x, m, s))
-        rhs = module.apply_elem(dict(alg.bracket(x, y)), m + n, s)
+        rhs = apply_elem(module, dict(alg.bracket(x, y)), m + n, s)
         if m + n == 0:
             rhs = rhs + (m * alg.form(x, y) * module.level) * s
         if lhs != rhs:

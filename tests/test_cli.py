@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from affine_verma import cli, liealg, singular, verma
+from affine_verma import cli, liealg, singular, verma, weights
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -248,6 +248,21 @@ def test_cli_import_leaves_out_pool_and_dataclasses():
     assert out == "[]\n"
 
 
+def test_cli_import_loads_every_source_module():
+    # src/ holds only what a command runs; claims is the catalog tool, run
+    # as python -m affine_verma.claims
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, %r); import affine_verma.cli; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.startswith('affine_verma.'))))" % str(src))
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    files = {"affine_verma." + p.stem
+             for p in (src / "affine_verma").glob("*.py")}
+    assert out.split() == sorted(files - {"affine_verma.__init__",
+                                          "affine_verma.claims"})
+
+
 # ---- dump-algebra ---------------------------------------------------------------
 
 
@@ -369,6 +384,34 @@ def test_bad_mode_bound_env_is_usage_error(capsys, monkeypatch, raw, check):
     assert cli.main(["verify", check, "--l", "4", *jobs]) == 2
     err = capsys.readouterr().err
     assert "AFFINE_VERMA_MODE_BOUND must be a positive integer" in err
+
+
+@pytest.mark.parametrize("raw", [str(cli.MAX_MODE_BOUND + 1), "2000",
+                                 "200000"])
+@pytest.mark.parametrize("check", ["admissible", "all"])
+def test_mode_bound_above_budget_exits_two_fast(capsys, monkeypatch, raw,
+                                                check):
+    jobs = ["--jobs", "1"] if check == "all" else []
+    argv = ["verify", check, "--l", "24", *jobs]
+    monkeypatch.delenv(weights.MODE_BOUND_ENV, raising=False)
+    t0 = time.perf_counter()
+    assert cli.main(argv + ["--mode-bound", raw]) == 2
+    assert "above %d" % cli.MAX_MODE_BOUND in capsys.readouterr().err
+    monkeypatch.setenv(weights.MODE_BOUND_ENV, raw)
+    assert cli.main(argv) == 2
+    assert "above %d" % cli.MAX_MODE_BOUND in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_mode_bound_within_budget_is_accepted(monkeypatch):
+    parser = cli.build_parser()
+    bound = str(cli.MAX_MODE_BOUND)
+    monkeypatch.setenv(weights.MODE_BOUND_ENV, bound)
+    for argv in ("verify admissible --l 24", "verify all --l 4",
+                 "verify admissible --l 24 --mode-bound " + bound):
+        args = parser.parse_args(argv.split())
+        cli._validate(parser, args)
+        assert args.mode_bound == cli.MAX_MODE_BOUND
 
 
 def test_verify_all_passes_mode_bound(capsys, monkeypatch):

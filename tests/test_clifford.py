@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_verma.clifford import CliffordAlgebra
+from clifford import CliffordAlgebra
 
 
 @pytest.fixture(scope="module")

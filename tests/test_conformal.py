@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from affine_verma import conformal, embedding, liealg, singular, verma
 from affine_verma.claims import verifies
 from affine_verma.linalg import solve_exact
@@ -67,8 +68,9 @@ def test_energy_vector_is_basis_independent(rng):
         for cj, elem in zip(coords, basis):
             for x, c in elem.items():
                 dual[x] = dual.get(x, Fraction(0)) + cj * c
-        partial = module.apply_elem(dual, -1, module.vacuum())
-        quadratic = quadratic + module.apply_elem(basis[i], -1, partial)
+        partial = helpers.apply_elem(module, dual, -1, module.vacuum())
+        quadratic = quadratic + helpers.apply_elem(module, basis[i], -1,
+                                                   partial)
     scale = Fraction(1, 2 * (module.level + alg.dual_coxeter))
     assert scale * quadratic == conformal.sugawara_vector(module)
 
@@ -86,7 +88,7 @@ def test_energy_vector_shape():
         alg = module.alg
         total = module.zero()
         for idx, dual in alg.dual_basis():
-            inner = module.apply_elem(dual, -1, module.vacuum())
+            inner = helpers.apply_elem(module, dual, -1, module.vacuum())
             total = total + module.apply(idx, -1, inner)
         scale = Fraction(1, 2 * (level + alg.dual_coxeter))
         assert conformal.sugawara_vector(module) == scale * total, \
@@ -103,10 +105,15 @@ def test_quadratic_relation(l):
 
 @verifies("quadratic-relation")
 def test_quadratic_relation_negative_control():
-    # perturbing the short-root weighting destroys proportionality
-    res = conformal.verify_quadratic(4, short_weight=Fraction(3))
-    assert not res["passed"]
-    assert res["scalar"] is None
+    # perturbing the short-root weighting (3 for 2l - 1 = 7) destroys
+    # proportionality
+    bmodule = verma.vacuum_module("B", 4)
+    short = bmodule.build(
+        [(1, fs) for r in bmodule.alg.positive_roots
+         if liealg.root_norm(r) == 1
+         for fs in ((verma.E(r), verma.F(r)), (verma.F(r), verma.E(r)))])
+    rel = conformal.quadratic_relation_state(bmodule) - 4 * short
+    assert rel.multiple_of(conformal.quadratic_certificate(bmodule)) is None
 
 
 @verifies("conformal-equality")
@@ -121,9 +128,13 @@ def test_conformal_equality(l):
 
 @verifies("conformal-equality")
 def test_equality_control_away_from_special_level():
-    ctl = conformal.equality_control(4, Fraction(1))
-    assert ctl["nonzero"]
-    assert not ctl["proportional"]
+    # at level 1 the energy difference is nonzero and no multiple of u
+    bmodule = verma.vacuum_module("B", 4, Fraction(1))
+    dmodule = verma.vacuum_module("D", 4, Fraction(1))
+    delta = conformal.sugawara_vector(bmodule) - embedding.embed_state(
+        conformal.sugawara_vector(dmodule), bmodule)
+    assert not delta.is_zero()
+    assert delta.multiple_of(conformal.quadratic_certificate(bmodule)) is None
 
 
 def test_difference_is_singular_weight_zero():
