@@ -17,22 +17,9 @@ from .embedding import embed_state
 from .conformal import sugawara_vector, central_charge, solve_level_equation
 from .triality import d4_symmetries
 
-_CLAIM_EXPORTS = ("CLAIMS", "verifies", "generate_trace_matrix")
-
-
-def __getattr__(name):
-    # loaded on demand so "python3 -m affine_verma.claims" does not import
-    # the module twice
-    if name in _CLAIM_EXPORTS:
-        from . import claims
-        return getattr(claims, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
 __version__ = "1.0.0"
 
 __all__ = [
-    "CLAIMS",
     "PBWState",
     "algebra",
     "central_charge",
@@ -40,7 +27,6 @@ __all__ = [
     "check_singular",
     "d4_symmetries",
     "embed_state",
-    "generate_trace_matrix",
     "parse_root_label",
     "root_label",
     "singular_vector",
@@ -49,6 +35,5 @@ __all__ = [
     "sugawara_vector",
     "vacuum_module",
     "vacuum_weight",
-    "verifies",
     "__version__",
 ]

@@ -1,12 +1,14 @@
 """Catalog of the verified mathematical statements, with a coverage gate.
 
-Each entry states one fact the package checks, the command that checks it,
-and, via the verifies decorator, the tests that pin it down.  The trace
-matrix is generated from these annotations; generation fails if any claim
-has no registered test, so deleting a test reopens the gap loudly.
+Each entry states one fact the package checks and the command that checks
+it; tests name the claims they pin down with the verifies decorator.  The
+trace matrix is read from those marks in the test sources, without importing
+the tests, and generation fails if any claim has no marked test, so deleting
+a test reopens the gap loudly.
 """
 
 import argparse
+import ast
 import json
 import os
 import sys
@@ -173,83 +175,53 @@ CLAIMS = (
 _KNOWN = {c["id"] for c in CLAIMS}
 assert len(_KNOWN) == len(CLAIMS)
 
-_REGISTRY = {}
-
 
 class CoverageError(Exception):
-    """Raised when some cataloged claim has no registered test."""
+    """Raised when some cataloged claim has no marked test."""
 
 
 def verifies(*claim_ids):
-    """Mark a test as evidence for one or more cataloged claims."""
+    """Mark a test as evidence for cataloged claims; rejects unknown ids and
+    returns the test unchanged (generate_trace_matrix reads the marks)."""
     if not claim_ids:
         raise ValueError("verifies() needs at least one claim id")
     for cid in claim_ids:
         if cid not in _KNOWN:
             raise KeyError("unknown claim id: %r" % (cid,))
-
-    def mark(func):
-        test_id = "%s::%s" % (os.path.basename(func.__code__.co_filename),
-                              func.__qualname__)
-        for cid in claim_ids:
-            _REGISTRY.setdefault(cid, set()).add(test_id)
-        func.claim_ids = getattr(func, "claim_ids", ()) + tuple(claim_ids)
-        return func
-
-    return mark
+    return lambda func: func
 
 
-def _import_tests(tests_dir):
-    import importlib.util
-    tests_dir = os.path.abspath(tests_dir)
-    # test modules import sibling helpers by bare name
-    added = tests_dir not in sys.path
-    if added:
-        sys.path.insert(0, tests_dir)
-    try:
-        for name in sorted(os.listdir(tests_dir)):
-            if not (name.startswith("test_") and name.endswith(".py")):
-                continue
-            mod_name = "affine_verma_trace." + name[:-3]
-            spec = importlib.util.spec_from_file_location(
-                mod_name, os.path.join(tests_dir, name))
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[mod_name] = module
-            spec.loader.exec_module(module)
-    finally:
-        if added:
-            sys.path.remove(tests_dir)
-
-
-def _registry():
-    # under "python3 -m" this file executes as __main__ while the test
-    # imports populate the canonical module; always read that copy
-    mod = sys.modules.get("affine_verma.claims")
-    return _REGISTRY if mod is None else mod._REGISTRY
-
-
-def generate_trace_matrix(tests_dir=None, strict=True):
-    """Claim-to-test matrix from the registry; strict mode rejects holes."""
-    if tests_dir is not None:
-        _import_tests(tests_dir)
-    registry = _registry()
-    entries = []
-    holes = []
-    for claim in CLAIMS:
-        tests = sorted(registry.get(claim["id"], ()))
-        if not tests:
-            holes.append(claim["id"])
-        entries.append({
-            "claim": claim["id"],
-            "statement": claim["statement"],
-            "command": claim["command"],
-            "tests": tests,
-            "status": "covered" if tests else "uncovered",
-        })
-    if strict and holes:
-        raise CoverageError("claims with no registered test: %s"
+def generate_trace_matrix(tests_dir):
+    """Claim-to-test matrix from the verifies marks on the top-level
+    functions of tests_dir/test_*.py, read with ast: mark ids must be
+    literals and known claims, and a claim with no test raises
+    CoverageError."""
+    tests = {cid: set() for cid in _KNOWN}
+    for name in sorted(os.listdir(tests_dir)):
+        if not (name.startswith("test_") and name.endswith(".py")):
+            continue
+        with open(os.path.join(tests_dir, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in tree.body:
+            for dec in getattr(node, "decorator_list", ()):
+                if isinstance(dec, ast.Call) \
+                        and getattr(dec.func, "id", None) == "verifies":
+                    ids = [ast.literal_eval(arg) for arg in dec.args]
+                    verifies(*ids)
+                    for cid in ids:
+                        tests[cid].add("%s::%s" % (name, node.name))
+    holes = [c["id"] for c in CLAIMS if not tests[c["id"]]]
+    if holes:
+        raise CoverageError("claims with no marked test: %s"
                             % ", ".join(holes))
-    return {"entries": entries, "holes": holes}
+    entries = [{
+        "claim": c["id"],
+        "statement": c["statement"],
+        "command": c["command"],
+        "tests": sorted(tests[c["id"]]),
+        "status": "covered",
+    } for c in CLAIMS]
+    return {"entries": entries, "holes": []}
 
 
 def render_markdown(matrix):

@@ -78,11 +78,14 @@ class VermaModule:
     def state(self, terms, den=1):
         """State sum terms[m] / den * m from {monomial: coeff}, coeff an int
         or anything Fraction takes; monomials must be canonical (sorted,
-        every mode negative)."""
+        every mode a negative int, every index an int in the basis)."""
+        dim = self.alg.dim
         out = {}
         for mono, c in terms.items():
             mono = tuple(mono)
-            if list(mono) != sorted(mono) or any(n >= 0 for n, _ in mono):
+            if list(mono) != sorted(mono) or not all(
+                    type(n) is int and n < 0 and type(x) is int and 0 <= x < dim
+                    for n, x in mono):
                 raise ValueError("monomial %r is not canonical" % (mono,))
             out[mono] = c if isinstance(c, int) else Fraction(c)
         d = lcm(*(c.denominator for c in out.values()))

@@ -581,69 +581,3 @@ def reference_check_admissible(alg, weight, mode_bound):
     pairs["two_delta_minus_theta"] = str(
         weights.pairing(shifted, weights.AffineRoot(theta, 2)))
     return rep()
-    if slope_base < 0:
-        rep.notes.append(
-            "level + dual Coxeter < 0: pairings decrease with the mode, "
-            "no finite certificate; rejected")
-        return rep
-    if weight.level == 0:
-        rep.notes.append("level 0 is the degenerate vacuum case; "
-                         "trivially admissible, reported for completeness")
-    candidates = []
-    for root in weights.all_finite_roots(alg):
-        n = liealg.root_norm(root)
-        q = 2 * sum(s * a for s, a in zip(shifted.finite, root)) / Fraction(n)
-        t = 2 * slope_base / Fraction(n)
-        thr = 0
-        while q + thr * t <= 0:
-            thr += 1
-        rep.max_threshold = max(rep.max_threshold, thr)
-        start = 0 if root in alg.positive_roots else 1
-        for m in range(start, mode_bound + 1):
-            p = q + m * t
-            if p.denominator == 1:
-                candidates.append(weights.AffineRoot(root, m))
-                if p <= 0:
-                    rep.violations.append(
-                        {"root": candidates[-1].label(), "pairing": str(p)})
-    rep.certified = rep.max_threshold <= mode_bound
-    if not rep.certified:
-        rep.notes.append(
-            "mode bound %d below positivity threshold %d; raise %s"
-            % (mode_bound, rep.max_threshold, weights.MODE_BOUND_ENV))
-    vecs = {root: root.coroot_vector() for root in candidates}
-    rho_f = alg.rho()
-    big = 1
-    for vec in vecs.values():
-        if vec[-1] > 0:
-            h_fin = sum(r * v for r, v in zip(rho_f, vec[:-1]))
-            big = max(big, int((-h_fin) / vec[-1] + 1) + 1)
-
-    def order(root):
-        vec = vecs[root]
-        height = sum(r * v for r, v in zip(rho_f, vec[:-1])) + big * vec[-1]
-        return root.mode, height, root.label()
-
-    tester = reference_generated_tester()
-    accepted = []
-    for root in sorted(candidates, key=order):
-        if not tester.generated(vecs[root]):
-            tester.add(vecs[root])
-            accepted.append(root)
-    rep.generators = [
-        {"finite": list(r.finite), "mode": r.mode, "label": r.label()}
-        for r in accepted
-    ]
-    rep.rank = linalg.rank(vecs[r] for r in accepted)
-    shifted_pairs = rep.simple_pairings
-    for i, a in enumerate(alg.simple_roots, start=1):
-        shifted_pairs["alpha_%d" % i] = str(
-            weights.pairing(shifted, weights.AffineRoot(a, 0)))
-    theta = tuple(-c for c in alg.theta)
-    shifted_pairs["alpha_0"] = str(
-        weights.pairing(shifted, weights.AffineRoot(theta, 1)))
-    shifted_pairs["two_delta_minus_theta"] = str(
-        weights.pairing(shifted, weights.AffineRoot(theta, 2)))
-    rep.admissible = (not rep.violations) and rep.certified \
-        and rep.rank == l + 1
-    return rep

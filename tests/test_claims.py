@@ -1,7 +1,10 @@
 """Claim catalog and the coverage gate that keeps each claim tested."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,19 +63,24 @@ def test_unknown_claim_id_rejected_at_import():
         claims.verifies()
 
 
-def test_removed_coverage_trips_the_gate(monkeypatch):
-    claims.generate_trace_matrix(tests_dir=str(TESTS_DIR))
-    monkeypatch.delitem(claims._REGISTRY, "zero-mode-table")
+def strip_mark(tests_dir, claim_id):
+    """Copy the test sources to tests_dir without the marks that name
+    claim_id alone."""
+    tests_dir.mkdir()
+    mark = '@verifies("%s")\n' % claim_id
+    for path in TESTS_DIR.glob("test_*.py"):
+        (tests_dir / path.name).write_text(path.read_text().replace(mark, ""))
+    return tests_dir
+
+
+def test_removed_coverage_trips_the_gate(tmp_path):
+    stripped = strip_mark(tmp_path / "tests", "zero-mode-table")
     with pytest.raises(claims.CoverageError) as err:
-        claims.generate_trace_matrix()
-    assert "zero-mode-table" in str(err.value)
-    loose = claims.generate_trace_matrix(strict=False)
-    assert loose["holes"] == ["zero-mode-table"]
-    by_id = {e["claim"]: e for e in loose["entries"]}
-    assert by_id["zero-mode-table"]["status"] == "uncovered"
+        claims.generate_trace_matrix(str(stripped))
+    assert str(err.value) == "claims with no marked test: zero-mode-table"
 
 
-def test_generator_entry_point(tmp_path, capsys, monkeypatch):
+def test_generator_entry_point(tmp_path, capsys):
     code = claims.main(["--tests-dir", str(TESTS_DIR),
                         "--out-dir", str(tmp_path)])
     assert code == 0
@@ -81,9 +89,30 @@ def test_generator_entry_point(tmp_path, capsys, monkeypatch):
     assert "| Claim |" in (tmp_path / "trace_matrix.md").read_text()
     capsys.readouterr()
 
-    monkeypatch.setattr(claims, "_import_tests", lambda d: None)
-    monkeypatch.delitem(claims._REGISTRY, "zero-mode-table")
-    code = claims.main(["--tests-dir", str(TESTS_DIR),
+    stripped = strip_mark(tmp_path / "tests", "zero-mode-table")
+    code = claims.main(["--tests-dir", str(stripped),
                         "--out-dir", str(tmp_path)])
     assert code == 1
     assert "zero-mode-table" in capsys.readouterr().err
+
+
+def test_generator_runs_on_the_standard_library(tmp_path):
+    # -S leaves out site-packages, pytest among them: the marks are read
+    # from the sources, not by importing the tests
+    env = dict(os.environ, PYTHONPATH=str(TESTS_DIR.parent / "src"))
+    subprocess.run([sys.executable, "-S", "-m", "affine_verma.claims",
+                    "--tests-dir", str(TESTS_DIR), "--out-dir", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    for name in ("trace_matrix.json", "trace_matrix.md"):
+        assert (tmp_path / name).read_bytes() == (DOCS_DIR / name).read_bytes()
+
+
+def test_non_literal_or_unknown_mark_fails_generation(tmp_path):
+    for mark, error in (('@verifies("no-such-claim")', KeyError),
+                        ("@verifies(CLAIM_ID)", ValueError)):
+        tests_dir = tmp_path / error.__name__
+        tests_dir.mkdir()
+        (tests_dir / "test_marks.py").write_text(
+            "%s\ndef test_marked():\n    pass\n" % mark)
+        with pytest.raises(error):
+            claims.generate_trace_matrix(str(tests_dir))

@@ -30,17 +30,23 @@ def test_nonnegative_modes_kill_vacuum(module):
 
 
 def test_nonnegative_mode_monomials_rejected(module):
-    # e(1-2)(0)|0> is zero in the module, so it is no canonical monomial
+    # e(1-2)(0)|0> is zero in the module, so it is no canonical monomial;
+    # nor is one whose mode is no int (the state schema asks for an integer
+    # mode <= -1) or whose index names no basis element
     label = liealg.root_label(module.alg.rm(1, 2))
     x = module.alg.e_index(module.alg.rm(1, 2))
     module.state({((-1, x),): 1})
-    for mono in (((0, x),), ((-1, x), (0, x)), ((-2, x), (1, x))):
+    for mono in (((0, x),), ((-1, x), (0, x)), ((-2, x), (1, x)),
+                 ((-1.5, x),), ((-1.0, x),), ((Fraction(-1), x),)):
         with pytest.raises(ValueError):
             module.state({mono: 1})
         obj = [{"coeff": "1",
                 "monomial": [["e", label, n] for n, _ in mono]}]
         with pytest.raises(ValueError):
             PBWState.from_obj(module, obj)
+    for idx in (-1, module.alg.dim, 1.0):
+        with pytest.raises(ValueError):
+            module.state({((-1, idx),): 1})
 
 
 def test_central_term_on_vacuum(module):
