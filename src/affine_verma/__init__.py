@@ -9,31 +9,4 @@ vacuum weight, the D_4 triality action, and a zero-mode rewrite table.
 All arithmetic is rational and exact; every check emits a JSON verdict.
 """
 
-from .liealg import algebra, root_label, parse_root_label
-from .verma import vacuum_module, PBWState
-from .weights import check_admissible, vacuum_weight
-from .singular import singular_vector, check_singular, solve_singular_space
-from .embedding import embed_state
-from .conformal import sugawara_vector, central_charge, solve_level_equation
-from .triality import d4_symmetries
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "PBWState",
-    "algebra",
-    "central_charge",
-    "check_admissible",
-    "check_singular",
-    "d4_symmetries",
-    "embed_state",
-    "parse_root_label",
-    "root_label",
-    "singular_vector",
-    "solve_level_equation",
-    "solve_singular_space",
-    "sugawara_vector",
-    "vacuum_module",
-    "vacuum_weight",
-    "__version__",
-]

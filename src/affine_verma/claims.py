@@ -219,9 +219,8 @@ def generate_trace_matrix(tests_dir):
         "statement": c["statement"],
         "command": c["command"],
         "tests": sorted(tests[c["id"]]),
-        "status": "covered",
     } for c in CLAIMS]
-    return {"entries": entries, "holes": []}
+    return {"entries": entries}
 
 
 def render_markdown(matrix):
@@ -255,6 +254,12 @@ def main(argv=None):
     parser.add_argument("--tests-dir", default="tests")
     parser.add_argument("--out-dir", default="docs")
     args = parser.parse_args(argv)
+    for flag, path in (("--tests-dir", args.tests_dir),
+                       ("--out-dir", args.out_dir)):
+        if not os.path.isdir(path):
+            print("%s: error: %s %s is not a directory"
+                  % (parser.prog, flag, path), file=sys.stderr)
+            return 2
     try:
         matrix = generate_trace_matrix(args.tests_dir)
     except CoverageError as exc:

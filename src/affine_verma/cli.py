@@ -40,7 +40,8 @@ def to_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def run_check(check, kind, l, mode_bound=None, strict=False):
+def run_check(check, kind, l, mode_bound=weights.DEFAULT_MODE_BOUND,
+              strict=False):
     if check == "singular":
         return singular.report(kind, l, strict=strict)
     if check == "embedding":
@@ -85,7 +86,7 @@ def _all_tasks(l_values, mode_bound):
     return tasks
 
 
-def run_all(l_values, jobs, mode_bound=None):
+def run_all(l_values, jobs, mode_bound=weights.DEFAULT_MODE_BOUND):
     tasks = _all_tasks(l_values, mode_bound)
     # the fork start method launches every worker on the first submit
     jobs = min(jobs, len(tasks))
@@ -229,10 +230,16 @@ def _validate(parser, args):
     if args.mode_bound is not None and args.mode_bound < 1:
         parser.error("--mode-bound must be positive")
     if check in ("admissible", "all") and args.mode_bound is None:
+        # the package's one reader of the variable
+        raw = os.environ.get(weights.MODE_BOUND_ENV,
+                             str(weights.DEFAULT_MODE_BOUND))
         try:
-            args.mode_bound = weights.mode_bound_from_env()
-        except ValueError as exc:
-            parser.error(str(exc))
+            args.mode_bound = int(raw)
+        except ValueError:
+            args.mode_bound = 0
+        if args.mode_bound < 1:
+            parser.error("%s must be a positive integer, got %r"
+                         % (weights.MODE_BOUND_ENV, raw))
     if args.mode_bound is not None and args.mode_bound > MAX_MODE_BOUND:
         parser.error("mode bound %d is above %d, the scan budget"
                      % (args.mode_bound, MAX_MODE_BOUND))

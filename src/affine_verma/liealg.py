@@ -127,8 +127,7 @@ class LieAlgebra:
             self.dual_coxeter = 2 * l - 1
         else:
             self.simple_roots = [_root_minus(l, i, i + 1) for i in range(1, l)]
-            if l >= 2:
-                self.simple_roots.append(_root_plus(l, l - 1, l))
+            self.simple_roots.append(_root_plus(l, l - 1, l))
             self.dual_coxeter = 2 * l - 2
         self.theta = _root_plus(l, 1, 2) if l >= 2 else _root_short(l, 1)
 

@@ -231,14 +231,14 @@ def report(kind, l, strict=False):
 # ---- independent recomputation -----------------------------------------------
 
 
-def enumerate_monomials(alg, degree, weight=None):
-    """All canonical monomials of the given conformal degree.
+def enumerate_monomials(alg, degree, weight):
+    """All canonical monomials of the given conformal degree and weight.
 
     A canonical monomial is a nondecreasing tuple of (mode, index) factors
-    with all modes negative; degree is the sum of -mode.  With weight set,
-    only monomials whose index weights sum to it are kept, and the walk
-    carries the residual weight still to be reached in one list, updating
-    its L1 norm over the at most 2 nonzero coordinates of each basis weight.
+    with all modes negative; degree is the sum of -mode, and the index
+    weights sum to weight.  The walk carries the residual weight still to be
+    reached in one list, updating its L1 norm over the at most 2 nonzero
+    coordinates of each basis weight.
     Every factor uses at least one unit of degree, so a branch whose residual
     norm exceeds twice the remaining degree is cut; below a slack of 2 only
     indices that move toward the residual, or have at most slack nonzero
@@ -247,22 +247,20 @@ def enumerate_monomials(alg, degree, weight=None):
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if weight is not None and len(weight) != alg.l:
+    if len(weight) != alg.l:
         raise ValueError("weight must have l = %d coordinates" % alg.l)
     dim = alg.dim
     weights = [alg.weight(x) for x in range(dim)]
     by_weight = {}
     for x, w in enumerate(weights):
         by_weight.setdefault(w, []).append(x)
-    # without a weight every branch is kept: no coordinates, zero norm
-    support = [() if weight is None else [(i, c) for i, c in enumerate(w) if c]
-               for w in weights]
+    support = [[(i, c) for i, c in enumerate(w) if c] for w in weights]
     toward = {}  # (coordinate, sign > 0) -> indices of that sign there
     for x, sup in enumerate(support):
         for i, c in sup:
             toward.setdefault((i, c > 0), []).append(x)
     few = [x for x, sup in enumerate(support) if len(sup) < 2]
-    res = [] if weight is None else list(weight)
+    res = list(weight)
     out = [] if degree or any(res) else [()]
     mono = []
 
@@ -271,9 +269,8 @@ def enumerate_monomials(alg, degree, weight=None):
             left = remaining + n
             low = floor[1] if n == floor[0] else 0
             if not left:
-                last = range(dim) if weight is None else \
-                    by_weight.get(tuple(res), ())
-                out.extend(tuple(mono) + ((n, x),) for x in last if x >= low)
+                out.extend(tuple(mono) + ((n, x),)
+                           for x in by_weight.get(tuple(res), ()) if x >= low)
                 continue
             xs = range(low, dim)
             slack = 2 * left - norm
@@ -301,14 +298,12 @@ def enumerate_monomials(alg, degree, weight=None):
     return out
 
 
-def solve_singular_space(module, degree, weight, strict=False):
+def solve_singular_space(module, degree, weight):
     """Nullspace of the raising conditions at fixed degree and weight.
 
     Returns a deterministic list of states spanning every solution of
-    {op.v = 0 for op in raising_operators}; strict mode additionally
-    imposes x(1).v = 0 for the whole Lie algebra basis.  The system is
-    solved exactly by fraction-free elimination.  A degree above
-    MAX_DEGREE raises ValueError.
+    {op.v = 0 for op in raising_operators}, solved exactly by fraction-free
+    elimination.  A degree above MAX_DEGREE raises ValueError.
     """
     if degree > MAX_DEGREE:
         raise ValueError("degree %d exceeds bound %d" % (degree, MAX_DEGREE))
@@ -316,9 +311,7 @@ def solve_singular_space(module, degree, weight, strict=False):
     cands = enumerate_monomials(alg, degree, weight)
     if not cands:
         return []
-    ops = list(raising_operators(alg))
-    if strict:
-        ops += [(x, 1) for x in range(alg.dim)]
+    ops = raising_operators(alg)
     rows = {}
     for col, mono in enumerate(cands):
         for oi, (x, n) in enumerate(ops):

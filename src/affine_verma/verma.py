@@ -255,9 +255,6 @@ class PBWState:
     def is_zero(self):
         return not self.nums
 
-    def __bool__(self):
-        return bool(self.nums)
-
     def __len__(self):
         return len(self.nums)
 
@@ -352,22 +349,28 @@ class PBWState:
 
     @classmethod
     def from_obj(cls, module, obj):
+        """Inverse of to_obj.  ValueError on a coeff that is no reduced
+        "p/q" string, a datum that is no int for role h or no str for e and
+        f, and a monomial that is not canonical."""
         alg = module.alg
         terms = {}
         for item in obj:
             mono = []
             for role, datum, n in item["monomial"]:
-                if role == "h":
+                if role == "h" and type(datum) is int:
                     idx = alg.h_index(datum)
-                elif role == "e":
-                    idx = alg.e_index(liealg.parse_root_label(datum, alg.l))
-                elif role == "f":
-                    idx = alg.f_index(liealg.parse_root_label(datum, alg.l))
+                elif role in ("e", "f") and isinstance(datum, str):
+                    root = liealg.parse_root_label(datum, alg.l)
+                    idx = (alg.e_index if role == "e" else alg.f_index)(root)
                 else:
-                    raise ValueError("bad factor role %r" % (role,))
+                    raise ValueError("bad factor %r" % ([role, datum, n],))
                 mono.append((n, idx))
             mono = tuple(mono)
-            terms[mono] = terms.get(mono, 0) + Fraction(item["coeff"])
+            coeff = Fraction(item["coeff"])
+            if str(coeff) != item["coeff"]:
+                raise ValueError("coeff %r is no reduced fraction string"
+                                 % (item["coeff"],))
+            terms[mono] = terms.get(mono, 0) + coeff
         return module.state(terms)
 
     def __repr__(self):

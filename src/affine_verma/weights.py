@@ -40,7 +40,6 @@ check_admissible returns the report of `verify admissible` as a plain dict,
 less its check and passed keys.
 """
 
-import os
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
@@ -50,21 +49,8 @@ from . import linalg
 from . import verma
 
 DEFAULT_MODE_BOUND = 20
+# read by the CLI alone; a report names it when the bound is too low
 MODE_BOUND_ENV = "AFFINE_VERMA_MODE_BOUND"
-
-
-def mode_bound_from_env():
-    raw = os.environ.get(MODE_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_MODE_BOUND
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise ValueError("%s must be a positive integer, got %r"
-                         % (MODE_BOUND_ENV, raw))
-    return value
 
 
 class AffineWeight(namedtuple("AffineWeight", "finite level delta")):
@@ -181,11 +167,9 @@ class _Basis:
         return any(sum(a * b for a, b in zip(vec[:-1], g)) for g in self.vecs)
 
 
-def check_admissible(alg, weight, mode_bound=None):
+def check_admissible(alg, weight, mode_bound=DEFAULT_MODE_BOUND):
     """Kac-Wakimoto admissibility of an affine weight for the given algebra,
     as the `verify admissible` report without its check and passed keys."""
-    if mode_bound is None:
-        mode_bound = mode_bound_from_env()
     l = alg.l
     slope_base = weight.level + alg.dual_coxeter  # = <weight + rho, c>
     cond_i = {"violations": [], "max_positivity_threshold": 0,
@@ -283,7 +267,7 @@ def check_admissible(alg, weight, mode_bound=None):
     return rep
 
 
-def report(l, kind="D", mode_bound=None):
+def report(l, kind="D", mode_bound=DEFAULT_MODE_BOUND):
     """Admissibility verdict for the vacuum weight at level -l + 3/2."""
     alg = liealg.algebra(kind, l)
     rep = check_admissible(alg, vacuum_weight(l, verma.special_level(l)),

@@ -44,7 +44,7 @@ def leaf_filtered_monomials(alg, degree):
     return out
 
 
-def reference_enumerate_monomials(alg, degree, weight=None):
+def reference_enumerate_monomials(alg, degree, weight):
     """Reference for singular.enumerate_monomials: the pruned walk it
     replaced, which tests every basis index against the norm bound at each
     interior node, with the same exact test and output order."""
@@ -53,9 +53,8 @@ def reference_enumerate_monomials(alg, degree, weight=None):
     by_weight = {}
     for x, w in enumerate(weights):
         by_weight.setdefault(w, []).append(x)
-    support = [() if weight is None else [(i, c) for i, c in enumerate(w) if c]
-               for w in weights]
-    res = [] if weight is None else list(weight)
+    support = [[(i, c) for i, c in enumerate(w) if c] for w in weights]
+    res = list(weight)
     out = [] if degree or any(res) else [()]
     mono = []
 
@@ -64,9 +63,8 @@ def reference_enumerate_monomials(alg, degree, weight=None):
             left = remaining + n
             low = floor[1] if n == floor[0] else 0
             if not left:
-                last = range(dim) if weight is None else \
-                    by_weight.get(tuple(res), ())
-                out.extend(tuple(mono) + ((n, x),) for x in last if x >= low)
+                out.extend(tuple(mono) + ((n, x),)
+                           for x in by_weight.get(tuple(res), ()) if x >= low)
                 continue
             for x in range(low, dim):
                 after = norm

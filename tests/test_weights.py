@@ -60,18 +60,14 @@ def test_admissibility_computes_no_bracket(monkeypatch):
 
 
 def test_mode_bound_env_and_argument(monkeypatch):
-    monkeypatch.delenv(weights.MODE_BOUND_ENV, raising=False)
-    assert weights.mode_bound_from_env() == weights.DEFAULT_MODE_BOUND
+    # only the CLI reads the variable; the library takes the default or
+    # the argument
     monkeypatch.setenv(weights.MODE_BOUND_ENV, "33")
-    assert weights.mode_bound_from_env() == 33
-    rep = weights.report(4)
-    assert rep["mode_bound"] == 33
-    # an explicit argument beats the environment
-    rep = weights.report(4, mode_bound=7)
-    assert rep["mode_bound"] == 7
-    monkeypatch.setenv(weights.MODE_BOUND_ENV, "0")
-    with pytest.raises(ValueError):
-        weights.mode_bound_from_env()
+    assert weights.report(4)["mode_bound"] == weights.DEFAULT_MODE_BOUND == 20
+    alg = liealg.algebra("D", 4)
+    weight = weights.vacuum_weight(4, verma.special_level(4))
+    assert weights.check_admissible(alg, weight)["mode_bound"] == 20
+    assert weights.report(4, mode_bound=7)["mode_bound"] == 7
 
 
 def test_mode_bound_scaling():
