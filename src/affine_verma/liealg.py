@@ -12,9 +12,11 @@ where {a_i, a*_j} = delta_ij, all other anticommutators vanish, and
 :xy: = (xy - yx) / 2.  Each basis element is a single signed monomial, so
 every structure constant follows from the single-contraction rule for
 commutators of fermion monomials, in int arithmetic, computed for a pair
-when it is first asked for; none is entered by hand.  The tests hold the
-rule against a reference that multiplies the same monomials out in the
-Clifford algebra (tests/clifford.py).
+when it is first asked for; none is entered by hand.  A contraction needs a
+dual pair of codes, so the codes alone name the partners, the pairs whose
+bracket or form can be nonzero.  The tests hold the rule against a
+reference that multiplies the same monomials out in the Clifford algebra
+(tests/clifford.py).
 
 Roots live in the epsilon-coordinate lattice (tuples of l integers), the
 invariant form is normalized so that long roots have square length 2, and
@@ -144,15 +146,23 @@ class LieAlgebra:
                             for k, (sgn, c) in enumerate(self._signed_codes)}
         # the code contracting with code p; g(p, r) = 1 exactly for r = dual[p]
         self._dual = [p + l if p < l else p - l for p in range(2 * l)]
+        # partners: x_j is one of x_i when reach[i] & held[j], that is when
+        # x_j holds the dual of a code of x_i or both are single fermions
+        # (bit p is code p, bit 2l a single fermion); [x_i, x_j] and
+        # (x_i, x_j) vanish on every other pair
+        self.held = [sum(1 << p for p in c) | (len(c) == 1) << 2 * l
+                     for _, c in self._signed_codes]
+        self.reach = [sum(1 << self._dual[p] for p in c)
+                      | (len(c) == 1) << 2 * l for _, c in self._signed_codes]
         # (i, j) -> bracket(i, j), filled on demand
         self._brackets = {}
         # x^i = x_j / form(x_i, x_j) for the one x_j that pairs with x_i; the
         # form is 2 on short roots and 1 on every other such pair
         n = self.npos
-        partner = [*range(n, 2 * n), *range(n), *range(2 * n, self.dim)]
+        paired = [*range(n, 2 * n), *range(n), *range(2 * n, self.dim)]
         self._dual_basis = tuple(
             (i, {j: 1 if self.form(i, j) == 1 else Fraction(1, 2)})
-            for i, j in enumerate(partner))
+            for i, j in enumerate(paired))
 
     # ---- basis bookkeeping -------------------------------------------------
 
@@ -321,22 +331,13 @@ class LieAlgebra:
     def to_dump(self):
         """Plain-data description: basis, nonzero brackets, invariant form,
         roots."""
-        # the rule is nonzero only where x_j holds the dual of a code of x_i,
-        # or both are single fermions; one rule call per such pair i < j, and
-        # row j gets its cells below the diagonal before its own pass, so
-        # every row comes out sorted
-        holders = [[] for _ in range(2 * self.l)]
-        for k, (_, codes) in enumerate(self._signed_codes):
-            for p in codes:
-                holders[p].append(k)
-        singles = [k for k, (_, c) in enumerate(self._signed_codes)
-                   if len(c) == 1]
+        # one rule call per partner pair i < j, and row j gets its cells below
+        # the diagonal before its own pass, so every row comes out sorted;
+        # j comes from one shared list, as range would build an int per cell
         rows = [[] for _ in range(self.dim)]
-        for i, (_, codes) in enumerate(self._signed_codes):
-            partners = {j for p in codes for j in holders[self._dual[p]]}
-            if len(codes) == 1:
-                partners.update(singles)
-            for j in sorted(j for j in partners if j > i):
+        held, index = self.held, list(range(self.dim))
+        for i, reach in enumerate(self.reach):
+            for j in [j for j in index[i + 1:] if reach & held[j]]:
                 items = self._rule(i, j)
                 if items:
                     rows[i].append((j, [[k, str(c)] for k, c in items]))

@@ -10,9 +10,13 @@ order of the finite algebra.  The commutation rule
 
 is applied recursively to push every factor into place; between two strictly
 negative modes the central term never fires, so straightening of canonical
-monomials only produces brackets.  Results of single-factor applications are
-memoized per module, keyed by (basis index, mode, monomial tail), except a
-negative-mode factor that already sorts first, which is just prepended.
+monomials only produces brackets.  Only partners contract (see
+LieAlgebra.reach), so x(n) with n >= 0 and no partner in the monomial is
+zero, and x(n) with n < 0 and no partner among the factors sorting before
+it is inserted in place.  Results of single-factor applications are memoized
+per module, keyed by (basis index, mode, monomial tail), but for a
+negative-mode factor that already sorts first, which is just prepended, and
+the products proven zero, which are not stored.
 
 Straightening and state arithmetic run on int: a state is int numerators
 over one denominator (see PBWState), and Fraction is built only where a
@@ -20,6 +24,7 @@ scalar leaves the module (multiple_of, to_obj, terms).  There is no
 floating point anywhere.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import gcd, lcm
@@ -113,27 +118,48 @@ class VermaModule:
         term consumes the positive-mode operator, so it fires at most once
         on any path and contributes n (x,y) level.numerator, and a bracket
         that lowers the mode to n + m <= 0 is scaled to match.
+
+        Two shortcuts skip the recursion: a nonnegative mode with no partner
+        of x in the monomial returns () before the memo lookup and stores
+        nothing, and a negative mode whose passed factors (those sorting
+        before it) are none of them partners is inserted in place and
+        stored, for warm re-reads.  The bracket and form are looked up only
+        when the first factor is a partner.
         """
         entry = (n, x)
         if n < 0 and (not mono or entry <= mono[0]):
             return ((entry,) + mono, 1)
+        reach, held = self.alg.reach[x], self.alg.held
+        if n >= 0:
+            for _, y in mono:
+                if reach & held[y]:
+                    break
+            else:
+                # x(n) commutes past every factor and kills the vacuum
+                return ()
         key = (x, n, mono)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if not mono:
-            # a nonnegative mode reaches the vacuum and kills it
-            result = ()
-        else:
-            m, y = mono[0]
-            rest = mono[1:]
-            acc = {}
-            # x(n) y(m) = y(m) x(n) + [x,y](n+m) + n delta_{n+m,0} (x,y) k
-            it = iter(self._apply_mono(x, n, rest))
-            for mono1, c1 in zip(it, it):
-                it2 = iter(self._apply_mono(y, m, mono1))
-                for mono2, c2 in zip(it2, it2):
-                    acc[mono2] = acc.get(mono2, 0) + c1 * c2
+        if n < 0:
+            k = bisect_left(mono, entry)
+            for _, y in mono[:k]:
+                if reach & held[y]:
+                    break
+            else:
+                # x(n) commutes past the factors that sort before it
+                result = self._memo[key] = (mono[:k] + (entry,) + mono[k:], 1)
+                return result
+        m, y = mono[0]
+        rest = mono[1:]
+        acc = {}
+        # x(n) y(m) = y(m) x(n) + [x,y](n+m) + n delta_{n+m,0} (x,y) k
+        it = iter(self._apply_mono(x, n, rest))
+        for mono1, c1 in zip(it, it):
+            it2 = iter(self._apply_mono(y, m, mono1))
+            for mono2, c2 in zip(it2, it2):
+                acc[mono2] = acc.get(mono2, 0) + c1 * c2
+        if reach & held[y]:
             scale = self.level.denominator if n > 0 >= n + m else 1
             for z, cz in self.alg.bracket(x, y):
                 cz *= scale
@@ -144,8 +170,8 @@ class VermaModule:
                 cf = self.alg.form(x, y)
                 if cf:
                     acc[rest] = acc.get(rest, 0) + n * cf * self.level.numerator
-            result = tuple(v for mo, c in acc.items() if c for v in (mo, c))
-        self._memo[key] = result
+        result = self._memo[key] = tuple(
+            v for mo, c in acc.items() if c for v in (mo, c))
         return result
 
     # ---- public operations ---------------------------------------------------
@@ -349,12 +375,17 @@ class PBWState:
 
     @classmethod
     def from_obj(cls, module, obj):
-        """Inverse of to_obj.  ValueError on a coeff that is no reduced
+        """Inverse of to_obj.  ValueError on a term that is no dict with
+        exactly the keys coeff and monomial, a coeff that is no reduced
         "p/q" string, a datum that is no int for role h or no str for e and
-        f, and a monomial that is not canonical."""
+        f, and a monomial that is no canonical list."""
         alg = module.alg
         terms = {}
         for item in obj:
+            if not (isinstance(item, dict)
+                    and item.keys() == {"coeff", "monomial"}
+                    and isinstance(item["monomial"], list)):
+                raise ValueError("bad term %r" % (item,))
             mono = []
             for role, datum, n in item["monomial"]:
                 if role == "h" and type(datum) is int:

@@ -250,3 +250,25 @@ def test_structure_constants_are_small_ints(kind):
                                    module.alg.theta), -1, module.vacuum())))
     coeffs = [c for s in states for c in s.terms.values()]
     assert coeffs and all(type(c) is Fraction for c in coeffs)
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_partners_hold_every_nonzero_bracket_and_form(kind):
+    # the relation reach[i] & held[j] is read off the codes; every pair it
+    # leaves out must have zero bracket and zero form, and it must be the
+    # set of pairs where x_j holds the dual of a code of x_i or both are
+    # single fermions, which dump-algebra walked before
+    for l in range(1 if kind == "B" else 2, 9):
+        alg = liealg.LieAlgebra(kind, l)
+        codes = [set(c) for _, c in alg._signed_codes]
+        for i in range(alg.dim):
+            duals = {alg._dual[p] for p in codes[i]}
+            for j in range(alg.dim):
+                partner = bool(alg.reach[i] & alg.held[j])
+                want = (bool(duals & codes[j])
+                        or len(codes[i]) == len(codes[j]) == 1)
+                assert partner == want == bool(alg.reach[j] & alg.held[i]), \
+                    (kind, l, i, j)
+                if not partner:
+                    assert alg._rule(i, j) == () and alg.form(i, j) == 0, \
+                        (kind, l, i, j)

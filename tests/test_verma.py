@@ -108,6 +108,15 @@ def test_from_obj_rejects_non_canonical(module):
         with pytest.raises(ValueError):
             PBWState.from_obj(module, [{"coeff": coeff,
                                         "monomial": [factor]}])
+    # a term is an object with exactly the keys coeff and monomial, and the
+    # monomial an array
+    for term in ({"monomial": []}, {"coeff": "1"}, "x", ["1", []],
+                 {"coeff": "1", "monomial": [], "extra": 1},
+                 {"coeff": "1", "monomial": 5}):
+        with pytest.raises(ValueError):
+            PBWState.from_obj(module, [term])
+    assert PBWState.from_obj(module, [{"coeff": "1", "monomial": []}]) == \
+        module.vacuum()
 
 
 def test_state_arithmetic(module):
@@ -238,6 +247,64 @@ def test_int_kernel_matches_fraction_reference(kind, l, level, rng):
             assert helpers.apply_elem(module, elem, n, state) == \
                 ref([(c, [(y, n)]) for y, c in elem.items()], state)
     assert all(nonzero.values()), nonzero
+
+
+def _random_mono(alg, rng, length):
+    return tuple(sorted((-rng.randint(1, 3), rng.randrange(alg.dim))
+                        for _ in range(length)))
+
+
+@pytest.mark.parametrize("level", [None, Fraction(-5, 3)], ids=str)
+@pytest.mark.parametrize("l", [6, 7, 8])
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_kernel_shortcuts_match_reference(kind, l, level, rng):
+    # x(n) with n >= 0 and no partner in the monomial is zero and stores
+    # nothing; x(n) with n < 0 and no partner among the factors it passes
+    # is inserted in place and stored alone; everything else recurses.
+    # Every result is held against the Fraction reference, which has no
+    # shortcut
+    module = _fresh_module(kind, l, level)
+    alg = module.alg
+    memo = {}
+    scale = module.level.denominator
+    taken = {"zero": 0, "insert": 0, "recurse": 0}
+    for _ in range(400):
+        mono = _random_mono(alg, rng, rng.randint(1, 4))
+        x, n = rng.randrange(alg.dim), rng.randint(-3, 2)
+        entry = (n, x)
+        passed = [f[1] for f in mono if n >= 0 or f < entry]
+        before = len(module._memo)
+        fresh = (x, n, mono) not in module._memo
+        got = tuple(module.operator_terms(x, n, mono))
+        want = helpers.reference_apply_mono(module, x, n, mono, memo)
+        assert dict(got) == {m: c * (scale if n > 0 else 1)
+                             for m, c in want}, (x, n, mono)
+        if n < 0 and entry <= mono[0] or not fresh:
+            continue
+        if not any(alg.reach[x] & alg.held[y] for y in passed):
+            if n >= 0:
+                taken["zero"] += 1
+                assert got == () and len(module._memo) == before
+            else:
+                taken["insert"] += 1
+                assert got == ((tuple(sorted(mono + (entry,))), 1),)
+                assert len(module._memo) == before + 1
+        else:
+            taken["recurse"] += 1
+    assert min(taken.values()) >= 30, taken
+    nonzero = 0
+    for _ in range(20):
+        state = module.state({_random_mono(alg, rng, rng.randint(0, 3)):
+                              Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                              for _ in range(3)})
+        word = [(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)),
+                 [(rng.randrange(alg.dim), rng.randint(-3, 2))
+                  for _ in range(rng.randint(1, 3))])
+                for _ in range(2)]
+        got = module.act(word, state)
+        assert got == helpers.reference_act(module, word, state, memo), word
+        nonzero += not got.is_zero()
+    assert nonzero >= 5, nonzero
 
 
 @pytest.mark.parametrize("level", [Fraction(-5, 3), None], ids=str)
