@@ -186,16 +186,16 @@ def verifies(*claim_ids):
     if not claim_ids:
         raise ValueError("verifies() needs at least one claim id")
     for cid in claim_ids:
-        if cid not in _KNOWN:
+        if not isinstance(cid, str) or cid not in _KNOWN:
             raise KeyError("unknown claim id: %r" % (cid,))
     return lambda func: func
 
 
 def generate_trace_matrix(tests_dir):
-    """Claim-to-test matrix from the verifies marks on the top-level
-    functions of tests_dir/test_*.py, read with ast: mark ids must be
-    literals and known claims, and a claim with no test raises
-    CoverageError."""
+    """Claim-to-test matrix from the verifies or claims.verifies marks on
+    the top-level functions of tests_dir/test_*.py, read with ast: mark ids
+    must be literals and known claims (else ValueError or KeyError naming
+    the test), and a claim with no test raises CoverageError."""
     tests = {cid: set() for cid in _KNOWN}
     for name in sorted(os.listdir(tests_dir)):
         if not (name.startswith("test_") and name.endswith(".py")):
@@ -204,12 +204,20 @@ def generate_trace_matrix(tests_dir):
             tree = ast.parse(fh.read(), name)
         for node in tree.body:
             for dec in getattr(node, "decorator_list", ()):
-                if isinstance(dec, ast.Call) \
-                        and getattr(dec.func, "id", None) == "verifies":
+                if not (isinstance(dec, ast.Call) and "verifies" in (
+                        getattr(dec.func, "id", None),
+                        getattr(dec.func, "attr", None))):
+                    continue
+                test = "%s::%s" % (name, node.name)
+                try:
                     ids = [ast.literal_eval(arg) for arg in dec.args]
                     verifies(*ids)
-                    for cid in ids:
-                        tests[cid].add("%s::%s" % (name, node.name))
+                except (KeyError, ValueError) as exc:
+                    raise type(exc)("%s: @%s: claim ids must be known string "
+                                    "literals" % (test, ast.unparse(dec))) \
+                        from None
+                for cid in ids:
+                    tests[cid].add(test)
     holes = [c["id"] for c in CLAIMS if not tests[c["id"]]]
     if holes:
         raise CoverageError("claims with no marked test: %s"
@@ -264,6 +272,9 @@ def main(argv=None):
         matrix = generate_trace_matrix(args.tests_dir)
     except CoverageError as exc:
         print("coverage hole: %s" % exc, file=sys.stderr)
+        return 1
+    except (KeyError, ValueError) as exc:
+        print("bad mark in %s" % exc.args[0], file=sys.stderr)
         return 1
     write_docs(matrix, args.out_dir)
     print("trace matrix: %d claims, all covered" % len(matrix["entries"]))

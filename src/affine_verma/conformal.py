@@ -33,8 +33,9 @@ def solve_level_equation(l):
     Cross-multiplying c_B(k) = c_D(k) leaves k (a k + b) = 0; poles of
     either charge are excluded from the solution set.
     """
-    dim_b, h_b = l * (2 * l + 1), 2 * l - 1
-    dim_d, h_d = l * (2 * l - 1), 2 * l - 2
+    alg_b, alg_d = liealg.algebra("B", l), liealg.algebra("D", l)
+    dim_b, h_b = alg_b.dim, alg_b.dual_coxeter
+    dim_d, h_d = alg_d.dim, alg_d.dual_coxeter
     a = Fraction(dim_d - dim_b)
     b = Fraction(dim_d * h_b - dim_b * h_d)
     roots = {Fraction(0)}

@@ -7,8 +7,9 @@ their gcd, it scales the row by b / g and subtracts a / g times the pivot
 row.  No rounding can occur, dividing by g keeps the integers small, and a
 row is made primitive once, when it is stored.  Pivots are chosen as the
 smallest column index of the incoming row, which makes echelon forms (and
-therefore nullspace bases) deterministic.  Solving, rank and nullspaces all
-run on the one Echelon accumulator; there is no other elimination loop.
+therefore nullspace bases) deterministic.  Solving, nullspaces and the
+integer cone basis of weights all run on the one Echelon accumulator; there
+is no other elimination loop.
 
 Nullspace bases do not depend on row order or repeated rows: the pivot
 columns depend on the row space alone, and each basis vector is the one
@@ -121,14 +122,6 @@ def nullspace(rows, ncols):
         if row:
             ech.add(row)
     return ech.nullspace(ncols)
-
-
-def rank(vectors):
-    """Rank over Q of dense vectors."""
-    ech = Echelon()
-    for vec in vectors:
-        ech.add(dict(enumerate(vec)))
-    return ech.rank
 
 
 def solve_exact(columns, target):

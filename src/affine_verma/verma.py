@@ -82,8 +82,9 @@ class VermaModule:
 
     def state(self, terms, den=1):
         """State sum terms[m] / den * m from {monomial: coeff}, coeff an int
-        or anything Fraction takes; monomials must be canonical (sorted,
-        every mode a negative int, every index an int in the basis)."""
+        or a Fraction (TypeError otherwise: a float's binary value is not
+        exact); monomials must be canonical (sorted, every mode a negative
+        int, every index an int in the basis)."""
         dim = self.alg.dim
         out = {}
         for mono, c in terms.items():
@@ -92,7 +93,9 @@ class VermaModule:
                     type(n) is int and n < 0 and type(x) is int and 0 <= x < dim
                     for n, x in mono):
                 raise ValueError("monomial %r is not canonical" % (mono,))
-            out[mono] = c if isinstance(c, int) else Fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("coefficient %r is no int or Fraction" % (c,))
+            out[mono] = c
         d = lcm(*(c.denominator for c in out.values()))
         return PBWState(self, {mono: c.numerator * (d // c.denominator)
                                for mono, c in out.items()}, d * den)
@@ -316,7 +319,7 @@ class PBWState:
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
-            scalar = Fraction(scalar)
+            return NotImplemented
         p = scalar.numerator
         return PBWState(self.module, {m: p * v for m, v in self.nums.items()},
                         self.den * scalar.denominator)

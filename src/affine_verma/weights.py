@@ -24,20 +24,20 @@ that is not yet a nonnegative integer combination of those kept.  big makes
 every height positive; a short coroot of type B has mode component 2m, so big
 also orders coroots within one mode and the generating set depends on it.
 
-The cone test needs no search.  By Kac-Wakimoto (PNAS 1988) the integral
-real coroots form a root system, and the pass keeps its simple coroots.
-Those of one irreducible component are independent, and each coroot of the
-component is a nonnegative integer combination of them with connected
-support.  So kept coroots joined by nonzero finite dot products form pieces,
-each an incremental integer basis (_Basis), and a coroot is generated when
-its unique coordinates in a piece it touches are nonnegative integers.
-Pieces of several affine components share delta and are dependent together
-(a finite part that is not integral can give them).  The walk and the cone
-test are on int: pairings are scaled by the lcm of the denominators of
-lambda + rho_hat and the level, and heights are taken against 2 rho; only
-the report's simple pairings are exact rationals, from pairing.
-check_admissible returns the report of `verify admissible` as a plain dict,
-less its check and passed keys.
+The cone test needs no search.  The checker takes the vacuum weight
+level * Lambda_0 of a simple algebra (D_2 = A1 x A1 is refused).  Write
+level = p/u: the integral real coroots are the long ones at modes in uZ
+and, in type B, the short ones at modes in (u/gcd(u, 2))Z.  By Kac-Wakimoto
+(PNAS 1988) they form one irreducible affine root system, and the pass keeps
+its simple coroots.  These are independent, and each coroot of the system is
+a nonnegative integer combination of them, so one incremental integer basis
+(_Basis) holds them all: a coroot is generated when its unique coordinates
+are nonnegative integers, and the rank is the number kept.  The walk and
+the cone test are on int: pairings are scaled by the lcm of the
+denominators of lambda + rho_hat and the level, and heights are taken
+against 2 rho; only the report's simple pairings are exact rationals, from
+pairing.  check_admissible returns the report of `verify admissible` as a
+plain dict, less its check and passed keys.
 """
 
 from collections import namedtuple
@@ -136,12 +136,10 @@ class _Basis:
     outside the span; otherwise the row reads  c * query = sum_k x_k g_k
     with c in the marker column and -x_k in column d + k."""
 
-    def __init__(self, d, vecs):
+    def __init__(self, d):
         self.d = d
         self.vecs = []
         self._ech = linalg.Echelon()
-        for vec in vecs:
-            self.add(vec)
 
     def _reduce(self, vec):
         row = dict(enumerate(vec))
@@ -162,15 +160,15 @@ class _Basis:
         self._ech.add(row)
         self.vecs.append(vec)
 
-    def touches(self, vec):
-        """Whether some generator has a nonzero finite dot product with vec."""
-        return any(sum(a * b for a, b in zip(vec[:-1], g)) for g in self.vecs)
 
-
-def check_admissible(alg, weight, mode_bound=DEFAULT_MODE_BOUND):
-    """Kac-Wakimoto admissibility of an affine weight for the given algebra,
-    as the `verify admissible` report without its check and passed keys."""
+def check_admissible(alg, level, mode_bound=DEFAULT_MODE_BOUND):
+    """Kac-Wakimoto admissibility of the vacuum weight level * Lambda_0,
+    as the `verify admissible` report without its check and passed keys.
+    ValueError for D_2, the one algebra built that is not simple."""
     l = alg.l
+    if (alg.kind, l) == ("D", 2):
+        raise ValueError("D_2 = A1 x A1 is not simple")
+    weight = vacuum_weight(l, level)
     slope_base = weight.level + alg.dual_coxeter  # = <weight + rho, c>
     cond_i = {"violations": [], "max_positivity_threshold": 0,
               "certified_beyond_bound": False}
@@ -240,21 +238,14 @@ def check_admissible(alg, weight, mode_bound=DEFAULT_MODE_BOUND):
         height = sum(r * v for r, v in zip(rho2, vec)) + 2 * big * vec[-1]
         return root.mode, height, root.label()
 
-    pieces = []
-    accepted = []
+    basis = _Basis(l + 1)
     for root in sorted(candidates, key=order):
-        vec = vecs[root]
-        if any(p.generated(vec) for p in pieces):
-            continue
-        near = [p for p in pieces if p.touches(vec)]
-        pieces = [p for p in pieces if p not in near]
-        pieces.append(_Basis(l + 1, [g for p in near for g in p.vecs] + [vec]))
-        accepted.append(root)
-    cond_ii["generators"] = [
-        {"finite": list(r.finite), "mode": r.mode, "label": r.label()}
-        for r in accepted
-    ]
-    cond_ii["rank"] = rank = linalg.rank(vecs[r] for r in accepted)
+        if not basis.generated(vecs[root]):
+            basis.add(vecs[root])
+            cond_ii["generators"].append(
+                {"finite": list(root.finite), "mode": root.mode,
+                 "label": root.label()})
+    cond_ii["rank"] = rank = len(basis.vecs)
 
     pairs = rep["simple_pairings"]
     for i, a in enumerate(alg.simple_roots, start=1):
@@ -269,8 +260,7 @@ def check_admissible(alg, weight, mode_bound=DEFAULT_MODE_BOUND):
 
 def report(l, kind="D", mode_bound=DEFAULT_MODE_BOUND):
     """Admissibility verdict for the vacuum weight at level -l + 3/2."""
-    alg = liealg.algebra(kind, l)
-    rep = check_admissible(alg, vacuum_weight(l, verma.special_level(l)),
+    rep = check_admissible(liealg.algebra(kind, l), verma.special_level(l),
                            mode_bound)
     rep["check"] = "admissible"
     rep["passed"] = rep["admissible"]

@@ -569,7 +569,10 @@ def reference_check_admissible(alg, weight, mode_bound):
         {"finite": list(r.finite), "mode": r.mode, "label": r.label()}
         for r in accepted
     ]
-    rank = linalg.rank(vecs[r] for r in accepted)
+    ech = linalg.Echelon()
+    for r in accepted:
+        ech.add(dict(enumerate(vecs[r])))
+    rank = ech.rank
     for i, a in enumerate(alg.simple_roots, start=1):
         pairs["alpha_%d" % i] = str(
             weights.pairing(shifted, weights.AffineRoot(a, 0)))

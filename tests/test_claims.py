@@ -55,8 +55,9 @@ def test_committed_matrix_is_current(tmp_path):
 
 
 def test_unknown_claim_id_rejected_at_import():
-    with pytest.raises(KeyError):
-        claims.verifies("no-such-claim")
+    for cid in ("no-such-claim", ["admissibility"]):
+        with pytest.raises(KeyError):
+            claims.verifies(cid)
     with pytest.raises(ValueError):
         claims.verifies()
 
@@ -114,6 +115,34 @@ def test_non_literal_or_unknown_mark_fails_generation(tmp_path):
             "%s\ndef test_marked():\n    pass\n" % mark)
         with pytest.raises(error):
             claims.generate_trace_matrix(str(tests_dir))
+
+
+def test_attribute_marks_are_read(tmp_path):
+    # a mark written claims.verifies(...) counts like verifies(...)
+    tests_dir = tmp_path / "tests"
+    tests_dir.mkdir()
+    mark = '@verifies("zero-mode-table")\n'
+    for path in TESTS_DIR.glob("test_*.py"):
+        (tests_dir / path.name).write_text(
+            path.read_text().replace(mark, "@claims." + mark[1:]))
+    assert claims.generate_trace_matrix(str(tests_dir)) \
+        == claims.generate_trace_matrix(str(TESTS_DIR))
+
+
+def test_bad_mark_is_one_error_line(tmp_path, capsys):
+    for mark, name in (('@verifies("no-such-claim")', "test_unknown"),
+                       ("@claims.verifies(CLAIM_ID)", "test_not_literal")):
+        tests_dir = tmp_path / name
+        tests_dir.mkdir()
+        (tests_dir / "test_marks.py").write_text(
+            "%s\ndef %s():\n    pass\n" % (mark, name))
+        code = claims.main(["--tests-dir", str(tests_dir),
+                            "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "test_marks.py::%s" % name in err
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["test_not_literal", "test_unknown"]
 
 
 def test_claims_import_loads_no_engine_module():

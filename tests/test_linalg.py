@@ -9,7 +9,7 @@ from math import gcd
 import helpers
 from affine_verma import linalg
 from affine_verma.linalg import Echelon, clear_denominators, nullspace, \
-    rank, solve_exact
+    solve_exact
 
 
 def test_clear_denominators():
@@ -154,10 +154,6 @@ def test_echelon_rank():
     assert e.rank == 2
     e.add({})
     assert e.rank == 2
-    # the dense-vector rank of linalg.rank runs on the same accumulator
-    assert rank([]) == 0
-    assert rank([(1, 2, 0), (2, 4, 0), (0, 0, Fraction(1, 3))]) == 2
-    assert rank([(0, 0), (0, 0)]) == 0
 
 
 def test_solve_exact():

@@ -130,6 +130,16 @@ def test_state_arithmetic(module):
     assert s.terms[next(iter(s.terms))] == 1
 
 
+def test_float_coefficients_rejected(module):
+    # 0.1 is 3602879701896397/2**55 in binary; no state takes it silently
+    vac = module.vacuum()
+    for product in (lambda: vac * 0.1, lambda: 0.1 * vac):
+        with pytest.raises(TypeError):
+            product()
+    with pytest.raises(TypeError):
+        module.state({(): 0.1})
+
+
 def test_degree_and_weight(module):
     alg = module.alg
     e = alg.e_index(alg.theta)
