@@ -25,14 +25,14 @@ CHECKS = ("singular", "embedding", "conformal", "admissible", "triality",
           "appendix", "all")
 
 # the rank budget: on a 2-core host, at the default mode bound, `verify all
-# --l 24 --jobs 1` takes 2-3 s and `verify singular --type D --l 24 --strict`
-# 2.5-3.5 s
+# --l 24 --jobs 1` takes 1.7-2.7 s and `verify singular --type D --l 24
+# --strict` 2.5-3.5 s
 MAX_L = 24
 
 # the scan budget for --mode-bound and the environment alike; it bounds each
 # admissibility check, not a rank: on a 2-core host at bound 200 `verify
-# admissible --type D --l 24` takes 6-7.5 s, above the slowest check at the
-# default bound, and `verify all --l 24 --jobs 1` 9-10 s
+# admissible --type D --l 24` takes 0.25-0.35 s and `verify all --l 24
+# --jobs 1` about 2 s
 MAX_MODE_BOUND = 200
 
 

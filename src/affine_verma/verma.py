@@ -83,8 +83,10 @@ class VermaModule:
     def state(self, terms, den=1):
         """State sum terms[m] / den * m from {monomial: coeff}, coeff an int
         or a Fraction (TypeError otherwise: a float's binary value is not
-        exact); monomials must be canonical (sorted, every mode a negative
-        int, every index an int in the basis)."""
+        exact), den a nonzero int; monomials must be canonical (sorted,
+        every mode a negative int, every index an int in the basis)."""
+        if den == 0:
+            raise ValueError("denominator 0")
         dim = self.alg.dim
         out = {}
         for mono, c in terms.items():

@@ -19,10 +19,10 @@ full rational span of the simple affine coroots; the checker exhibits a
 generating set found greedily and reports its rank.  Both conditions read one
 walk over the real roots: <rho_hat, gamma^v> is an integer, so gamma pairs
 integrally with lambda exactly when it does with lambda + rho_hat.  The greedy
-pass keeps each integral coroot, ordered by (mode, rho . v + big * m, label),
-that is not yet a nonnegative integer combination of those kept.  big makes
-every height positive; a short coroot of type B has mode component 2m, so big
-also orders coroots within one mode and the generating set depends on it.
+pass visits the integral coroots by (mode, rho . v + big * m, label) up to
+rank l + 1, keeping each outside the nonnegative integer cone of those kept.
+big makes every height positive and, as a short coroot of type B has mode
+component 2m, orders coroots within one mode: the kept set depends on it.
 
 The cone test needs no search.  The checker takes the vacuum weight
 level * Lambda_0 of a simple algebra (D_2 = A1 x A1 is refused).  Write
@@ -32,7 +32,10 @@ and, in type B, the short ones at modes in (u/gcd(u, 2))Z.  By Kac-Wakimoto
 its simple coroots.  These are independent, and each coroot of the system is
 a nonnegative integer combination of them, so one incremental integer basis
 (_Basis) holds them all: a coroot is generated when its unique coordinates
-are nonnegative integers, and the rank is the number kept.  The walk and
+are nonnegative integers, and the rank is the number kept.  Past rank l + 1
+the coordinates of the coroots of one finite root are affine in the mode,
+which runs over a progression: the first, the last and the step decide them
+all, one reduction per root whatever the bound.  The walk and
 the cone test are on int: pairings are scaled by the lcm of the
 denominators of lambda + rho_hat and the level, and heights are taken
 against 2 rho; only the report's simple pairings are exact rationals, from
@@ -42,7 +45,7 @@ plain dict, less its check and passed keys.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import liealg
 from . import linalg
@@ -81,12 +84,10 @@ class AffineRoot(namedtuple("AffineRoot", "finite mode")):
     """Real root alpha + mode * delta; positive iff mode > 0, or mode = 0 and alpha > 0."""
     __slots__ = ()
 
-    def norm(self):
-        return liealg.root_norm(self.finite)
-
     def coroot_vector(self):
         """Integer vector (2 alpha/(alpha,alpha), 2 mode/(alpha,alpha)) in Z^(l+1)."""
-        return liealg.coroot_ints(self.finite + (self.mode,), self.norm())
+        return liealg.coroot_ints(self.finite + (self.mode,),
+                                  liealg.root_norm(self.finite))
 
     def as_weight(self):
         return AffineWeight.make(self.finite, 0, self.mode)
@@ -113,7 +114,8 @@ def rho_hat(alg):
 def pairing(weight, root):
     """<weight, (alpha + m delta)^v> = 2((finite, alpha) + level*m)/(alpha, alpha)."""
     dot = sum(w * a for w, a in zip(weight.finite, root.finite))
-    return 2 * (dot + weight.level * root.mode) / Fraction(root.norm())
+    return (2 * (dot + weight.level * root.mode)
+            / liealg.root_norm(root.finite))
 
 
 def reflect_dot(alg, weight, root):
@@ -134,7 +136,7 @@ class _Basis:
     tracking column d + k; a query enters the same way, its marker 1 in the
     next tracking column.  A column below d left after reduction puts it
     outside the span; otherwise the row reads  c * query = sum_k x_k g_k
-    with c in the marker column and -x_k in column d + k."""
+    with c > 0 in the marker column and -x_k in column d + k."""
 
     def __init__(self, d):
         self.d = d
@@ -146,11 +148,16 @@ class _Basis:
         row[self.d + len(self.vecs)] = 1
         return self._ech.reduce(row)
 
-    def generated(self, vec):
+    def coordinates(self, vec):
+        """Ints (x, c) with c * vec = sum_k x[k] g_k; None off the span."""
         row = self._reduce(vec)
         c = row.pop(self.d + len(self.vecs))
-        return all(col >= self.d and t % c == 0 and t * c <= 0
-                   for col, t in row.items())
+        if min(row, default=self.d) >= self.d:
+            return [-row.get(self.d + k, 0) for k in range(len(self.vecs))], c
+
+    def generated(self, vec):
+        x = self.coordinates(vec)
+        return x is not None and all(t >= 0 and t % x[1] == 0 for t in x[0])
 
     def add(self, vec):
         """Append a generator; ValueError if it is in the span already."""
@@ -159,6 +166,19 @@ class _Basis:
             raise ValueError("%r depends on the generators" % (vec,))
         self._ech.add(row)
         self.vecs.append(vec)
+
+
+def _progression_gap(first, unit, step, far):
+    """A j in 0..far with X_j = first + j * step * unit not a nonnegative
+    integer vector, else None; first and unit are _Basis.coordinates.  X_j
+    is affine in j: X_0, the step (when far > 0) and X_far decide all."""
+    (x, c), (y, d) = first, unit
+    if any(a < 0 or a % c for a in x):
+        return 0
+    if far and any(step * b % d for b in y):
+        return 1
+    if any(a * d + far * step * b * c < 0 for a, b in zip(x, y)):
+        return far
 
 
 def check_admissible(alg, level, mode_bound=DEFAULT_MODE_BOUND):
@@ -199,21 +219,25 @@ def check_admissible(alg, level, mode_bound=DEFAULT_MODE_BOUND):
     fin = [int(c * den) for c in shifted.finite]
     T = int(slope_base * den)
     threshold = 0
-    candidates = []
+    progressions = []  # (finite root, norm, range of its integral modes)
     # the positive roots come first, and only they start at mode 0
     for k, root in enumerate(all_finite_roots(alg)):
         n = liealg.root_norm(root)
         P = sum(s * a for s, a in zip(fin, root))
         # smallest m with P + m T > 0 (at most 0 when m = 0 has it)
         threshold = max(threshold, (-P) // T + 1)
+        modes = []
         for m in range(int(k >= alg.npos), mode_bound + 1):
             num = 2 * (P + m * T)
             if num % (n * den) == 0:
-                candidates.append(AffineRoot(root, m))
+                modes.append(m)
                 if num <= 0:
                     cond_i["violations"].append(
-                        {"root": candidates[-1].label(),
+                        {"root": AffineRoot(root, m).label(),
                          "pairing": str(num // (n * den))})
+        if modes:  # the solutions of one linear congruence modulo n den
+            progressions.append((root, n, range(
+                modes[0], mode_bound + 1, n * den // gcd(2 * T, n * den))))
     certified = threshold <= mode_bound
     cond_i.update(max_positivity_threshold=threshold,
                   certified_beyond_bound=certified)
@@ -222,30 +246,44 @@ def check_admissible(alg, level, mode_bound=DEFAULT_MODE_BOUND):
             "mode bound %d below positivity threshold %d; raise %s"
             % (mode_bound, threshold, MODE_BOUND_ENV))
 
-    # condition (ii): integer-pairing coroots span the full rational span.
-    # Heights are doubled; big = max(1, int(1 - (rho . v) / v_m) + 1) over
-    # v_m > 0, where floor and int agree on every value that can exceed 1
-    vecs = {root: root.coroot_vector() for root in candidates}
+    # condition (ii), heights doubled: big = max(1, floor(1 - rho . alpha / m)
+    # + 1) over integral (alpha, m > 0); most at the first mode of an alpha < 0
     rho2 = [int(2 * c) for c in alg.rho()]
     big = 1
-    for vec in vecs.values():
-        if vec[-1] > 0:
-            num = 2 * vec[-1] - sum(r * v for r, v in zip(rho2, vec))
-            big = max(big, num // (2 * vec[-1]) + 1)
+    for root, n, modes in progressions:
+        if modes[0]:
+            num = 2 * modes[0] - sum(r * a for r, a in zip(rho2, root))
+            big = max(big, num // (2 * modes[0]) + 1)
 
     def order(root):
-        vec = vecs[root]
+        vec = root.coroot_vector()
         height = sum(r * v for r, v in zip(rho2, vec)) + 2 * big * vec[-1]
-        return root.mode, height, root.label()
+        return height, root.label()
 
     basis = _Basis(l + 1)
-    for root in sorted(candidates, key=order):
-        if not basis.generated(vecs[root]):
-            basis.add(vecs[root])
-            cond_ii["generators"].append(
-                {"finite": list(root.finite), "mode": root.mode,
-                 "label": root.label()})
+    for mode in range(mode_bound + 1):  # the greedy pass, to rank l + 1
+        if len(basis.vecs) > l:
+            break
+        for root in sorted((AffineRoot(alpha, mode) for alpha, _, modes
+                            in progressions if mode in modes), key=order):
+            vec = root.coroot_vector()
+            if len(basis.vecs) <= l and not basis.generated(vec):
+                basis.add(vec)
+                cond_ii["generators"].append(
+                    {"finite": list(root.finite), "mode": root.mode,
+                     "label": root.label()})
     cond_ii["rank"] = rank = len(basis.vecs)
+
+    # at full rank every integral coroot must be generated, as add demands:
+    # X(m) = X(first) + (m - first)(2/n) X(e), e the unit vector of the mode
+    if rank == l + 1:
+        unit = basis.coordinates((0,) * l + (1,))
+        for root, n, modes in progressions:
+            first = AffineRoot(root, modes[0]).coroot_vector()
+            j = _progression_gap(basis.coordinates(first), unit,
+                                 2 * modes.step // n, len(modes) - 1)
+            if j is not None:  # in the span, not in the cone: add raises
+                basis.add(AffineRoot(root, modes[j]).coroot_vector())
 
     pairs = rep["simple_pairings"]
     for i, a in enumerate(alg.simple_roots, start=1):

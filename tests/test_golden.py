@@ -10,7 +10,9 @@ before int numerators over one denominator replaced them; the l = 24 ones
 from the stored bracket table, with the rank ceiling raised past 24, before
 brackets computed on demand replaced it; the strict D_12 one from the
 elimination that took each row's content gcd at every step, before the
-in-place integer kernel replaced it.
+in-place integer kernel replaced it; the admissibility ones at mode bound
+200 from the greedy pass that reduced every integral coroot up to the
+bound, before the check by mode progressions past full rank replaced it.
 Regenerate them only when report text is meant to change.
 """
 
@@ -88,6 +90,10 @@ def test_warm_rerun_is_byte_identical():
      "300e16e6116ba8e8bd4bbcf548dd9de87391bc013797ba556aff0a9192a40f04"),
     ("verify admissible --type D --l 16",
      "32e3ce1bbfc25c5513cceac3553e02b2487e66757887c0aaa2e55a2523dbae1a"),
+    ("verify admissible --type B --l 12 --mode-bound 200",
+     "fcc896c40451e7af74792e741055c71eba9e615da07d10035b44cc84c080199b"),
+    ("verify admissible --type D --l 24 --mode-bound 200",
+     "e7fccb61e2959482d2457344c8e8c8309f87c556159cbbf73a6934c784589c18"),
     ("dump-algebra --type B --l 4",
      "f76caf65a112754dd1e8c83198543ffb05b252477bb4175d0a00f855cd9f4c87"),
     ("dump-algebra --type B --l 5",

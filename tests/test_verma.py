@@ -140,6 +140,14 @@ def test_float_coefficients_rejected(module):
         module.state({(): 0.1})
 
 
+def test_zero_denominator_rejected(module):
+    # a state over 0 is no number; a negative denominator is normalised
+    with pytest.raises(ValueError):
+        module.state({(): 1}, 0)
+    assert module.state({(): 1}, -2) == module.vacuum() * Fraction(-1, 2)
+    assert module.state({(): 1}, -2).den == 2
+
+
 def test_degree_and_weight(module):
     alg = module.alg
     e = alg.e_index(alg.theta)

@@ -69,7 +69,8 @@ def test_mode_bound_env_and_argument(monkeypatch):
 
 
 def test_mode_bound_scaling():
-    # the cost is linear in the mode bound; the budget is generous
+    # the condition (i) scan is linear in the mode bound and the cone test
+    # does not grow with it; the budget is generous
     alg = liealg.algebra("D", 8)
     start = time.perf_counter()
     rep = weights.check_admissible(alg, special_level(8), 1000)
@@ -196,6 +197,114 @@ def test_generated_tester_rejects_dependent_zero_generators():
     assert not basis.generated((2, -1, 0))
 
 
+def _terms(first, step, far):
+    # first + j * step * e for j = 0..far, e the last unit vector
+    return [first[:-1] + (first[-1] + j * step,) for j in range(far + 1)]
+
+
+def _gap(basis, first, step, far):
+    unit = basis.coordinates((0,) * (basis.d - 1) + (1,))
+    return weights._progression_gap(basis.coordinates(first), unit, step, far)
+
+
+def test_progression_gap_single_failures():
+    # g1 = (1, 0) and g2 = (1, 2): e = (g2 - g1) / 2, so a step s along e
+    # moves the coordinates by (-s/2, s/2)
+    basis = weights._Basis(2)
+    basis.add((1, 0))
+    basis.add((1, 2))
+    # only the far end goes negative: X_j = (2 - j, j)
+    assert [basis.generated(t) for t in _terms((2, 0), 2, 3)] == \
+        [True, True, True, False]
+    assert _gap(basis, (2, 0), 2, 3) == 3
+    assert _gap(basis, (2, 0), 2, 2) is None
+    # only the step breaks integrality: X_j = (2 - j/2, j/2)
+    assert [basis.generated(t) for t in _terms((2, 0), 1, 1)] == [True, False]
+    assert _gap(basis, (2, 0), 1, 1) == 1
+    assert _gap(basis, (2, 0), 1, 0) is None  # one term: no step to take
+    # only the first coordinates are fractional: X_j = (5/2 - j, 1/2 + j)
+    assert not any(basis.generated(t) for t in _terms((3, 1), 2, 2))
+    assert _gap(basis, (3, 1), 2, 2) == 0
+    assert basis.coordinates((3, 1)) == ([5, 1], 2)
+
+
+def test_progression_gap_matches_per_mode_tester(rng):
+    # random lower triangular bases with diagonal 1 or 2, so coordinates
+    # have small denominators, against generated on every term; each kind
+    # of failure must show up, alone
+    seen = {"none": 0, "first": 0, "step": 0, "far": 0}
+    for _ in range(3000):
+        d = rng.randint(2, 4)
+        basis = weights._Basis(d)
+        for i in range(d):
+            basis.add(tuple(rng.randint(-2, 2) if k < i else
+                            rng.randint(1, 2) if k == i else 0
+                            for k in range(d)))
+        first = tuple(rng.randint(-1, 4) for _ in range(d))
+        step, far = rng.randint(1, 3), rng.randint(0, 4)
+        terms = _terms(first, step, far)
+        bad = [j for j, t in enumerate(terms) if not basis.generated(t)]
+        gap = _gap(basis, first, step, far)
+        assert (gap is None) == (not bad), (basis.vecs, first, step, far)
+        assert gap is None or gap in bad
+        coords = [basis.coordinates(t) for t in terms]
+        negative = [j for j, (x, c) in enumerate(coords) if min(x) < 0]
+        fractional = [j for j, (x, c) in enumerate(coords)
+                      if any(t % c for t in x)]
+        if not bad:
+            seen["none"] += 1
+        elif not negative and fractional == list(range(far + 1)):
+            seen["first"] += 1
+        elif not negative and 0 not in fractional:
+            seen["step"] += 1
+        elif not fractional and negative == [far]:
+            seen["far"] += 1
+    assert all(seen.values()), seen
+
+
+def test_cone_failure_past_full_rank_raises(monkeypatch):
+    # D_2 = A1 x A1 is refused: its integral coroots at level 1/2 form two
+    # affine A1 systems, four simple coroots in a space of rank 3.  Under
+    # another name it passes; the pass keeps (1, 1, 0), (1, -1, 0) and
+    # (-1, 1, 2), and the progression check finds 2 delta - (e1 + e2)
+    # outside the cone, as add did when it met every coroot
+    gaps = []
+
+    def recording(*args):
+        gaps.append(real(*args))
+        return gaps[-1]
+
+    real = weights._progression_gap
+    monkeypatch.setattr(weights, "_progression_gap", recording)
+    alg = liealg.LieAlgebra("D", 2)
+    alg.kind = "A1xA1"
+    with pytest.raises(ValueError, match=r"\(-1, -1, 2\) depends"):
+        weights.check_admissible(alg, Fraction(1, 2), 5)
+    assert gaps[-1] == 0
+
+
+def test_cone_work_does_not_grow_with_the_bound(monkeypatch):
+    # past full rank one reduction per finite root decides all its modes,
+    # so the count of basis reductions is the same at every bound
+    count = [0]
+    real = weights._Basis._reduce
+
+    def counting(self, vec):
+        count[0] += 1
+        return real(self, vec)
+
+    monkeypatch.setattr(weights._Basis, "_reduce", counting)
+    for kind in "BD":
+        counts = []
+        for bound in (20, 40, 200):
+            count[0] = 0
+            rep = weights.check_admissible(liealg.algebra(kind, 8),
+                                           special_level(8), bound)
+            assert rep["admissible"]
+            counts.append(count[0])
+        assert counts == counts[:1] * 3, (kind, counts)
+
+
 def test_matches_reference_tester_on_grid():
     # the DFS tester and Fraction arithmetic that the integer basis replaced;
     # the reference ranks its generators with its own Echelon, so the rank
@@ -208,17 +317,21 @@ def test_matches_reference_tester_on_grid():
         h = alg.dual_coxeter
         levels = sorted({Fraction(n, d) for d in (1, 2, 3, 4)
                          for n in range(-d * (h + 1), d + 1)})[::4]
-        for level in levels:
+        # bound 1 leaves most levels short of full rank; bound 200 is taken
+        # at two levels, where the reference is fast enough
+        cases = [(level, bound) for level in levels for bound in (1, 2, 5)]
+        if l == 4:
+            cases += [(special_level(4), 200), (Fraction(-4, 3), 200)]
+        for level, bound in cases:
             weight = weights.vacuum_weight(l, level)
-            for bound in (2, 5):
-                got = weights.check_admissible(alg, level, bound)
-                want = helpers.reference_check_admissible(alg, weight, bound)
-                assert got == want, (kind, l, level, bound)
-                rank = got["condition_ii"]["rank"]
-                assert rank == len(got["condition_ii"]["generators"])
-                seen["inadmissible"] += not got["admissible"]
-                seen["violations"] += bool(got["condition_i"]["violations"])
-                seen["low_rank"] += rank < l + 1
+            got = weights.check_admissible(alg, level, bound)
+            want = helpers.reference_check_admissible(alg, weight, bound)
+            assert got == want, (kind, l, level, bound)
+            rank = got["condition_ii"]["rank"]
+            assert rank == len(got["condition_ii"]["generators"])
+            seen["inadmissible"] += not got["admissible"]
+            seen["violations"] += bool(got["condition_i"]["violations"])
+            seen["low_rank"] += rank < l + 1
     assert all(seen.values()), seen
 
 
