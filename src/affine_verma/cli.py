@@ -29,10 +29,10 @@ CHECKS = ("singular", "embedding", "conformal", "admissible", "triality",
 # --strict` 2.5-3.5 s
 MAX_L = 24
 
-# the scan budget for --mode-bound and the environment alike; it bounds each
-# admissibility check, not a rank: on a 2-core host at bound 200 `verify
-# admissible --type D --l 24` takes 0.25-0.35 s and `verify all --l 24
-# --jobs 1` about 2 s
+# the ceiling on --mode-bound and the environment alike; no part of the
+# admissibility check grows with the bound: on a 2-core host at bound 200
+# `verify admissible --type D --l 24` takes 0.3 s, about as at 20, and
+# `verify all --l 24 --jobs 1` 1.8-1.9 s
 MAX_MODE_BOUND = 200
 
 
@@ -267,16 +267,23 @@ def main(argv=None):
         sys.stderr.write("affine-verma: error: --out: %s\n" % exc)
         return 2
 
-    with sink as fh:
-        if args.command == "dump-algebra":
-            report = liealg.algebra(args.type, args.l).to_dump()
-        elif args.check == "all":
-            lo, hi = args.l_range
-            report = run_all(range(lo, hi + 1), args.jobs, args.mode_bound)
-        else:
-            report = run_check(args.check, args.type, args.l,
-                               mode_bound=args.mode_bound, strict=args.strict)
-        fh.write(_render(report, args.human))
+    if args.command == "dump-algebra":
+        report = liealg.algebra(args.type, args.l).to_dump()
+    elif args.check == "all":
+        lo, hi = args.l_range
+        report = run_all(range(lo, hi + 1), args.jobs, args.mode_bound)
+    else:
+        report = run_check(args.check, args.type, args.l,
+                           mode_bound=args.mode_bound, strict=args.strict)
+    # a full disk or closed pipe is the caller's error, not a failed check
+    try:
+        with sink as fh:
+            fh.write(_render(report, args.human))
+            fh.flush()
+    except OSError as exc:
+        sys.stderr.write("affine-verma: error: writing the report: %s\n"
+                         % exc)
+        return 2
     # a dump carries no verdict
     return 0 if report.get("passed", True) else 1
 

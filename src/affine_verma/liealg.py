@@ -312,11 +312,7 @@ class LieAlgebra:
 
     def rho(self):
         """Finite Weyl vector, half the sum of the positive roots."""
-        acc = [Fraction(0)] * self.l
-        for r in self.positive_roots:
-            for i, c in enumerate(r):
-                acc[i] += c
-        return tuple(c / 2 for c in acc)
+        return tuple(Fraction(sum(c), 2) for c in zip(*self.positive_roots))
 
     def cartan_matrix(self):
         """Row i, column j holds the int <alpha_j, h_alpha_i>."""

@@ -380,29 +380,43 @@ class PBWState:
 
     @classmethod
     def from_obj(cls, module, obj):
-        """Inverse of to_obj.  ValueError on a term that is no dict with
-        exactly the keys coeff and monomial, a coeff that is no reduced
-        "p/q" string, a datum that is no int for role h or no str for e and
-        f, and a monomial that is no canonical list."""
+        """Inverse of to_obj.  ValueError on a document that is no list, a
+        term that is no dict with exactly the keys coeff and monomial, a
+        coeff that is no reduced "p/q" string, a factor that is no list
+        [role, datum, mode], a datum that is no int for role h or no root
+        label of the algebra for e and f, and a monomial that is no
+        canonical list."""
+        if not isinstance(obj, list):
+            raise ValueError("state %r is no list" % (obj,))
         alg = module.alg
         terms = {}
         for item in obj:
             if not (isinstance(item, dict)
                     and item.keys() == {"coeff", "monomial"}
-                    and isinstance(item["monomial"], list)):
+                    and isinstance(item["monomial"], list)
+                    and isinstance(item["coeff"], str)):
                 raise ValueError("bad term %r" % (item,))
             mono = []
-            for role, datum, n in item["monomial"]:
-                if role == "h" and type(datum) is int:
-                    idx = alg.h_index(datum)
-                elif role in ("e", "f") and isinstance(datum, str):
-                    root = liealg.parse_root_label(datum, alg.l)
-                    idx = (alg.e_index if role == "e" else alg.f_index)(root)
-                else:
-                    raise ValueError("bad factor %r" % ([role, datum, n],))
+            for factor in item["monomial"]:
+                role, datum, n = (factor if type(factor) is list
+                                  and len(factor) == 3 else (None,) * 3)
+                try:
+                    if role == "h" and type(datum) is int:
+                        idx = alg.h_index(datum)
+                    elif role in ("e", "f") and isinstance(datum, str):
+                        root = liealg.parse_root_label(datum, alg.l)
+                        idx = (alg.e_index if role == "e"
+                               else alg.f_index)(root)
+                    else:
+                        raise ValueError
+                except (ValueError, KeyError):  # KeyError: no such root
+                    raise ValueError("bad factor %r" % (factor,)) from None
                 mono.append((n, idx))
             mono = tuple(mono)
-            coeff = Fraction(item["coeff"])
+            try:
+                coeff = Fraction(item["coeff"])
+            except ZeroDivisionError:
+                coeff = None
             if str(coeff) != item["coeff"]:
                 raise ValueError("coeff %r is no reduced fraction string"
                                  % (item["coeff"],))

@@ -1,19 +1,19 @@
 """Affine weights, real roots, the shifted Weyl action, and admissibility.
 
-A weight of the affinization is stored as (finite part, level, delta
-coefficient): the weight  lambda_bar + level * Lambda_0 + delta_coeff * delta.
-A real root alpha + m*delta is stored as (finite root, mode m); its coroot in
-epsilon coordinates is the integer vector
+A weight lambda_bar + level * Lambda_0 + delta_coeff * delta is the record
+(finite part, level, delta coefficient) of Fractions.  A real root
+alpha + m*delta is stored as (finite root, mode m); its coroot in epsilon
+coordinates is the integer vector
 
     (alpha + m delta)^v  =  2/( alpha, alpha) * (alpha, m)
 
-so pairings of weights with real coroots are exact rationals throughout.
-
 The admissibility check has two parts.  Condition (i) asks that
 <lambda + rho, gamma^v> is never a nonpositive integer over positive real
-coroots; it is scanned for modes <= mode_bound and completed by a
-monotonicity certificate (the pairing is affine-linear in the mode with slope
-2(level + dual Coxeter)/(alpha, alpha), so once positive it stays positive).
+coroots.  For the vacuum weight, with level + dual Coxeter = a/b > 0, it is
+(P + m A)/N with the ints P = b (2 rho, alpha), N = b (alpha, alpha) and
+A = 2a: it grows with the mode m and is integral on one residue class of
+modes, so each finite root is decided in closed form, and the bound
+certifies the rest once it reaches every root's first positive mode.
 Condition (ii) asks that the coroots pairing integrally with lambda span the
 full rational span of the simple affine coroots; the checker exhibits a
 generating set found greedily and reports its rank.  Both conditions read one
@@ -35,17 +35,16 @@ a nonnegative integer combination of them, so one incremental integer basis
 are nonnegative integers, and the rank is the number kept.  Past rank l + 1
 the coordinates of the coroots of one finite root are affine in the mode,
 which runs over a progression: the first, the last and the step decide them
-all, one reduction per root whatever the bound.  The walk and
-the cone test are on int: pairings are scaled by the lcm of the
-denominators of lambda + rho_hat and the level, and heights are taken
-against 2 rho; only the report's simple pairings are exact rationals, from
-pairing.  check_admissible returns the report of `verify admissible` as a
-plain dict, less its check and passed keys.
+all, one reduction per root whatever the bound.  Heights are taken against
+2 rho, so the walk and the cone test are on int; the report's simple
+pairings are the quotients (P + m A)/N, reduced.  check_admissible returns
+the report of `verify admissible` as a plain dict, less its check and
+passed keys.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import liealg
 from . import linalg
@@ -56,28 +55,7 @@ DEFAULT_MODE_BOUND = 20
 MODE_BOUND_ENV = "AFFINE_VERMA_MODE_BOUND"
 
 
-class AffineWeight(namedtuple("AffineWeight", "finite level delta")):
-    __slots__ = ()
-
-    @staticmethod
-    def make(finite, level, delta=0):
-        return AffineWeight(tuple(Fraction(c) for c in finite),
-                            Fraction(level), Fraction(delta))
-
-    def __add__(self, other):
-        return AffineWeight(
-            tuple(a + b for a, b in zip(self.finite, other.finite)),
-            self.level + other.level, self.delta + other.delta)
-
-    def __sub__(self, other):
-        return AffineWeight(
-            tuple(a - b for a, b in zip(self.finite, other.finite)),
-            self.level - other.level, self.delta - other.delta)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return AffineWeight(tuple(c * a for a in self.finite),
-                            c * self.level, c * self.delta)
+AffineWeight = namedtuple("AffineWeight", "finite level delta")
 
 
 class AffineRoot(namedtuple("AffineRoot", "finite mode")):
@@ -88,9 +66,6 @@ class AffineRoot(namedtuple("AffineRoot", "finite mode")):
         """Integer vector (2 alpha/(alpha,alpha), 2 mode/(alpha,alpha)) in Z^(l+1)."""
         return liealg.coroot_ints(self.finite + (self.mode,),
                                   liealg.root_norm(self.finite))
-
-    def as_weight(self):
-        return AffineWeight.make(self.finite, 0, self.mode)
 
     def label(self):
         neg = all(c <= 0 for c in self.finite)
@@ -103,12 +78,7 @@ class AffineRoot(namedtuple("AffineRoot", "finite mode")):
 
 def vacuum_weight(l, level):
     """level * Lambda_0."""
-    return AffineWeight.make((0,) * l, level, 0)
-
-
-def rho_hat(alg):
-    """Affine Weyl vector: finite rho plus (dual Coxeter) * Lambda_0."""
-    return AffineWeight.make(alg.rho(), alg.dual_coxeter, 0)
+    return AffineWeight((Fraction(0),) * l, Fraction(level), Fraction(0))
 
 
 def pairing(weight, root):
@@ -120,8 +90,12 @@ def pairing(weight, root):
 
 def reflect_dot(alg, weight, root):
     """Shifted reflection r_gamma . w = w - <w + rho, gamma^v> gamma."""
-    p = pairing(weight + rho_hat(alg), root)
-    return weight - root.as_weight().scale(p)
+    p = pairing(AffineWeight(
+        tuple(w + r for w, r in zip(weight.finite, alg.rho())),
+        weight.level + alg.dual_coxeter, weight.delta), root)
+    return AffineWeight(
+        tuple(w - p * a for w, a in zip(weight.finite, root.finite)),
+        weight.level, weight.delta - p * root.mode)
 
 
 def all_finite_roots(alg):
@@ -188,56 +162,56 @@ def check_admissible(alg, level, mode_bound=DEFAULT_MODE_BOUND):
     l = alg.l
     if (alg.kind, l) == ("D", 2):
         raise ValueError("D_2 = A1 x A1 is not simple")
-    weight = vacuum_weight(l, level)
-    slope_base = weight.level + alg.dual_coxeter  # = <weight + rho, c>
+    level = Fraction(level)
+    slope = level + alg.dual_coxeter  # = <level Lambda_0 + rho_hat, c>
     cond_i = {"violations": [], "max_positivity_threshold": 0,
               "certified_beyond_bound": False}
     cond_ii = {"generators": [], "rank": 0, "required_rank": l + 1}
-    rep = {"type": alg.kind, "l": l, "level": str(weight.level),
+    rep = {"type": alg.kind, "l": l, "level": str(level),
            "mode_bound": mode_bound, "admissible": False,
-           "critical": slope_base == 0, "condition_i": cond_i,
+           "critical": slope == 0, "condition_i": cond_i,
            "condition_ii": cond_ii, "simple_pairings": {}, "notes": []}
     notes = rep["notes"]
-    if slope_base == 0:
+    if slope == 0:
         notes.append("critical level: level + dual Coxeter = 0; rejected")
         return rep
-    if slope_base < 0:
+    if slope < 0:
         notes.append(
             "level + dual Coxeter < 0: pairings decrease with the mode, "
             "no finite certificate; rejected")
         return rep
-    if weight.level == 0:
+    if level == 0:
         notes.append("level 0 is the degenerate vacuum case; "
                      "trivially admissible, reported for completeness")
 
-    # condition (i): <w + rho, gamma^v> = 2 (P + m T) / (n den) with the
-    # integers P = den (w + rho, alpha) and T = den (level + dual Coxeter);
-    # the integral pairings are the candidates of condition (ii)
-    shifted = weight + rho_hat(alg)
-    den = lcm(weight.level.denominator,
-              *(c.denominator for c in shifted.finite))
-    fin = [int(c * den) for c in shifted.finite]
-    T = int(slope_base * den)
+    # condition (i): the pairing (P + m A) / N of the module docstring, with
+    # slope = a/b; the integral pairings are the candidates of condition (ii)
+    rho2 = [int(2 * c) for c in alg.rho()]
+    A, b = 2 * slope.numerator, slope.denominator
+
+    def ints(alpha, m=0):  # the pairing (P + m A) / N, as two ints
+        return (b * sum(r * a for r, a in zip(rho2, alpha)) + m * A,
+                b * liealg.root_norm(alpha))
+
     threshold = 0
     progressions = []  # (finite root, norm, range of its integral modes)
     # the positive roots come first, and only they start at mode 0
     for k, root in enumerate(all_finite_roots(alg)):
-        n = liealg.root_norm(root)
-        P = sum(s * a for s, a in zip(fin, root))
-        # smallest m with P + m T > 0 (at most 0 when m = 0 has it)
-        threshold = max(threshold, (-P) // T + 1)
-        modes = []
-        for m in range(int(k >= alg.npos), mode_bound + 1):
-            num = 2 * (P + m * T)
-            if num % (n * den) == 0:
-                modes.append(m)
-                if num <= 0:
-                    cond_i["violations"].append(
-                        {"root": AffineRoot(root, m).label(),
-                         "pairing": str(num // (n * den))})
-        if modes:  # the solutions of one linear congruence modulo n den
-            progressions.append((root, n, range(
-                modes[0], mode_bound + 1, n * den // gcd(2 * T, n * den))))
+        P, N = ints(root)
+        t = (-P) // A + 1  # the first mode with P + m A > 0
+        threshold = max(threshold, t)
+        # integral on one residue class modulo step, if on any
+        step = N // gcd(A, N)
+        start = int(k >= alg.npos)
+        window = range(start, min(start + step, mode_bound + 1))
+        first = next((m for m in window if (P + m * A) % N == 0), None)
+        if first is None:
+            continue
+        for m in range(first, min(t, mode_bound + 1), step):
+            cond_i["violations"].append(
+                {"root": AffineRoot(root, m).label(),
+                 "pairing": str((P + m * A) // N)})
+        progressions.append((root, N // b, range(first, mode_bound + 1, step)))
     certified = threshold <= mode_bound
     cond_i.update(max_positivity_threshold=threshold,
                   certified_beyond_bound=certified)
@@ -248,7 +222,6 @@ def check_admissible(alg, level, mode_bound=DEFAULT_MODE_BOUND):
 
     # condition (ii), heights doubled: big = max(1, floor(1 - rho . alpha / m)
     # + 1) over integral (alpha, m > 0); most at the first mode of an alpha < 0
-    rho2 = [int(2 * c) for c in alg.rho()]
     big = 1
     for root, n, modes in progressions:
         if modes[0]:
@@ -287,10 +260,10 @@ def check_admissible(alg, level, mode_bound=DEFAULT_MODE_BOUND):
 
     pairs = rep["simple_pairings"]
     for i, a in enumerate(alg.simple_roots, start=1):
-        pairs["alpha_%d" % i] = str(pairing(shifted, AffineRoot(a, 0)))
+        pairs["alpha_%d" % i] = str(Fraction(*ints(a)))
     theta = tuple(-c for c in alg.theta)
-    pairs["alpha_0"] = str(pairing(shifted, AffineRoot(theta, 1)))
-    pairs["two_delta_minus_theta"] = str(pairing(shifted, AffineRoot(theta, 2)))
+    pairs["alpha_0"] = str(Fraction(*ints(theta, 1)))
+    pairs["two_delta_minus_theta"] = str(Fraction(*ints(theta, 2)))
 
     rep["admissible"] = certified and rank == l + 1 and not cond_i["violations"]
     return rep

@@ -496,7 +496,9 @@ def reference_check_admissible(alg, weight, mode_bound):
     l = alg.l
     violations, generators, pairs, notes = [], [], {}, []
     max_threshold, certified, rank = 0, False, 0
-    shifted = weight + weights.rho_hat(alg)
+    shifted = weights.AffineWeight(
+        tuple(w + r for w, r in zip(weight.finite, alg.rho())),
+        weight.level + alg.dual_coxeter, weight.delta)
     slope_base = weight.level + alg.dual_coxeter
 
     def rep():

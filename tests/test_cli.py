@@ -320,6 +320,24 @@ def test_out_writes_file(tmp_path, capsys):
     assert rep["check"] == "embedding"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the always-full device /dev/full")
+def test_failed_write_exits_two_with_one_line(capsys):
+    # the work is done and then the write fails, to --out or to stdout
+    assert cli.main(["dump-algebra", "--type", "B", "--l", "4",
+                     "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("affine-verma: error: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "affine_verma.cli", "verify", "admissible",
+             "--l", "4"], stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("affine-verma: error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_unopenable_out_exits_two_fast(capsys, tmp_path):
     t0 = time.perf_counter()
     code = cli.main(["verify", "all", "--l-range", "4..5", "--jobs", "1",

@@ -138,6 +138,16 @@ def test_cartan_matrix(alg):
         assert cm[l - 2][l - 1] == cm[l - 1][l - 2] == 0
 
 
+def test_rho_closed_form():
+    # half the sum of the positive roots: l - i + 1/2 in type B, l - i in D
+    for kind, ranks, shift in (("B", range(1, 25), Fraction(1, 2)),
+                               ("D", range(2, 25), 0)):
+        for l in ranks:
+            rho = liealg.LieAlgebra(kind, l).rho()
+            assert all(type(c) is Fraction for c in rho), (kind, l)
+            assert rho == tuple(l - i + shift for i in range(1, l + 1))
+
+
 @verifies("root-data")
 def test_label_round_trip(alg):
     for root in alg.positive_roots:

@@ -112,9 +112,25 @@ def test_from_obj_rejects_non_canonical(module):
     # monomial an array
     for term in ({"monomial": []}, {"coeff": "1"}, "x", ["1", []],
                  {"coeff": "1", "monomial": [], "extra": 1},
-                 {"coeff": "1", "monomial": 5}):
+                 {"coeff": "1", "monomial": 5},
+                 {"coeff": None, "monomial": []},
+                 {"coeff": "1/0", "monomial": []},
+                 {"coeff": "1", "monomial": [5]},
+                 {"coeff": "1", "monomial": [["e", label]]},
+                 {"coeff": "1", "monomial": ["e1-"]},
+                 {"coeff": "1", "monomial": [["e", "1-", -1]]},
+                 {"coeff": "1", "monomial": [["e", "9", -1]]}):
         with pytest.raises(ValueError):
             PBWState.from_obj(module, [term])
+    # a root label the algebra lacks: type D has no short root
+    if alg.kind == "D":
+        with pytest.raises(ValueError):
+            PBWState.from_obj(module, [{"coeff": "1",
+                                        "monomial": [["e", "1", -1]]}])
+    # the document is a list of terms
+    for doc in (5, None, {"coeff": "1", "monomial": []}):
+        with pytest.raises(ValueError):
+            PBWState.from_obj(module, doc)
     assert PBWState.from_obj(module, [{"coeff": "1", "monomial": []}]) == \
         module.vacuum()
 

@@ -1,6 +1,7 @@
 """Affine weights, pairings, shifted reflections, and admissibility."""
 
 import itertools
+import re
 import time
 from fractions import Fraction
 
@@ -68,9 +69,25 @@ def test_mode_bound_env_and_argument(monkeypatch):
     assert weights.report(4, mode_bound=7)["mode_bound"] == 7
 
 
+@pytest.mark.parametrize("kind", "BD")
+def test_reports_agree_across_bounds(kind):
+    # at the special level every threshold and first integral mode is at
+    # most 2, so past that the bound shows only in the mode_bound field; a
+    # per-mode loop would take seconds at bound 10^6
+    alg = liealg.algebra(kind, 8)
+    reps = []
+    for bound in (20, 200, 10 ** 6):
+        start = time.perf_counter()
+        reps.append(weights.check_admissible(alg, special_level(8), bound))
+        elapsed = time.perf_counter() - start
+        assert reps[-1].pop("mode_bound") == bound
+    assert elapsed < 1, elapsed
+    assert reps[0]["admissible"] and reps[0] == reps[1] == reps[2]
+
+
 def test_mode_bound_scaling():
-    # the condition (i) scan is linear in the mode bound and the cone test
-    # does not grow with it; the budget is generous
+    # neither condition (i), decided per root in closed form, nor the cone
+    # test grows with the mode bound; the budget is generous
     alg = liealg.algebra("D", 8)
     start = time.perf_counter()
     rep = weights.check_admissible(alg, special_level(8), 1000)
@@ -110,8 +127,9 @@ def test_reflection_is_involutive(rng):
 
 def test_pairing_values():
     alg = liealg.algebra("D", 4)
-    lam = weights.vacuum_weight(4, special_level(4))
-    shifted = lam + weights.rho_hat(alg)
+    level = special_level(4)
+    shifted = weights.AffineWeight(alg.rho(), level + alg.dual_coxeter,
+                                   Fraction(0))
     # long simple root at mode 0 pairs shifted to 1
     a1 = weights.AffineRoot(alg.simple_roots[0], 0)
     assert weights.pairing(shifted, a1) == 1
@@ -122,28 +140,27 @@ def test_pairing_values():
 
 
 def test_weight_arithmetic():
-    w1 = weights.vacuum_weight(4, Fraction(1, 2))
-    w2 = weights.AffineWeight.make((1, 0, 0, 0), Fraction(1), -2)
-    s = w1 + w2
-    assert s.finite == (1, 0, 0, 0)
-    assert s.level == Fraction(3, 2)
-    assert s.delta == -2
-    assert (s - w2) == w1
-    assert w2.scale(2).delta == -4
+    # reflect_dot is the one place weights are combined, componentwise:
+    # with rho = (3, 2, 1, 0) and level + dual Coxeter = 13/2 the pairing
+    # with (e1 - e2 + delta)^v is 2 ((4 - 2) + 13/2) / 2 = 17/2
+    alg = liealg.algebra("D", 4)
+    w = weights.AffineWeight((Fraction(1),) + (Fraction(0),) * 3,
+                             Fraction(1, 2), Fraction(-2))
+    r = weights.reflect_dot(alg, w, weights.AffineRoot((1, -1, 0, 0), 1))
+    assert r == weights.AffineWeight(
+        (Fraction(-15, 2), Fraction(17, 2), 0, 0), Fraction(1, 2),
+        Fraction(-21, 2))
+    assert type(r) is weights.AffineWeight and len(r.finite) == 4
+    assert weights.vacuum_weight(4, Fraction(1, 2)) == weights.AffineWeight(
+        (0,) * 4, Fraction(1, 2), 0)
 
 
 def test_weight_and_root_value_semantics():
-    # both records are tuples underneath: +, - and scale must stay
-    # componentwise, never tuple concatenation or repetition
-    w1 = weights.AffineWeight.make((1, 2), Fraction(1, 2), 3)
-    w2 = weights.AffineWeight.make((0, -1), 1, Fraction(-1, 3))
-    assert w1 + w2 == weights.AffineWeight.make((1, 1), Fraction(3, 2),
-                                                Fraction(8, 3))
-    assert w1 - w2 == weights.AffineWeight.make((1, 3), Fraction(-1, 2),
-                                                Fraction(10, 3))
-    assert w1.scale(2) == weights.AffineWeight.make((2, 4), 1, 6)
-    for w in (w1 + w2, w1 - w2, w1.scale(2)):
-        assert type(w) is weights.AffineWeight and len(w.finite) == 2
+    # both records are plain immutable, hashable tuples of their fields
+    w1 = weights.AffineWeight((Fraction(1), Fraction(2)), Fraction(1, 2),
+                              Fraction(3))
+    w2 = weights.AffineWeight((Fraction(0), Fraction(-1)), Fraction(1),
+                              Fraction(-1, 3))
     same = weights.AffineWeight((Fraction(1), Fraction(2)), Fraction(1, 2),
                                 Fraction(3))
     assert same == w1 and hash(same) == hash(w1) and same != w2
@@ -152,8 +169,10 @@ def test_weight_and_root_value_semantics():
     assert r1 == r2 and hash(r1) == hash(r2) and len({r1, r2}) == 1
     assert r1 != weights.AffineRoot((1, -1), 1)
     assert repr(r1) == "AffineRoot(finite=(1, -1), mode=2)"
-    for obj, field in ((w1, "level"), (w1, "finite"), (r1, "mode"),
-                       (r1, "other")):
+    assert repr(w2) == ("AffineWeight(finite=(Fraction(0, 1), Fraction(-1, "
+                        "1)), level=Fraction(1, 1), delta=Fraction(-1, 3))")
+    for obj, field in ((w1, "level"), (w1, "finite"), (w1, "other"),
+                       (r1, "mode"), (r1, "other")):
         with pytest.raises(AttributeError):
             setattr(obj, field, 0)
 
@@ -309,7 +328,8 @@ def test_matches_reference_tester_on_grid():
     # the DFS tester and Fraction arithmetic that the integer basis replaced;
     # the reference ranks its generators with its own Echelon, so the rank
     # the basis reports as its generator count is checked too
-    seen = {"inadmissible": 0, "violations": 0, "low_rank": 0}
+    seen = {"inadmissible": 0, "violations": 0, "low_rank": 0,
+            "root_fails_twice": 0, "stepped_progression": 0}
     for kind, l in (("B", 2), ("B", 3), ("B", 4), ("B", 5),
                     ("D", 3), ("D", 4), ("D", 5)):
         alg = liealg.algebra(kind, l)
@@ -332,7 +352,28 @@ def test_matches_reference_tester_on_grid():
             seen["inadmissible"] += not got["admissible"]
             seen["violations"] += bool(got["condition_i"]["violations"])
             seen["low_rank"] += rank < l + 1
+            failing = [re.sub(r"^\d+d\+?", "", v["root"])
+                       for v in got["condition_i"]["violations"]]
+            seen["root_fails_twice"] += len(set(failing)) < len(failing)
+            seen["stepped_progression"] += _stepped(alg, level, bound)
     assert all(seen.values()), seen
+
+
+def _stepped(alg, level, bound):
+    # some finite root pairs integrally at two modes <= bound that are
+    # more than one apart, and at none between them
+    slope = level + alg.dual_coxeter
+    if slope <= 0:
+        return False
+    rho = alg.rho()
+    for k, root in enumerate(weights.all_finite_roots(alg)):
+        n = liealg.root_norm(root)
+        q = 2 * sum(r * a for r, a in zip(rho, root)) / Fraction(n)
+        modes = [m for m in range(int(k >= alg.npos), bound + 1)
+                 if (q + m * 2 * slope / n).denominator == 1]
+        if len(modes) > 1 and modes[1] - modes[0] > 1:
+            return True
+    return False
 
 
 def test_mode_zero_generators_are_independent():
