@@ -26,13 +26,13 @@ CHECKS = ("singular", "embedding", "conformal", "admissible", "triality",
 
 # the rank budget: on a 2-core host, at the default mode bound, `verify all
 # --l 24 --jobs 1` takes 1.7-2.7 s and `verify singular --type D --l 24
-# --strict` 2.5-3.5 s
+# --strict` 2.5-5.4 s, as the host's load varies
 MAX_L = 24
 
-# the ceiling on --mode-bound and the environment alike; no part of the
-# admissibility check grows with the bound: on a 2-core host at bound 200
-# `verify admissible --type D --l 24` takes 0.3 s, about as at 20, and
-# `verify all --l 24 --jobs 1` 1.8-1.9 s
+# the ceiling on --mode-bound and the environment alike, the highest mode a
+# report covers: time does not grow with it at the paper's levels, but
+# check_admissible takes len() of a range up to it, which overflows past
+# sys.maxsize, and walks every mode below it when the rank stays short
 MAX_MODE_BOUND = 200
 
 
@@ -86,10 +86,17 @@ def _all_tasks(l_values, mode_bound):
     return tasks
 
 
+def usable_cpus():
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_all(l_values, jobs, mode_bound=weights.DEFAULT_MODE_BOUND):
     tasks = _all_tasks(l_values, mode_bound)
     # the fork start method launches every worker on the first submit
-    jobs = min(jobs, len(tasks))
+    jobs = min(jobs, len(tasks), usable_cpus())
     if jobs > 1:
         # imported only here: it pulls in multiprocessing, which no other
         # command needs
@@ -179,7 +186,8 @@ def build_parser():
     ver.add_argument("--l-range", type=_parse_l_range, metavar="N..M",
                      help="range of ranks for 'verify all'")
     ver.add_argument("--mode-bound", type=int,
-                     help="admissibility scan depth, at most %d (else env "
+                     help="highest affine root mode the admissibility "
+                          "report covers, at most %d (else env "
                           "%s, else %d)" % (MAX_MODE_BOUND,
                                            weights.MODE_BOUND_ENV,
                                            weights.DEFAULT_MODE_BOUND))
@@ -217,9 +225,7 @@ def _validate(parser, args):
         if args.l_range is None:
             args.l_range = (args.l, args.l) if args.l is not None else (4, 6)
         if args.jobs is None:
-            args.jobs = (len(os.sched_getaffinity(0))
-                         if hasattr(os, "sched_getaffinity")
-                         else os.cpu_count() or 1)
+            args.jobs = usable_cpus()
     else:
         if args.l is None:
             args.l = 4 if check == "triality" else None
@@ -241,8 +247,8 @@ def _validate(parser, args):
             parser.error("%s must be a positive integer, got %r"
                          % (weights.MODE_BOUND_ENV, raw))
     if args.mode_bound is not None and args.mode_bound > MAX_MODE_BOUND:
-        parser.error("mode bound %d is above %d, the scan budget"
-                     % (args.mode_bound, MAX_MODE_BOUND))
+        parser.error("mode bound %d is above %d, the highest mode a report "
+                     "may cover" % (args.mode_bound, MAX_MODE_BOUND))
     if check == "singular" and args.type is None:
         parser.error("'verify singular' needs --type B or --type D")
     if check == "triality" and args.l != 4:

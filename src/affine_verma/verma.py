@@ -15,8 +15,9 @@ LieAlgebra.reach), so x(n) with n >= 0 and no partner in the monomial is
 zero, and x(n) with n < 0 and no partner among the factors sorting before
 it is inserted in place.  Results of single-factor applications are memoized
 per module, keyed by (basis index, mode, monomial tail), but for a
-negative-mode factor that already sorts first, which is just prepended, and
-the products proven zero, which are not stored.
+negative-mode factor that already sorts first, which act and the kernel's
+recursion prepend in place without a call, and the products proven zero,
+which are not stored.
 
 Straightening and state arithmetic run on int: a state is int numerators
 over one denominator (see PBWState), and Fraction is built only where a
@@ -129,7 +130,9 @@ class VermaModule:
         nothing, and a negative mode whose passed factors (those sorting
         before it) are none of them partners is inserted in place and
         stored, for warm re-reads.  The bracket and form are looked up only
-        when the first factor is a partner.
+        when the first factor is a partner.  The peeled first factor y(m)
+        is put back by prepending it in place wherever it still sorts first,
+        the test at the top of this method, rather than by a call.
         """
         entry = (n, x)
         if n < 0 and (not mono or entry <= mono[0]):
@@ -155,12 +158,17 @@ class VermaModule:
                 # x(n) commutes past the factors that sort before it
                 result = self._memo[key] = (mono[:k] + (entry,) + mono[k:], 1)
                 return result
-        m, y = mono[0]
+        first = mono[0]
+        m, y = first
         rest = mono[1:]
         acc = {}
         # x(n) y(m) = y(m) x(n) + [x,y](n+m) + n delta_{n+m,0} (x,y) k
         it = iter(self._apply_mono(x, n, rest))
         for mono1, c1 in zip(it, it):
+            if not mono1 or first <= mono1[0]:
+                mono2 = (first,) + mono1
+                acc[mono2] = acc.get(mono2, 0) + c1
+                continue
             it2 = iter(self._apply_mono(y, m, mono1))
             for mono2, c2 in zip(it2, it2):
                 acc[mono2] = acc.get(mono2, 0) + c1 * c2
@@ -191,7 +199,9 @@ class VermaModule:
         numerators go through each product, which comes out scaled by
         level.denominator per positive-mode factor (see _apply_mono); the
         result is int numerators over the lcm of those scales times the
-        state's denominator, with no Fraction built."""
+        state's denominator, with no Fraction built.  A negative-mode factor
+        that sorts first is prepended in place, and a numerator a factor
+        cancels is skipped where it is read, so each factor is one pass."""
         if state.module is not self:
             raise ValueError("state belongs to a different module")
         start = state.nums
@@ -203,15 +213,23 @@ class VermaModule:
         for (c, factors), d in zip(word, scales):
             cur = start
             for x, n in reversed(factors):
+                entry = (n, x)
                 nxt = {}
                 for mono, v in cur.items():
+                    if not v:
+                        continue
+                    if n < 0 and (not mono or entry <= mono[0]):
+                        mono1 = (entry,) + mono
+                        nxt[mono1] = nxt.get(mono1, 0) + v
+                        continue
                     it = iter(self._apply_mono(x, n, mono))
                     for mono1, c1 in zip(it, it):
                         nxt[mono1] = nxt.get(mono1, 0) + v * c1
-                cur = {mono: v for mono, v in nxt.items() if v}
+                cur = nxt
             mult = c.numerator * (out_den // d)
             for mono, v in cur.items():
-                out[mono] = out.get(mono, 0) + mult * v
+                if v:
+                    out[mono] = out.get(mono, 0) + mult * v
         return PBWState(self, out, out_den * state.den)
 
     def expand_terms(self, terms):

@@ -161,16 +161,9 @@ def test_parallel_matches_sequential():
     assert seq.stdout == par.stdout
 
 
-@pytest.mark.parametrize("argv, tasks, workers", [
-    (["--l-range", "4..4", "--jobs", "64"], 7, 7),
-    (["--l-range", "4..7", "--jobs", "2"], 25, 2),
-])
-def test_pool_never_exceeds_task_count(capsys, monkeypatch, argv, tasks,
-                                       workers):
-    # a fake pool records the size it is asked for and maps serially, so
-    # no process is started; the checks themselves are stubbed out
-    asked = []
-
+def recording_pool(asked):
+    """A ProcessPoolExecutor stand-in that appends the size it is asked for
+    to asked and maps serially, so no process is started."""
     class FakePool:
         def __init__(self, max_workers):
             asked.append(max_workers)
@@ -184,12 +177,44 @@ def test_pool_never_exceeds_task_count(capsys, monkeypatch, argv, tasks,
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return FakePool
+
+
+@pytest.mark.parametrize("argv, tasks, workers", [
+    (["--l-range", "4..4", "--jobs", "64"], 7, 7),
+    (["--l-range", "4..7", "--jobs", "2"], 25, 2),
+])
+def test_pool_never_exceeds_task_count(capsys, monkeypatch, argv, tasks,
+                                       workers):
+    # on a 64-CPU host; the checks themselves are stubbed out
+    asked = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        recording_pool(asked))
     monkeypatch.setattr(cli, "_run_task", lambda task: {
         "check": task[0], "type": task[1], "passed": True})
     code, rep = main_json(capsys, "verify", "all", *argv)
     assert code == 0 and len(rep["reports"]) == tasks
     assert asked == [workers]
+
+
+def test_pool_never_exceeds_usable_cpus(capsys, monkeypatch):
+    # --jobs 64 on two usable CPUs of a 64-CPU host forks two workers,
+    # and the report is the sequential one
+    def run(jobs):
+        code = cli.main(["verify", "all", "--l", "4", "--jobs", jobs])
+        return code, capsys.readouterr().out
+
+    seq = run("1")
+    asked = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5},
+                        raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        recording_pool(asked))
+    assert run("64") == seq and seq[0] == 0
+    assert asked == [2]
 
 
 def test_one_task_runs_without_a_pool(monkeypatch):

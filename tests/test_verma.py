@@ -339,6 +339,58 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
         assert got == helpers.reference_act(module, word, state, memo), word
         nonzero += not got.is_zero()
     assert nonzero >= 5, nonzero
+    # act skips the numerators a factor cancels, and it and the kernel
+    # prepend a negative-mode factor that sorts first without a call: words
+    # built to take each path.  x(2) sends y(-1) z(-1) to a multiple of the
+    # vacuum, so two such monomials weighted against each other cancel there
+    cancelled = 0
+    for x in rng.sample(range(alg.dim), 12):
+        images = {}
+        for y in range(alg.dim):
+            # z a partner of [x, y], so ([x, y], z) k is likely nonzero
+            for w, _ in alg.bracket(x, y)[:1]:
+                z = next(z for z in range(alg.dim) if alg.form(w, z))
+                mono = tuple(sorted(((-1, y), (-1, z))))
+                c = dict(helpers.reference_apply_mono(
+                    module, x, 2, mono, memo)).get((), 0)
+                if c:
+                    images[mono] = c
+            if len(images) == 2:
+                break
+        else:
+            continue
+        (a, ca), (b, cb) = images.items()
+        state = module.state({a: cb, b: -ca,
+                              _random_mono(alg, rng, 3): Fraction(1, 2)})
+        word = [(1, [(rng.randrange(alg.dim), rng.randint(-2, 1)), (x, 2)])]
+        got = module.act(word, state)
+        assert got == helpers.reference_act(module, word, state, memo), word
+        cancelled += 1
+    assert cancelled >= 5, cancelled
+    # the first factor of the monomial twice (entry == mono[0]), one at
+    # mode -4 that sorts before every factor, then a zero and a positive
+    # mode, whose recursion re-prepends the factors it peels
+    nonzero = 0
+    for _ in range(20):
+        mono = _random_mono(alg, rng, rng.randint(1, 3))
+        m, y = mono[0]
+        factors = [(rng.randrange(alg.dim), rng.randint(1, 2)),
+                   (rng.randrange(alg.dim), 0), (rng.randrange(alg.dim), -4),
+                   (y, m), (y, m)]
+        state = module.state({mono: 3, _random_mono(alg, rng, 2): -1})
+        for word in ([(1, factors)], [(1, factors[1:])], [(2, factors[2:])]):
+            got = module.act(word, state)
+            assert got == helpers.reference_act(module, word, state, memo), \
+                word
+            nonzero += not got.is_zero()
+    assert nonzero >= 20, nonzero
+
+
+def test_prepends_store_nothing(fresh_caches):
+    # act and the kernel prepend a factor that sorts first without a call,
+    # and a call to do it stores nothing either: the memo keeps its size
+    singular.report("D", 5)
+    assert len(verma.vacuum_module("D", 5)._memo) == 2514
 
 
 @pytest.mark.parametrize("level", [Fraction(-5, 3), None], ids=str)
