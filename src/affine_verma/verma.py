@@ -4,20 +4,22 @@ States live in U(g[t^-1] t^-1) applied to a vacuum vector killed by all
 nonnegative modes.  A canonical monomial is a tuple of loop factors (n, x)
 with x a basis index of the finite algebra and n <= -1, sorted ascending by
 (mode, basis index): deeper modes come first, ties follow the frozen basis
-order of the finite algebra.  The commutation rule
+order of the finite algebra.  A factor is straightened by the Leibniz rule
 
-    x(n) y(m) = y(m) x(n) + [x,y](n+m) + n delta_{n+m,0} (x,y) k
+    x(n) y_1...y_k|0> = sum_i y_1...y_{i-1} [x(n), y_i] y_{i+1}...y_k|0>
+                        + y_1...y_p x(n) y_{p+1}...y_k|0>      (n < 0 only)
+    [x(n), y(m)] = [x,y](n+m) + n delta_{n+m,0} (x,y) k
 
-is applied recursively to push every factor into place; between two strictly
-negative modes the central term never fires, so straightening of canonical
-monomials only produces brackets.  Only partners contract (see
-LieAlgebra.reach), so x(n) with n >= 0 and no partner in the monomial is
-zero, and x(n) with n < 0 and no partner among the factors sorting before
-it is inserted in place.  Results of single-factor applications are memoized
-per module, keyed by (basis index, mode, monomial tail), but for a
-negative-mode factor that already sorts first, which act and the kernel's
-recursion prepend in place without a call, and the products proven zero,
-which are not stored.
+summed over the factors x(n) passes: the p that sort before (n, x) for
+n < 0, all k for n >= 0, where x(n) kills the vacuum.  The central term
+never fires between two negative modes, and only partners contract (see
+LieAlgebra.reach): a term needs a partner y_i, and x(n) with n >= 0 and no
+partner in the monomial is zero.  A bracket term is one factor on the
+suffix, its prefix put back factor by factor where it does not sort first;
+each acts on fewer factors than x(n) did, so the recursion ends.  Results
+are memoized per module, keyed by (basis index, mode, monomial), but for a
+negative-mode factor that sorts first, prepended in place without a call,
+and the products proven zero, which are not stored.
 
 Straightening and state arithmetic run on int: a state is int numerators
 over one denominator (see PBWState), and Fraction is built only where a
@@ -114,25 +116,22 @@ class VermaModule:
         return zip(flat[::2], flat[1::2])
 
     def _apply_mono(self, x, n, mono):
-        """x(n) applied to a canonical monomial, as the flat tuple
-        (monomial, coeff, monomial, coeff, ...): one object per memo entry
-        rather than one per term, read in place as zip(it, it) over one
-        iterator it (operator_terms does the same by slicing).
+        """x(n) applied to a canonical monomial by the Leibniz rule (see
+        the module docstring), as the flat tuple (monomial, coeff, monomial,
+        coeff, ...): one object per memo entry rather than one per term,
+        read in place as zip(it, it) over one iterator it (operator_terms
+        does the same by slicing).
 
-        Coefficients are int.  For n <= 0 they are the exact values.  For
-        n > 0 they are the exact values times level.denominator: the central
-        term consumes the positive-mode operator, so it fires at most once
-        on any path and contributes n (x,y) level.numerator, and a bracket
-        that lowers the mode to n + m <= 0 is scaled to match.
+        Coefficients are int: exact for n <= 0, and for n > 0 times
+        level.denominator, since a central term ends the positive-mode
+        operator, contributing n (x,y) level.numerator, and a bracket that
+        lowers the mode to n + m <= 0 is scaled to match.
 
-        Two shortcuts skip the recursion: a nonnegative mode with no partner
-        of x in the monomial returns () before the memo lookup and stores
-        nothing, and a negative mode whose passed factors (those sorting
-        before it) are none of them partners is inserted in place and
-        stored, for warm re-reads.  The bracket and form are looked up only
-        when the first factor is a partner.  The peeled first factor y(m)
-        is put back by prepending it in place wherever it still sorts first,
-        the test at the top of this method, rather than by a call.
+        A passed partner y_i gives z(n+m_i) on the suffix per z in [x, y_i],
+        with the prefix prepended where it sorts first, else put back by
+        _apply_run: each call is on fewer factors than mono (a factor on L
+        gives at most L + 1).  A nonnegative mode with no partner returns
+        () before the memo lookup.
         """
         entry = (n, x)
         if n < 0 and (not mono or entry <= mono[0]):
@@ -149,43 +148,59 @@ class VermaModule:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if n < 0:
-            k = bisect_left(mono, entry)
-            for _, y in mono[:k]:
-                if reach & held[y]:
-                    break
-            else:
-                # x(n) commutes past the factors that sort before it
-                result = self._memo[key] = (mono[:k] + (entry,) + mono[k:], 1)
-                return result
-        first = mono[0]
-        m, y = first
-        rest = mono[1:]
-        acc = {}
-        # x(n) y(m) = y(m) x(n) + [x,y](n+m) + n delta_{n+m,0} (x,y) k
-        it = iter(self._apply_mono(x, n, rest))
-        for mono1, c1 in zip(it, it):
-            if not mono1 or first <= mono1[0]:
-                mono2 = (first,) + mono1
-                acc[mono2] = acc.get(mono2, 0) + c1
+        p = len(mono) if n >= 0 else bisect_left(mono, entry)
+        acc = {} if n >= 0 else {mono[:p] + (entry,) + mono[p:]: 1}
+        for i in range(p):
+            m, y = mono[i]
+            if not reach & held[y]:
                 continue
-            it2 = iter(self._apply_mono(y, m, mono1))
-            for mono2, c2 in zip(it2, it2):
-                acc[mono2] = acc.get(mono2, 0) + c1 * c2
-        if reach & held[y]:
+            # [x(n), y(m)] = [x,y](n+m) + n delta_{n+m,0} (x,y) k
+            prefix, suffix = mono[:i], mono[i + 1:]
             scale = self.level.denominator if n > 0 >= n + m else 1
+            back = {}
             for z, cz in self.alg.bracket(x, y):
                 cz *= scale
-                it = iter(self._apply_mono(z, n + m, rest))
+                it = iter(self._apply_mono(z, n + m, suffix))
                 for mono1, c1 in zip(it, it):
-                    acc[mono1] = acc.get(mono1, 0) + cz * c1
+                    if not prefix or not mono1 or prefix[-1] <= mono1[0]:
+                        mono1 = prefix + mono1
+                        acc[mono1] = acc.get(mono1, 0) + cz * c1
+                    else:
+                        back[mono1] = back.get(mono1, 0) + cz * c1
+            if back:
+                back = self._apply_run([(y1, m1) for m1, y1 in prefix], back)
+                for mono1, c1 in back.items():
+                    acc[mono1] = acc.get(mono1, 0) + c1
             if n > 0 and n + m == 0:
                 cf = self.alg.form(x, y)
                 if cf:
-                    acc[rest] = acc.get(rest, 0) + n * cf * self.level.numerator
+                    mono1 = prefix + suffix
+                    acc[mono1] = (acc.get(mono1, 0)
+                                  + n * cf * self.level.numerator)
         result = self._memo[key] = tuple(
             v for mo, c in acc.items() if c for v in (mo, c))
         return result
+
+    def _apply_run(self, factors, cur):
+        """factors, (index, mode) pairs, applied rightmost first to cur,
+        {monomial: int} with the scales of _apply_mono, in one pass each: a
+        negative-mode factor that sorts first is prepended in place, and a
+        numerator a factor cancels is skipped where it is read."""
+        for x, n in reversed(factors):
+            entry = (n, x)
+            nxt = {}
+            for mono, v in cur.items():
+                if not v:
+                    continue
+                if n < 0 and (not mono or entry <= mono[0]):
+                    mono1 = (entry,) + mono
+                    nxt[mono1] = nxt.get(mono1, 0) + v
+                    continue
+                it = iter(self._apply_mono(x, n, mono))
+                for mono1, c1 in zip(it, it):
+                    nxt[mono1] = nxt.get(mono1, 0) + v * c1
+            cur = nxt
+        return cur
 
     # ---- public operations ---------------------------------------------------
 
@@ -195,13 +210,12 @@ class VermaModule:
 
     def act(self, word, state):
         """Apply [(coeff, ((index, mode), ...)), ...], coeff an int or a
-        Fraction, to a state, rightmost factor first: the state's int
+        Fraction, to a state, rightmost factor first, one _apply_run per
+        term (the run the kernel puts a prefix back with): the state's int
         numerators go through each product, which comes out scaled by
         level.denominator per positive-mode factor (see _apply_mono); the
         result is int numerators over the lcm of those scales times the
-        state's denominator, with no Fraction built.  A negative-mode factor
-        that sorts first is prepended in place, and a numerator a factor
-        cancels is skipped where it is read, so each factor is one pass."""
+        state's denominator, with no Fraction built."""
         if state.module is not self:
             raise ValueError("state belongs to a different module")
         start = state.nums
@@ -211,21 +225,7 @@ class VermaModule:
         out_den = lcm(*scales)
         out = {}
         for (c, factors), d in zip(word, scales):
-            cur = start
-            for x, n in reversed(factors):
-                entry = (n, x)
-                nxt = {}
-                for mono, v in cur.items():
-                    if not v:
-                        continue
-                    if n < 0 and (not mono or entry <= mono[0]):
-                        mono1 = (entry,) + mono
-                        nxt[mono1] = nxt.get(mono1, 0) + v
-                        continue
-                    it = iter(self._apply_mono(x, n, mono))
-                    for mono1, c1 in zip(it, it):
-                        nxt[mono1] = nxt.get(mono1, 0) + v * c1
-                cur = nxt
+            cur = self._apply_run(factors, start)
             mult = c.numerator * (out_den // d)
             for mono, v in cur.items():
                 if v:

@@ -87,7 +87,9 @@ def reference_enumerate_monomials(alg, degree, weight):
 def reference_apply_mono(module, x, n, mono, memo):
     """Reference for VermaModule._apply_mono: the straightening kernel over
     Fraction, exact at every mode (no level.denominator scaling), memoized
-    in memo rather than in the module."""
+    in memo rather than in the module.  It peels the first factor,
+    x(n) y(m) rest = y(m) x(n) rest + [x(n), y(m)] rest, with no shortcut,
+    so it shares no path with the kernel's Leibniz sum."""
     key = (x, n, mono)
     hit = memo.get(key)
     if hit is not None:

@@ -294,7 +294,8 @@ def _random_mono(alg, rng, length):
 def test_kernel_shortcuts_match_reference(kind, l, level, rng):
     # x(n) with n >= 0 and no partner in the monomial is zero and stores
     # nothing; x(n) with n < 0 and no partner among the factors it passes
-    # is inserted in place and stored alone; everything else recurses.
+    # is inserted in place and stored alone; everything else sums one
+    # commutator term per passed partner (the Leibniz rule).
     # Every result is held against the Fraction reference, which has no
     # shortcut
     module = _fresh_module(kind, l, level)
@@ -386,11 +387,61 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
     assert nonzero >= 20, nonzero
 
 
+@pytest.mark.parametrize("level", [None, Fraction(-5, 3)], ids=str)
+@pytest.mark.parametrize("l", [4, 5, 6])
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_leibniz_paths_match_reference(kind, l, level, rng):
+    # two paths of the Leibniz sum, each classified from the input and held
+    # against the peeling Fraction reference: a bracket term that sorts
+    # before the last factor of its prefix, so the prefix is put back one
+    # factor at a time (tied modes make it common), and a central term from
+    # a form partner at mode -n that is the third factor or later
+    module = _fresh_module(kind, l, level)
+    alg = module.alg
+    memo = {}
+    scale = module.level.denominator
+    taken = {"put_back": 0, "interior_central": 0}
+
+    def check(x, n, mono):
+        fresh = (x, n, mono) not in module._memo
+        got = dict(module.operator_terms(x, n, mono))
+        want = helpers.reference_apply_mono(module, x, n, mono, memo)
+        assert got == {m: c * (scale if n > 0 else 1) for m, c in want}, \
+            (x, n, mono)
+        return fresh
+
+    for _ in range(300):
+        mode = -rng.randint(1, 2)
+        mono = tuple(sorted((mode, rng.randrange(alg.dim))
+                            for _ in range(rng.randint(2, 4))))
+        x, n = rng.randrange(alg.dim), rng.randint(mode, 1)
+        if not check(x, n, mono):
+            continue
+        passed = [i for i, f in enumerate(mono) if n >= 0 or f < (n, x)]
+        taken["put_back"] += any(
+            mono1 and mono1[0] < mono[i - 1]
+            for i in passed[1:] for z, _ in alg.bracket(x, mono[i][1])
+            for mono1, _ in helpers.reference_apply_mono(
+                module, z, n + mono[i][0], mono[i + 1:], memo))
+    for _ in range(60):
+        n, x = rng.randint(1, 2), rng.randrange(alg.dim)
+        y = next(y for y in range(alg.dim) if alg.form(x, y))
+        mono = tuple(sorted([(-n, y)] + [
+            (-rng.randint(n, 3), rng.randrange(alg.dim))
+            for _ in range(rng.randint(2, 3))]))
+        if check(x, n, mono):
+            taken["interior_central"] += any(
+                i >= 2 and m == -n and alg.form(x, z)
+                for i, (m, z) in enumerate(mono))
+    assert min(taken.values()) >= 30, taken
+
+
 def test_prepends_store_nothing(fresh_caches):
-    # act and the kernel prepend a factor that sorts first without a call,
-    # and a call to do it stores nothing either: the memo keeps its size
+    # sort-first prepends, proven zeros (a nonnegative mode with no
+    # partner) and peeled suffixes store nothing: the kernel stores the
+    # (x, n, monomial) it is called on, not x(n) on the tails it passes
     singular.report("D", 5)
-    assert len(verma.vacuum_module("D", 5)._memo) == 2514
+    assert len(verma.vacuum_module("D", 5)._memo) == 1438
 
 
 @pytest.mark.parametrize("level", [Fraction(-5, 3), None], ids=str)
