@@ -31,8 +31,7 @@ MAX_L = 24
 
 # the ceiling on --mode-bound and the environment alike, the highest mode a
 # report covers: time does not grow with it at the paper's levels, but
-# check_admissible takes len() of a range up to it, which overflows past
-# sys.maxsize, and walks every mode below it when the rank stays short
+# check_admissible walks every mode below it when the rank stays short
 MAX_MODE_BOUND = 200
 
 

@@ -17,7 +17,6 @@ from . import embedding
 from . import liealg
 from . import singular
 from . import verma
-from .verma import E, F, H
 
 
 def central_charge(alg, level):
@@ -53,7 +52,7 @@ def sugawara_vector(module):
     if k == -alg.dual_coxeter:
         raise ValueError("critical level has no conformal vector")
     scale = 1 / (2 * (k + alg.dual_coxeter))
-    return module.act([(c * scale, ((idx, -1), (j, -1)))
+    return module.act([(c * scale, ((-1, idx), (-1, j)))
                        for idx, dual in alg.dual_basis()
                        for j, c in dual.items()], module.vacuum())
 
@@ -69,6 +68,7 @@ def quadratic_certificate(bmodule):
     alg = bmodule.alg
     if alg.kind != "B":
         raise ValueError("certificate lives in the type B module")
+    E, F, H = verma.vocabulary(alg)
     l = alg.l
     terms = [(2 * l, (F(alg.rs(1), 0), F(alg.rs(1), 0)))]
     terms += [(4, (F(alg.rm(1, i), 0), F(alg.rp(1, i), 0)))
@@ -80,6 +80,7 @@ def quadratic_certificate(bmodule):
 def quadratic_relation_state(bmodule):
     """Difference of the two sides of the short/long quadratic relation."""
     alg = bmodule.alg
+    E, F, H = verma.vocabulary(alg)
     short = 2 * alg.l - 1  # the weight of the short-root side
     terms = []
     for r in alg.positive_roots:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import liealg
 from . import singular
 from . import verma
-from .verma import E, F, H
 
 
 # ---- the module map ----------------------------------------------------------
@@ -60,6 +59,7 @@ def relation_instances(alg):
     the degree-2 singular vector must equal build(rhs_terms) exactly.  The
     parameterized identities contribute one instance per index value.
     """
+    E, F, H = verma.vocabulary(alg)
     l = alg.l
     rm, rp, rs = alg.rm, alg.rp, alg.rs
     q = Fraction
@@ -199,6 +199,7 @@ def certificate_word(alg):
     Transcribed top to bottom from its defining display; 20 summand groups,
     a count the tests pin.
     """
+    E, F, H = verma.vocabulary(alg)
     l = alg.l
     rm, rp, rs = alg.rm, alg.rp, alg.rs
     q = Fraction

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from . import linalg
 from . import verma
-from .verma import E, F, H
 
 # the oracle's degree ceiling: both vectors have degree at most 4, and the
 # candidate monomials grow steeply with the degree
@@ -22,13 +21,14 @@ MAX_DEGREE = 4
 
 
 def raising_operators(alg):
-    """Loop generators whose kernel cuts out singular vectors.
+    """Loop generators whose kernel cuts out singular vectors, as (mode,
+    index) factors.
 
     e_alpha(0) for every finite simple root alpha, plus f_theta(1); these
     generate all raising directions of the affinization.
     """
-    ops = [(alg.e_index(r), 0) for r in alg.simple_roots]
-    ops.append((alg.f_index(alg.theta), 1))
+    ops = [(0, alg.e_index(r)) for r in alg.simple_roots]
+    ops.append((1, alg.f_index(alg.theta)))
     return tuple(ops)
 
 
@@ -38,10 +38,11 @@ def raising_operators(alg):
 def term_families(alg):
     """The singular vector as a tuple of term families.
 
-    Each family is a list of (coeff, factors) in the symbolic grammar of
-    VermaModule.expand_terms, one family per summation group of the
-    defining formula.  Type B yields 2 families with l terms in total, type
-    D yields 38; tests pin both counts to guard transcription drift.
+    Each family is a list of (coeff, positions), one family per summation
+    group of the defining formula, written in verma.vocabulary: a position
+    is a tuple of ((mode, index), int) pairs, the factor format of words and
+    monomials.  Type B yields 2 families with l terms in total, type D
+    yields 38; tests pin both counts to guard transcription drift.
     """
     if alg.kind == "B":
         return _families_type_b(alg)
@@ -66,6 +67,7 @@ def expected_profile(alg):
 
 
 def _families_type_b(alg):
+    E, F, H = verma.vocabulary(alg)
     l = alg.l
     s1 = alg.rs(1)
     square = [(Fraction(-1, 4), (E(s1), E(s1)))]
@@ -78,6 +80,7 @@ def _families_type_d(alg):
     # Degree-4 vector of weight 2*theta.  The i, j summations run over
     # 3..l throughout; every loop factor sits in mode -1 unless written
     # otherwise.  Keep the family order stable: tests fingerprint it.
+    E, F, H = verma.vocabulary(alg)
     l = alg.l
     rm, rp, rs = alg.rm, alg.rp, alg.rs
     th = alg.theta
@@ -181,10 +184,11 @@ def check_singular(module, state):
     alg = module.alg
     checks = []
     passed = not state.is_zero()
-    for x, n in raising_operators(alg):
-        res = module.apply(x, n, state)
+    for factor in raising_operators(alg):
+        res = module.apply(factor, state)
         kills = res.is_zero()
         passed = passed and kills
+        n, x = factor
         entry = {
             "operator": "%s(%d)" % (alg.label(x), n),
             "kills": kills,
@@ -314,8 +318,8 @@ def solve_singular_space(module, degree, weight):
     ops = raising_operators(alg)
     rows = {}
     for col, mono in enumerate(cands):
-        for oi, (x, n) in enumerate(ops):
-            for target, c in module.operator_terms(x, n, mono):
+        for oi, op in enumerate(ops):
+            for target, c in module.operator_terms(op, mono):
                 rows.setdefault((oi, target), {})[col] = c
     basis = linalg.nullspace(rows.values(), len(cands))
     return [

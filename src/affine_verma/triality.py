@@ -37,11 +37,10 @@ def is_diagram_symmetry(alg, sigma):
 class Automorphism:
     """Exact basis-to-sparse-image map of one Lie algebra."""
 
-    def __init__(self, alg, images, name="automorphism", sigma=None):
+    def __init__(self, alg, images, name="automorphism"):
         self.alg = alg
         self.images = images
         self.name = name
-        self.sigma = sigma
 
     def __call__(self, elem):
         """Image of a sparse {index: coeff} element."""
@@ -75,20 +74,15 @@ class Automorphism:
         return True
 
     def apply_to_state(self, state):
-        """Factorwise image of a canonical state, recanonicalized."""
+        """Factorwise image of a canonical state, recanonicalized: each
+        factor (n, x) becomes the sum of (n, y) over the image of x."""
         module = state.module
         if module.alg is not self.alg:
             raise ValueError("state over a different algebra")
-        word = []
-        for mono, v in state.nums.items():
-            partial = [(v, ())]
-            for n, x in mono:
-                partial = [
-                    (cc * cy, fs + ((y, n),))
-                    for cc, fs in partial
-                    for y, cy in self.images[x].items()
-                ]
-            word += partial
+        word = [t for mono, v in state.nums.items()
+                for t in verma.expand(v, [
+                    [((n, y), cy) for y, cy in self.images[x].items()]
+                    for n, x in mono])]
         return module.act(word, module.state({(): 1}, state.den))
 
 
@@ -150,7 +144,7 @@ def build_automorphism(alg, sigma, name="automorphism"):
         images[alg.h_index(j + 1)] = {
             alg.h_index(k + 1): c if c.denominator > 1 else c.numerator
             for k, c in enumerate(image) if c}
-    return Automorphism(alg, images, name, sigma=tuple(sigma))
+    return Automorphism(alg, images, name)
 
 
 def d4_symmetries(alg):

@@ -1,10 +1,12 @@
 """Level-k vacuum modules over the affinization, as spaces of PBW monomials.
 
 States live in U(g[t^-1] t^-1) applied to a vacuum vector killed by all
-nonnegative modes.  A canonical monomial is a tuple of loop factors (n, x)
-with x a basis index of the finite algebra and n <= -1, sorted ascending by
-(mode, basis index): deeper modes come first, ties follow the frozen basis
-order of the finite algebra.  A factor is straightened by the Leibniz rule
+nonnegative modes.  The loop generator x(n), x a basis index of the finite
+algebra, is the factor (n, x) everywhere: in the paper's formulas (see
+vocabulary), in the runs of a word, and in a canonical monomial, a tuple of
+factors with every n <= -1, sorted ascending: deeper modes come first, ties
+follow the frozen basis order of the finite algebra.  A factor is
+straightened by the Leibniz rule
 
     x(n) y_1...y_k|0> = sum_i y_1...y_{i-1} [x(n), y_i] y_{i+1}...y_k|0>
                         + y_1...y_p x(n) y_{p+1}...y_k|0>      (n < 0 only)
@@ -17,7 +19,7 @@ LieAlgebra.reach): a term needs a partner y_i, and x(n) with n >= 0 and no
 partner in the monomial is zero.  A bracket term is one factor on the
 suffix, its prefix put back factor by factor where it does not sort first;
 each acts on fewer factors than x(n) did, so the recursion ends.  Results
-are memoized per module, keyed by (basis index, mode, monomial), but for a
+are memoized per module, keyed by (factor, monomial), but for a
 negative-mode factor that sorts first, prepended in place without a call,
 and the products proven zero, which are not stored.
 
@@ -30,24 +32,42 @@ floating point anywhere.
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import product
 from math import gcd, lcm
 
 from . import liealg
 
 
-def E(root, mode=-1):
-    """Symbolic factor e_root(mode); see VermaModule.expand_terms."""
-    return ("e", root, mode)
+def vocabulary(alg):
+    """E, F, H over alg: the paper's e_root(mode), f_root(mode) and coroot
+    h_vec(mode) = sum_i (2 c_i/(vec,vec)) H_i, each as the sum it puts at one
+    position of a term (coeff, (position, ...)), a tuple of ((mode, index),
+    int) pairs: one for E and F, the sorted coroot_coords for H.  Roots and
+    vectors are epsilon-coordinate tuples; mode defaults to -1."""
+    def E(root, mode=-1):
+        return (((mode, alg.e_index(root)), 1),)
+
+    def F(root, mode=-1):
+        return (((mode, alg.f_index(root)), 1),)
+
+    def H(vec, mode=-1):
+        return tuple(((mode, x), c)
+                     for x, c in sorted(alg.coroot_coords(vec).items()))
+
+    return E, F, H
 
 
-def F(root, mode=-1):
-    """Symbolic factor f_root(mode)."""
-    return ("f", root, mode)
-
-
-def H(vec, mode=-1):
-    """Symbolic factor h_vec(mode), the coroot of an epsilon-coordinate vector."""
-    return ("h", vec, mode)
+def expand(coeff, options):
+    """The word terms of coeff times a product of sums, options[i] the
+    (factor, multiplier) pairs summed at position i: one per choice of a
+    pair at each position, coeff scaled once by the product of its
+    multipliers where that is not 1."""
+    for choice in product(*options):
+        c = 1
+        for _, cx in choice:
+            c *= cx
+        yield (coeff if c == 1 else coeff * c,
+               tuple(factor for factor, _ in choice))
 
 
 def fixed_state(make):
@@ -107,20 +127,21 @@ class VermaModule:
 
     # ---- the straightening kernel -------------------------------------------
 
-    def operator_terms(self, x, n, mono):
-        """The (monomial, coeff) terms of x(n) applied to a canonical
-        monomial, with the int coefficients of _apply_mono: scaled by
-        level.denominator when n > 0.  The scale depends on n alone, so a
-        linear system with one row per (x, n, monomial) keeps its solutions."""
-        flat = self._apply_mono(x, n, mono)
+    def operator_terms(self, factor, mono):
+        """The (monomial, coeff) terms of factor (n, x) applied to a
+        canonical monomial, with the int coefficients of _apply_mono: scaled
+        by level.denominator when n > 0.  The scale depends on n alone, so a
+        linear system with one row per (factor, monomial) keeps its
+        solutions."""
+        flat = self._apply_mono(factor, mono)
         return zip(flat[::2], flat[1::2])
 
-    def _apply_mono(self, x, n, mono):
-        """x(n) applied to a canonical monomial by the Leibniz rule (see
-        the module docstring), as the flat tuple (monomial, coeff, monomial,
-        coeff, ...): one object per memo entry rather than one per term,
-        read in place as zip(it, it) over one iterator it (operator_terms
-        does the same by slicing).
+    def _apply_mono(self, factor, mono):
+        """factor (n, x), the loop generator x(n), applied to a canonical
+        monomial by the Leibniz rule (see the module docstring), as the flat
+        tuple (monomial, coeff, monomial, coeff, ...): one object per memo
+        entry rather than one per term, read in place as zip(it, it) over
+        one iterator it (operator_terms does the same by slicing).
 
         Coefficients are int: exact for n <= 0, and for n > 0 times
         level.denominator, since a central term ends the positive-mode
@@ -133,9 +154,9 @@ class VermaModule:
         gives at most L + 1).  A nonnegative mode with no partner returns
         () before the memo lookup.
         """
-        entry = (n, x)
-        if n < 0 and (not mono or entry <= mono[0]):
-            return ((entry,) + mono, 1)
+        n, x = factor
+        if n < 0 and (not mono or factor <= mono[0]):
+            return ((factor,) + mono, 1)
         reach, held = self.alg.reach[x], self.alg.held
         if n >= 0:
             for _, y in mono:
@@ -144,12 +165,12 @@ class VermaModule:
             else:
                 # x(n) commutes past every factor and kills the vacuum
                 return ()
-        key = (x, n, mono)
+        key = (factor, mono)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        p = len(mono) if n >= 0 else bisect_left(mono, entry)
-        acc = {} if n >= 0 else {mono[:p] + (entry,) + mono[p:]: 1}
+        p = len(mono) if n >= 0 else bisect_left(mono, factor)
+        acc = {} if n >= 0 else {mono[:p] + (factor,) + mono[p:]: 1}
         for i in range(p):
             m, y = mono[i]
             if not reach & held[y]:
@@ -160,7 +181,7 @@ class VermaModule:
             back = {}
             for z, cz in self.alg.bracket(x, y):
                 cz *= scale
-                it = iter(self._apply_mono(z, n + m, suffix))
+                it = iter(self._apply_mono((n + m, z), suffix))
                 for mono1, c1 in zip(it, it):
                     if not prefix or not mono1 or prefix[-1] <= mono1[0]:
                         mono1 = prefix + mono1
@@ -168,8 +189,7 @@ class VermaModule:
                     else:
                         back[mono1] = back.get(mono1, 0) + cz * c1
             if back:
-                back = self._apply_run([(y1, m1) for m1, y1 in prefix], back)
-                for mono1, c1 in back.items():
+                for mono1, c1 in self._apply_run(prefix, back).items():
                     acc[mono1] = acc.get(mono1, 0) + c1
             if n > 0 and n + m == 0:
                 cf = self.alg.form(x, y)
@@ -182,21 +202,22 @@ class VermaModule:
         return result
 
     def _apply_run(self, factors, cur):
-        """factors, (index, mode) pairs, applied rightmost first to cur,
-        {monomial: int} with the scales of _apply_mono, in one pass each: a
-        negative-mode factor that sorts first is prepended in place, and a
-        numerator a factor cancels is skipped where it is read."""
-        for x, n in reversed(factors):
-            entry = (n, x)
+        """A run of (mode, index) factors, a word's or a monomial prefix,
+        applied rightmost first to cur, {monomial: int} with the scales of
+        _apply_mono, in one pass each: a negative-mode factor that sorts
+        first is prepended in place, and a numerator a factor cancels is
+        skipped where it is read."""
+        for factor in reversed(factors):
+            negative = factor[0] < 0
             nxt = {}
             for mono, v in cur.items():
                 if not v:
                     continue
-                if n < 0 and (not mono or entry <= mono[0]):
-                    mono1 = (entry,) + mono
+                if negative and (not mono or factor <= mono[0]):
+                    mono1 = (factor,) + mono
                     nxt[mono1] = nxt.get(mono1, 0) + v
                     continue
-                it = iter(self._apply_mono(x, n, mono))
+                it = iter(self._apply_mono(factor, mono))
                 for mono1, c1 in zip(it, it):
                     nxt[mono1] = nxt.get(mono1, 0) + v * c1
             cur = nxt
@@ -204,12 +225,12 @@ class VermaModule:
 
     # ---- public operations ---------------------------------------------------
 
-    def apply(self, x, n, state):
-        """Act by the loop generator x(n) on a state."""
-        return self.act(((1, ((x, n),)),), state)
+    def apply(self, factor, state):
+        """Act by the loop generator x(n), factor (n, x), on a state."""
+        return self.act(((1, (factor,)),), state)
 
     def act(self, word, state):
-        """Apply [(coeff, ((index, mode), ...)), ...], coeff an int or a
+        """Apply [(coeff, ((mode, index), ...)), ...], coeff an int or a
         Fraction, to a state, rightmost factor first, one _apply_run per
         term (the run the kernel puts a prefix back with): the state's int
         numerators go through each product, which comes out scaled by
@@ -220,7 +241,7 @@ class VermaModule:
             raise ValueError("state belongs to a different module")
         start = state.nums
         scales = [c.denominator
-                  * self.level.denominator ** sum(n > 0 for _, n in factors)
+                  * self.level.denominator ** sum(n > 0 for n, _ in factors)
                   for c, factors in word]
         out_den = lcm(*scales)
         out = {}
@@ -233,39 +254,10 @@ class VermaModule:
         return PBWState(self, out, out_den * state.den)
 
     def expand_terms(self, terms):
-        """Resolve symbolic terms into a concrete word.
-
-        Each term is (coeff, [factor, ...]) with factor one of
-            ("e", root, mode)   root vector for a positive root
-            ("f", root, mode)
-            ("h", root, mode)   the coroot h_root = sum_i (2 c_i/(root,root)) H_i
-        and roots are epsilon-coordinate tuples; the module-level E, F and H
-        build the "e", "f" and "h" factors.  "h" factors expand
-        multilinearly, so one symbolic term may yield several word terms;
-        their int multipliers scale coeff once per word term.
-        """
-        alg = self.alg
-        word = []
-        for coeff, factors in terms:
-            partial = [(1, ())]
-            for factor in factors:
-                role, datum, mode = factor
-                if role == "e":
-                    options = [(alg.e_index(datum), 1)]
-                elif role == "f":
-                    options = [(alg.f_index(datum), 1)]
-                elif role == "h":
-                    options = sorted(alg.coroot_coords(datum).items())
-                else:
-                    raise ValueError("unknown factor role %r" % (role,))
-                partial = [
-                    (c * cx, fs + ((idx, mode),))
-                    for c, fs in partial
-                    for idx, cx in options
-                ]
-            word.extend((coeff if c == 1 else coeff * c, fs)
-                        for c, fs in partial)
-        return word
+        """The word of terms written in the vocabulary: each term (coeff,
+        (position, ...)), a position the (factor, multiplier) pairs summed
+        there, expands into its word terms (see expand)."""
+        return [t for coeff, options in terms for t in expand(coeff, options)]
 
     def build(self, terms):
         """The state a display denotes: expand_terms applied to the vacuum."""
@@ -401,8 +393,9 @@ class PBWState:
         """Inverse of to_obj.  ValueError on a document that is no list, a
         term that is no dict with exactly the keys coeff and monomial, a
         coeff that is no reduced "p/q" string, a factor that is no list
-        [role, datum, mode], a datum that is no int for role h or no root
-        label of the algebra for e and f, and a monomial that is no
+        [role, datum, mode], a datum that is no int for role h or no
+        canonical root label of the algebra for e and f (the text to_obj
+        writes, so "01-2" and "2+1" are refused), and a monomial that is no
         canonical list."""
         if not isinstance(obj, list):
             raise ValueError("state %r is no list" % (obj,))
@@ -423,6 +416,8 @@ class PBWState:
                         idx = alg.h_index(datum)
                     elif role in ("e", "f") and isinstance(datum, str):
                         root = liealg.parse_root_label(datum, alg.l)
+                        if liealg.root_label(root) != datum:
+                            raise ValueError
                         idx = (alg.e_index if role == "e"
                                else alg.f_index)(root)
                     else:

@@ -254,7 +254,8 @@ def check_admissible(alg, level, mode_bound=DEFAULT_MODE_BOUND):
         for root, n, modes in progressions:
             first = AffineRoot(root, modes[0]).coroot_vector()
             j = _progression_gap(basis.coordinates(first), unit,
-                                 2 * modes.step // n, len(modes) - 1)
+                                 2 * modes.step // n,
+                                 (modes[-1] - modes[0]) // modes.step)
             if j is not None:  # in the span, not in the cone: add raises
                 basis.add(AffineRoot(root, modes[j]).coroot_vector())
 

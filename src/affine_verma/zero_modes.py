@@ -11,16 +11,16 @@ the end-to-end annihilation check cannot provide on its own.
 
 from . import liealg
 from . import verma
-from .verma import E, F, H
 
 
 def identity_table(alg):
     """Rows (shape, parameter tuples, lhs builder, rhs builder).
 
-    Builders return symbolic term lists for VermaModule.build; the left side
-    is acted on by the zero mode afterwards.  The row count is pinned to 40
-    by the tests.
+    Builders return term lists in verma.vocabulary for VermaModule.build;
+    the left side is acted on by the zero mode afterwards.  The row count is
+    pinned to 40 by the tests.
     """
+    E, F, H = verma.vocabulary(alg)
     l = alg.l
     rm, rp, rs = alg.rm, alg.rp, alg.rs
     th = alg.theta
@@ -200,7 +200,7 @@ def verify_identities(l):
     """Recompute both sides of every table row in the D_l vacuum module."""
     module = verma.vacuum_module("D", l)
     alg = module.alg
-    op = alg.e_index(alg.rm(1, 2))
+    op = (0, alg.e_index(alg.rm(1, 2)))
     entries = []
     passed = True
     for index, (shape, params, lhs, rhs) in enumerate(identity_table(alg), 1):
@@ -208,7 +208,7 @@ def verify_identities(l):
         count = 0
         for p in params:
             count += 1
-            left = module.apply(op, 0, module.build(lhs(*p)))
+            left = module.apply(op, module.build(lhs(*p)))
             right = module.build(rhs(*p))
             if left != right:
                 failures.append({

@@ -84,30 +84,32 @@ def reference_enumerate_monomials(alg, degree, weight):
     return out
 
 
-def reference_apply_mono(module, x, n, mono, memo):
+def reference_apply_mono(module, factor, mono, memo):
     """Reference for VermaModule._apply_mono: the straightening kernel over
     Fraction, exact at every mode (no level.denominator scaling), memoized
     in memo rather than in the module.  It peels the first factor,
     x(n) y(m) rest = y(m) x(n) rest + [x(n), y(m)] rest, with no shortcut,
     so it shares no path with the kernel's Leibniz sum."""
-    key = (x, n, mono)
+    key = (factor, mono)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    entry = (n, x)
-    if n < 0 and (not mono or entry <= mono[0]):
-        result = (((entry,) + mono, Fraction(1)),)
+    n, x = factor
+    if n < 0 and (not mono or factor <= mono[0]):
+        result = (((factor,) + mono, Fraction(1)),)
     elif not mono:
         result = ()
     else:
         m, y = mono[0]
         rest = mono[1:]
         acc = {}
-        for mono1, c1 in reference_apply_mono(module, x, n, rest, memo):
-            for mono2, c2 in reference_apply_mono(module, y, m, mono1, memo):
+        for mono1, c1 in reference_apply_mono(module, factor, rest, memo):
+            for mono2, c2 in reference_apply_mono(module, mono[0], mono1,
+                                                  memo):
                 acc[mono2] = acc.get(mono2, Fraction(0)) + c1 * c2
         for z, cz in module.alg.bracket(x, y):
-            for mono1, c1 in reference_apply_mono(module, z, n + m, rest, memo):
+            for mono1, c1 in reference_apply_mono(module, (n + m, z), rest,
+                                                  memo):
                 acc[mono1] = acc.get(mono1, Fraction(0)) + cz * c1
         if n > 0 and n + m == 0:
             cf = module.alg.form(x, y)
@@ -129,10 +131,11 @@ def reference_act_terms(module, word, state, memo):
     out = {}
     for coeff, factors in word:
         cur = dict(state.terms)
-        for x, n in reversed(factors):
+        for factor in reversed(factors):
             nxt = {}
             for mono, c in cur.items():
-                for mono1, c1 in reference_apply_mono(module, x, n, mono, memo):
+                for mono1, c1 in reference_apply_mono(module, factor, mono,
+                                                      memo):
                     nxt[mono1] = nxt.get(mono1, Fraction(0)) + c * c1
             cur = {mono: c for mono, c in nxt.items() if c}
         for mono, c in cur.items():
@@ -269,7 +272,7 @@ def exhaustive_invariance(alg, limit=5):
 
 def apply_elem(module, elem, n, state):
     """Act by (sum_i elem[i] x_i)(n); elem is a sparse {index: coeff}."""
-    return module.act([(c, ((x, n),)) for x, c in elem.items()], state)
+    return module.act([(c, ((n, x),)) for x, c in elem.items()], state)
 
 
 def random_state(module, rng, max_terms=3, max_factors=3):
@@ -277,10 +280,10 @@ def random_state(module, rng, max_terms=3, max_factors=3):
     alg = module.alg
     out = module.zero()
     for _ in range(rng.randint(1, max_terms)):
-        factors = [
-            (rng.randrange(alg.dim), -rng.randint(1, 3))
-            for _ in range(rng.randint(0, max_factors))
-        ]
+        factors = []
+        for _ in range(rng.randint(0, max_factors)):
+            x = rng.randrange(alg.dim)
+            factors.append((-rng.randint(1, 3), x))
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         out = out + coeff * module.act([(1, factors)], module.vacuum())
     return out
@@ -296,8 +299,8 @@ def module_axiom_cases(module, rng, cases=300):
         m = rng.randint(-3, 3)
         n = rng.randint(-3, 3)
         s = random_state(module, rng)
-        lhs = module.apply(x, m, module.apply(y, n, s)) \
-            - module.apply(y, n, module.apply(x, m, s))
+        lhs = module.apply((m, x), module.apply((n, y), s)) \
+            - module.apply((n, y), module.apply((m, x), s))
         rhs = apply_elem(module, dict(alg.bracket(x, y)), m + n, s)
         if m + n == 0:
             rhs = rhs + (m * alg.form(x, y) * module.level) * s
@@ -311,10 +314,10 @@ def confluence_cases(module, rng, cases=100):
     alg = module.alg
     bad = []
     for case in range(cases):
-        factors = [
-            (rng.randrange(alg.dim), rng.randint(-3, 1))
-            for _ in range(rng.randint(2, 5))
-        ]
+        factors = []
+        for _ in range(rng.randint(2, 5)):
+            x = rng.randrange(alg.dim)
+            factors.append((rng.randint(-3, 1), x))
         whole = module.act([(1, factors)], module.vacuum())
         cut = rng.randint(1, len(factors) - 1)
         split = module.act([(1, factors[:cut])],
@@ -330,8 +333,7 @@ def idempotence_cases(module, rng, cases=100):
     for case in range(cases):
         s = random_state(module, rng)
         for mono, coeff in s.terms.items():
-            again = module.act([(1, [(x, n) for n, x in mono])],
-                               module.vacuum())
+            again = module.act([(1, mono)], module.vacuum())
             if again.terms != {mono: Fraction(1)}:
                 bad.append((case, mono))
         if s.to_obj() != s.to_obj():

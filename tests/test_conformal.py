@@ -89,7 +89,7 @@ def test_energy_vector_shape():
         total = module.zero()
         for idx, dual in alg.dual_basis():
             inner = helpers.apply_elem(module, dual, -1, module.vacuum())
-            total = total + module.apply(idx, -1, inner)
+            total = total + module.apply((-1, idx), inner)
         scale = Fraction(1, 2 * (level + alg.dual_coxeter))
         assert conformal.sugawara_vector(module) == scale * total, \
             (kind, l, level)
@@ -108,10 +108,11 @@ def test_quadratic_relation_negative_control():
     # perturbing the short-root weighting (3 for 2l - 1 = 7) destroys
     # proportionality
     bmodule = verma.vacuum_module("B", 4)
+    E, F, _ = verma.vocabulary(bmodule.alg)
     short = bmodule.build(
         [(1, fs) for r in bmodule.alg.positive_roots
          if liealg.root_norm(r) == 1
-         for fs in ((verma.E(r), verma.F(r)), (verma.F(r), verma.E(r)))])
+         for fs in ((E(r), F(r)), (F(r), E(r)))])
     rel = conformal.quadratic_relation_state(bmodule) - 4 * short
     assert rel.multiple_of(conformal.quadratic_certificate(bmodule)) is None
 

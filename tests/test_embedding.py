@@ -59,8 +59,8 @@ def test_embed_preserves_grading_and_brackets(rng):
         # the embedding intertwines the module actions
         x = rng.randrange(dmod.alg.dim)
         n = rng.randint(-2, 2)
-        left = embedding.embed_state(dmod.apply(x, n, s), bmod)
-        right = bmod.apply(mapping[x], n, t)
+        left = embedding.embed_state(dmod.apply((n, x), s), bmod)
+        right = bmod.apply((n, mapping[x]), t)
         assert left == right
 
 
@@ -104,7 +104,7 @@ def test_relation_failure_carries_difference(monkeypatch):
     true_vector = singular.singular_vector(bmod)
     alg = bmod.alg
     poke = bmod.act(
-        [(1, [(alg.e_index(alg.rm(1, 2)), -1), (alg.e_index(alg.rp(1, 2)), -1)])],
+        [(1, [(-1, alg.e_index(alg.rm(1, 2))), (-1, alg.e_index(alg.rp(1, 2)))])],
         bmod.vacuum())
 
     monkeypatch.setattr(embedding.singular, "singular_vector",

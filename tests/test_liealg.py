@@ -253,11 +253,11 @@ def test_structure_constants_are_small_ints(kind):
     # states built from the int table and kernel carry no float either
     module = verma.vacuum_module(kind, 4)
     vec = singular.singular_vector(module)
-    states = [vec] + [module.apply(x, n, vec)
-                      for x, n in singular.raising_operators(module.alg)]
-    states.append(module.apply(module.alg.f_index(module.alg.theta), 1,
-                               module.apply(module.alg.e_index(
-                                   module.alg.theta), -1, module.vacuum())))
+    states = [vec] + [module.apply(op, vec)
+                      for op in singular.raising_operators(module.alg)]
+    states.append(module.apply((1, module.alg.f_index(module.alg.theta)),
+                               module.apply((-1, module.alg.e_index(
+                                   module.alg.theta)), module.vacuum())))
     coeffs = [c for s in states for c in s.terms.values()]
     assert coeffs and all(type(c) is Fraction for c in coeffs)
 

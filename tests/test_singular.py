@@ -62,13 +62,14 @@ def test_type_b_vector_shape():
 def test_terms_stable_under_rank_growth():
     # the defining formula only adds new summands as l grows; type D
     # coefficients are polynomials in l, so compare factor structures
-    # there and exact terms in type B
+    # there and exact terms in type B; a position is keyed by the basis
+    # labels of its pairs, whose text does not depend on the rank
     def labeled(l, kind, with_coeff):
         alg = liealg.algebra(kind, l)
         out = set()
-        for coeff, factors in singular.flat_terms(alg):
-            key = tuple((role, liealg.root_label(datum), mode)
-                        for role, datum, mode in factors)
+        for coeff, positions in singular.flat_terms(alg):
+            key = tuple(tuple((alg.label(x), n, c) for (n, x), c in pos)
+                        for pos in positions)
             out.add((Fraction(coeff), key) if with_coeff else key)
         return out
 
@@ -87,8 +88,8 @@ def test_residual_reported_on_failure():
     module = verma.vacuum_module("B", 4)
     v = singular.singular_vector(module)
     alg = module.alg
-    poke = module.apply(alg.e_index(alg.rm(1, 2)), -1,
-                        module.apply(alg.e_index(alg.rp(1, 2)), -1,
+    poke = module.apply((-1, alg.e_index(alg.rm(1, 2))),
+                        module.apply((-1, alg.e_index(alg.rp(1, 2))),
                                      module.vacuum()))
     res = singular.check_singular(module, v + poke)
     assert not res["passed"]
@@ -222,7 +223,7 @@ def test_solver_family_type_d_strict_agrees():
     assert len(space) == 1
     # the raising conditions alone force x(1).v = 0 for the whole basis
     for x in range(module.alg.dim):
-        assert module.apply(x, 1, space[0]).is_zero(), x
+        assert module.apply((1, x), space[0]).is_zero(), x
     v = singular.singular_vector(module)
     assert v.multiple_of(space[0]) is not None
 

@@ -27,8 +27,9 @@ def syms(alg):
 @verifies("triality-maps")
 def test_diagram_symmetries(alg):
     three_cycle, swap = triality.d4_symmetries(alg)
-    assert triality.is_diagram_symmetry(alg, three_cycle.sigma)
-    assert triality.is_diagram_symmetry(alg, swap.sigma)
+    for auto, sigma in ((three_cycle, (2, 1, 3, 0)), (swap, (3, 1, 2, 0))):
+        assert triality.is_diagram_symmetry(alg, sigma)
+        assert triality.build_automorphism(alg, sigma).images == auto.images
     # a transposition moving the branch node is not a symmetry
     assert not triality.is_diagram_symmetry(alg, (1, 0, 2, 3))
 
@@ -71,7 +72,7 @@ def test_module_equivariance(module, syms, rng):
             s = helpers.random_state(module, rng)
             x = rng.randrange(alg.dim)
             n = rng.randint(-2, 1)
-            left = auto.apply_to_state(module.apply(x, n, s))
+            left = auto.apply_to_state(module.apply((n, x), s))
             right = helpers.apply_elem(module, auto({x: Fraction(1)}), n,
                                        auto.apply_to_state(s))
             assert left == right

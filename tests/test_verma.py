@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 
 import helpers
-from affine_verma import liealg, singular, verma
+from affine_verma import (conformal, embedding, liealg, singular, verma,
+                          zero_modes)
 from affine_verma.claims import verifies
 from affine_verma.verma import PBWState
 
@@ -26,7 +27,7 @@ def test_nonnegative_modes_kill_vacuum(module):
     vac = module.vacuum()
     for x in range(module.alg.dim):
         for n in (0, 1, 2):
-            assert module.apply(x, n, vac).is_zero()
+            assert module.apply((n, x), vac).is_zero()
 
 
 def test_nonnegative_mode_monomials_rejected(module):
@@ -53,7 +54,7 @@ def test_central_term_on_vacuum(module):
     # f_theta(1) e_theta(-1) 1 = [f, e](0) 1 + (f, e) k 1 = k 1
     alg = module.alg
     e, f = alg.e_index(alg.theta), alg.f_index(alg.theta)
-    got = module.apply(f, 1, module.apply(e, -1, module.vacuum()))
+    got = module.apply((1, f), module.apply((-1, e), module.vacuum()))
     assert got == module.level * module.vacuum()
 
 
@@ -99,7 +100,7 @@ def test_from_obj_rejects_non_canonical(module):
     with pytest.raises(ValueError):
         PBWState.from_obj(module, bad)
     # the state schema: coeff a reduced "p/q" string, an int datum for
-    # role h, a root label for e and f
+    # role h, a root label for e and f in the text to_obj writes
     label = liealg.root_label(root)
     for coeff, factor in ((0.1, ["e", label, -1]), (1, ["e", label, -1]),
                           ("2/4", ["e", label, -1]), ("0.5", ["e", label, -1]),
@@ -119,7 +120,12 @@ def test_from_obj_rejects_non_canonical(module):
                  {"coeff": "1", "monomial": [["e", label]]},
                  {"coeff": "1", "monomial": ["e1-"]},
                  {"coeff": "1", "monomial": [["e", "1-", -1]]},
-                 {"coeff": "1", "monomial": [["e", "9", -1]]}):
+                 {"coeff": "1", "monomial": [["e", "9", -1]]},
+                 {"coeff": "1", "monomial": [["e", "01-2", -1]]},
+                 {"coeff": "1", "monomial": [["e", " 1-2", -1]]},
+                 {"coeff": "1", "monomial": [["e", "1-+2", -1]]},
+                 {"coeff": "1", "monomial": [["e", "2+1", -1]]},
+                 {"coeff": "1", "monomial": [["e", "01", -1]]}):
         with pytest.raises(ValueError):
             PBWState.from_obj(module, [term])
     # a root label the algebra lacks: type D has no short root
@@ -138,7 +144,7 @@ def test_from_obj_rejects_non_canonical(module):
 def test_state_arithmetic(module):
     vac = module.vacuum()
     e = module.alg.e_index(module.alg.theta)
-    s = module.apply(e, -1, vac)
+    s = module.apply((-1, e), vac)
     assert (s + s) == 2 * s
     assert (s - s).is_zero()
     assert (-s) == -1 * s
@@ -167,7 +173,7 @@ def test_zero_denominator_rejected(module):
 def test_degree_and_weight(module):
     alg = module.alg
     e = alg.e_index(alg.theta)
-    s = module.apply(e, -2, module.apply(e, -1, module.vacuum()))
+    s = module.apply((-2, e), module.apply((-1, e), module.vacuum()))
     assert s.degree() == 3
     assert tuple(s.weight()) == tuple(2 * c for c in alg.theta)
     assert module.vacuum().degree() == 0
@@ -175,41 +181,91 @@ def test_degree_and_weight(module):
 
 def test_multiple_of(module):
     e = module.alg.e_index(module.alg.theta)
-    s = module.apply(e, -1, module.vacuum())
+    s = module.apply((-1, e), module.vacuum())
     t = Fraction(-7, 3) * s
     assert t.multiple_of(s) == Fraction(-7, 3)
     assert s.multiple_of(module.zero()) is None
     assert module.zero().multiple_of(s) == 0
-    h = module.apply(module.alg.h_index(1), -1, module.vacuum())
+    h = module.apply((-1, module.alg.h_index(1)), module.vacuum())
     assert (s + h).multiple_of(s) is None
 
 
 def test_symbolic_grammar_expansion(module):
     alg = module.alg
-    # an "h" factor expands into Cartan coordinates of the coroot
-    terms = [(1, (("h", alg.rm(1, 2), -1),))]
-    built = module.build(terms)
-    direct = module.apply(alg.h_index(1), -1, module.vacuum()) \
-        - module.apply(alg.h_index(2), -1, module.vacuum())
+    E, F, H = verma.vocabulary(alg)
+    h1, h2 = alg.h_index(1), alg.h_index(2)
+    # E and F are one factor; H is the Cartan coordinates of the coroot
+    assert E(alg.theta) == (((-1, alg.e_index(alg.theta)), 1),)
+    assert F(alg.theta, 0) == (((0, alg.f_index(alg.theta)), 1),)
+    assert H(alg.rm(1, 2)) == (((-1, h1), 1), ((-1, h2), -1))
+    # one word term per choice of a pair at each position, coeff scaled
+    # by the chosen multipliers only where their product is not 1
+    assert list(verma.expand(Fraction(1, 3), (E(alg.theta), H(alg.rm(1, 2),
+                                                              -2)))) == [
+        (Fraction(1, 3), ((-1, alg.e_index(alg.theta)), (-2, h1))),
+        (Fraction(-1, 3), ((-1, alg.e_index(alg.theta)), (-2, h2)))]
+    # an H position expands into Cartan coordinates of the coroot
+    built = module.build([(1, (H(alg.rm(1, 2)),))])
+    direct = module.apply((-1, h1), module.vacuum()) \
+        - module.apply((-1, h2), module.vacuum())
     assert built == direct
     # coordinate weights work in both types (not roots in type D)
-    terms = [(1, (("h", alg.rs(1), -1),))]
-    built = module.build(terms)
-    assert built == 2 * module.apply(alg.h_index(1), -1, module.vacuum())
+    built = module.build([(1, (H(alg.rs(1)),))])
+    assert built == 2 * module.apply((-1, h1), module.vacuum())
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_formulas_share_one_factor_format(kind, monkeypatch):
+    # every formula of the paper is written in verma.vocabulary: each
+    # position of a term is a non-empty tuple of ((mode, index), int) pairs,
+    # the factor format of words and monomials.  The conformal terms are
+    # read where their fixed states hand them to expand_terms, on a fresh
+    # module that builds every fixed state anew
+    module = _fresh_module(kind, 4, None)
+    alg = module.alg
+    formulas = [singular.flat_terms(alg)]
+    if kind == "D":
+        for _, params, lhs, rhs in zero_modes.identity_table(alg):
+            formulas += [f(*p) for p in params for f in (lhs, rhs)]
+    else:
+        for _, _, lhs, rhs in embedding.relation_instances(alg):
+            formulas += [[(1, lhs)], rhs]
+        formulas.append(embedding.certificate_word(alg))
+        expand_terms = verma.VermaModule.expand_terms
+        recorded = len(formulas)
+
+        def record(self, terms):
+            formulas.append(terms)
+            return expand_terms(self, terms)
+
+        monkeypatch.setattr(verma.VermaModule, "expand_terms", record)
+        conformal.quadratic_certificate(module)
+        conformal.quadratic_relation_state(module)
+        # the singular vector the certificate acts on, then both formulas
+        assert len(formulas) == recorded + 3
+    positions = [pos for terms in formulas for _, term in terms
+                 for pos in term]
+    assert len(positions) > 100
+    for pos in positions:
+        assert type(pos) is tuple and pos, pos
+        for pair in pos:
+            (n, x), c = pair
+            assert type(n) is int and type(x) is int and type(c) is int, pair
+            assert 0 <= x < alg.dim, pair
 
 
 def test_apply_rejects_foreign_state():
     mb = verma.vacuum_module("B", 4)
     md = verma.vacuum_module("D", 4)
     with pytest.raises(ValueError):
-        mb.apply(0, -1, md.vacuum())
+        mb.apply((-1, 0), md.vacuum())
 
 
 def test_level_override():
     m = verma.vacuum_module("B", 4, level=Fraction(1))
     e = m.alg.e_index(m.alg.theta)
     f = m.alg.f_index(m.alg.theta)
-    got = m.apply(f, 1, m.apply(e, -1, m.vacuum()))
+    got = m.apply((1, f), m.apply((-1, e), m.vacuum()))
     assert got == m.vacuum()
 
 
@@ -230,12 +286,14 @@ def _random_word(alg, rng, positive):
     cartan = [alg.h_index(i) for i in range(1, alg.l + 1)]
     word = []
     for _ in range(rng.randint(1, 3)):
-        factors = [(rng.randrange(alg.dim), -rng.randint(1, 2))
-                   for _ in range(rng.randint(0, 3))]
+        factors = []
+        for _ in range(rng.randint(0, 3)):
+            x = rng.randrange(alg.dim)
+            factors.append((-rng.randint(1, 2), x))
         for _ in range(positive):
             x = rng.choice(cartan) if rng.random() < 0.7 \
                 else rng.randrange(alg.dim)
-            factors.insert(rng.randint(0, len(factors)), (x, rng.randint(1, 2)))
+            factors.insert(rng.randint(0, len(factors)), (rng.randint(1, 2), x))
         word.append((Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)),
                      factors))
     return word
@@ -255,10 +313,10 @@ def test_int_kernel_matches_fraction_reference(kind, l, level, rng):
     # the central term on its own, then stacked: f(1) f(1) on e(-1) e(-1)
     e, f = alg.e_index(alg.theta), alg.f_index(alg.theta)
     h = alg.h_index(1)
-    start = ref([(1, [(e, -1), (e, -1)]), (Fraction(2, 3), [(h, -1), (h, -2)])],
+    start = ref([(1, [(-1, e), (-1, e)]), (Fraction(2, 3), [(-1, h), (-2, h)])],
                 module.vacuum())
-    fixed = [[(1, [(f, 1)])], [(Fraction(1, 5), [(f, 1), (f, 1)])],
-             [(1, [(h, 2)]), (Fraction(-3, 2), [(h, 1), (f, 1), (e, -1)])]]
+    fixed = [[(1, [(1, f)])], [(Fraction(1, 5), [(1, f), (1, f)])],
+             [(1, [(2, h)]), (Fraction(-3, 2), [(1, h), (1, f), (-1, e)])]]
     for word in fixed:
         assert module.act(word, start) == ref(word, start), word
     # f(1) e(-1)^2 |0> = (2k - 2) e(-1)|0>, then f(1) e(-1)|0> = k|0>
@@ -275,17 +333,23 @@ def test_int_kernel_matches_fraction_reference(kind, l, level, rng):
             assert got == ref(word, state), word
             nonzero[positive] += not got.is_zero()
             x, n = rng.randrange(alg.dim), rng.randint(-2, 2)
-            assert module.apply(x, n, state) == ref([(1, [(x, n)])], state)
+            assert module.apply((n, x), state) == ref([(1, [(n, x)])], state)
             elem = {rng.randrange(alg.dim): Fraction(rng.randint(1, 5), 3)
                     for _ in range(2)}
             assert helpers.apply_elem(module, elem, n, state) == \
-                ref([(c, [(y, n)]) for y, c in elem.items()], state)
+                ref([(c, [(n, y)]) for y, c in elem.items()], state)
     assert all(nonzero.values()), nonzero
 
 
 def _random_mono(alg, rng, length):
     return tuple(sorted((-rng.randint(1, 3), rng.randrange(alg.dim))
                         for _ in range(length)))
+
+
+def _random_factor(alg, rng, low, high):
+    """A factor (mode, index) with its index drawn first."""
+    x = rng.randrange(alg.dim)
+    return (rng.randint(low, high), x)
 
 
 @pytest.mark.parametrize("level", [None, Fraction(-5, 3)], ids=str)
@@ -305,15 +369,15 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
     taken = {"zero": 0, "insert": 0, "recurse": 0}
     for _ in range(400):
         mono = _random_mono(alg, rng, rng.randint(1, 4))
-        x, n = rng.randrange(alg.dim), rng.randint(-3, 2)
-        entry = (n, x)
+        entry = _random_factor(alg, rng, -3, 2)
+        n, x = entry
         passed = [f[1] for f in mono if n >= 0 or f < entry]
         before = len(module._memo)
-        fresh = (x, n, mono) not in module._memo
-        got = tuple(module.operator_terms(x, n, mono))
-        want = helpers.reference_apply_mono(module, x, n, mono, memo)
+        fresh = (entry, mono) not in module._memo
+        got = tuple(module.operator_terms(entry, mono))
+        want = helpers.reference_apply_mono(module, entry, mono, memo)
         assert dict(got) == {m: c * (scale if n > 0 else 1)
-                             for m, c in want}, (x, n, mono)
+                             for m, c in want}, (entry, mono)
         if n < 0 and entry <= mono[0] or not fresh:
             continue
         if not any(alg.reach[x] & alg.held[y] for y in passed):
@@ -333,7 +397,7 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
                               Fraction(rng.randint(1, 9), rng.randint(1, 4))
                               for _ in range(3)})
         word = [(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)),
-                 [(rng.randrange(alg.dim), rng.randint(-3, 2))
+                 [_random_factor(alg, rng, -3, 2)
                   for _ in range(rng.randint(1, 3))])
                 for _ in range(2)]
         got = module.act(word, state)
@@ -353,7 +417,7 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
                 z = next(z for z in range(alg.dim) if alg.form(w, z))
                 mono = tuple(sorted(((-1, y), (-1, z))))
                 c = dict(helpers.reference_apply_mono(
-                    module, x, 2, mono, memo)).get((), 0)
+                    module, (2, x), mono, memo)).get((), 0)
                 if c:
                     images[mono] = c
             if len(images) == 2:
@@ -363,7 +427,7 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
         (a, ca), (b, cb) = images.items()
         state = module.state({a: cb, b: -ca,
                               _random_mono(alg, rng, 3): Fraction(1, 2)})
-        word = [(1, [(rng.randrange(alg.dim), rng.randint(-2, 1)), (x, 2)])]
+        word = [(1, [_random_factor(alg, rng, -2, 1), (2, x)])]
         got = module.act(word, state)
         assert got == helpers.reference_act(module, word, state, memo), word
         cancelled += 1
@@ -374,10 +438,9 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
     nonzero = 0
     for _ in range(20):
         mono = _random_mono(alg, rng, rng.randint(1, 3))
-        m, y = mono[0]
-        factors = [(rng.randrange(alg.dim), rng.randint(1, 2)),
-                   (rng.randrange(alg.dim), 0), (rng.randrange(alg.dim), -4),
-                   (y, m), (y, m)]
+        factors = [_random_factor(alg, rng, 1, 2),
+                   (0, rng.randrange(alg.dim)), (-4, rng.randrange(alg.dim)),
+                   mono[0], mono[0]]
         state = module.state({mono: 3, _random_mono(alg, rng, 2): -1})
         for word in ([(1, factors)], [(1, factors[1:])], [(2, factors[2:])]):
             got = module.act(word, state)
@@ -402,34 +465,35 @@ def test_leibniz_paths_match_reference(kind, l, level, rng):
     scale = module.level.denominator
     taken = {"put_back": 0, "interior_central": 0}
 
-    def check(x, n, mono):
-        fresh = (x, n, mono) not in module._memo
-        got = dict(module.operator_terms(x, n, mono))
-        want = helpers.reference_apply_mono(module, x, n, mono, memo)
-        assert got == {m: c * (scale if n > 0 else 1) for m, c in want}, \
-            (x, n, mono)
+    def check(factor, mono):
+        fresh = (factor, mono) not in module._memo
+        got = dict(module.operator_terms(factor, mono))
+        want = helpers.reference_apply_mono(module, factor, mono, memo)
+        assert got == {m: c * (scale if factor[0] > 0 else 1)
+                       for m, c in want}, (factor, mono)
         return fresh
 
     for _ in range(300):
         mode = -rng.randint(1, 2)
         mono = tuple(sorted((mode, rng.randrange(alg.dim))
                             for _ in range(rng.randint(2, 4))))
-        x, n = rng.randrange(alg.dim), rng.randint(mode, 1)
-        if not check(x, n, mono):
+        factor = _random_factor(alg, rng, mode, 1)
+        if not check(factor, mono):
             continue
-        passed = [i for i, f in enumerate(mono) if n >= 0 or f < (n, x)]
+        n, x = factor
+        passed = [i for i, f in enumerate(mono) if n >= 0 or f < factor]
         taken["put_back"] += any(
             mono1 and mono1[0] < mono[i - 1]
             for i in passed[1:] for z, _ in alg.bracket(x, mono[i][1])
             for mono1, _ in helpers.reference_apply_mono(
-                module, z, n + mono[i][0], mono[i + 1:], memo))
+                module, (n + mono[i][0], z), mono[i + 1:], memo))
     for _ in range(60):
         n, x = rng.randint(1, 2), rng.randrange(alg.dim)
         y = next(y for y in range(alg.dim) if alg.form(x, y))
         mono = tuple(sorted([(-n, y)] + [
             (-rng.randint(n, 3), rng.randrange(alg.dim))
             for _ in range(rng.randint(2, 3))]))
-        if check(x, n, mono):
+        if check((n, x), mono):
             taken["interior_central"] += any(
                 i >= 2 and m == -n and alg.form(x, z)
                 for i, (m, z) in enumerate(mono))
@@ -439,7 +503,7 @@ def test_leibniz_paths_match_reference(kind, l, level, rng):
 def test_prepends_store_nothing(fresh_caches):
     # sort-first prepends, proven zeros (a nonnegative mode with no
     # partner) and peeled suffixes store nothing: the kernel stores the
-    # (x, n, monomial) it is called on, not x(n) on the tails it passes
+    # (factor, monomial) it is called on, not x(n) on the tails it passes
     singular.report("D", 5)
     assert len(verma.vacuum_module("D", 5)._memo) == 1438
 
@@ -453,8 +517,8 @@ def test_singular_space_from_scaled_rows(kind, level):
     module = _fresh_module(kind, 4, level)
     ref = _fresh_module(kind, 4, level)
     memo = {}
-    ref._apply_mono = lambda x, n, mono: tuple(
-        v for pair in helpers.reference_apply_mono(ref, x, n, mono, memo)
+    ref._apply_mono = lambda factor, mono: tuple(
+        v for pair in helpers.reference_apply_mono(ref, factor, mono, memo)
         for v in pair)
     profile = singular.expected_profile(module.alg)
     for args in (profile, (2, (0,) * 4)):

@@ -85,6 +85,21 @@ def test_reports_agree_across_bounds(kind):
     assert reps[0]["admissible"] and reps[0] == reps[1] == reps[2]
 
 
+@pytest.mark.parametrize("kind", "BD")
+def test_bound_past_sys_maxsize(kind):
+    # the library call stays unbounded: a progression of more than
+    # sys.maxsize modes has no len(), and its last index is computed
+    alg = liealg.algebra(kind, 6)
+    want = weights.check_admissible(alg, special_level(6), 10 ** 6)
+    start = time.perf_counter()
+    got = weights.check_admissible(alg, special_level(6), 10 ** 30)
+    elapsed = time.perf_counter() - start
+    assert got.pop("mode_bound") == 10 ** 30
+    want.pop("mode_bound")
+    assert want["admissible"] and got == want
+    assert elapsed < 1, elapsed
+
+
 def test_mode_bound_scaling():
     # neither condition (i), decided per root in closed form, nor the cone
     # test grows with the mode bound; the budget is generous

@@ -35,7 +35,7 @@ def test_zero_mode_kills_degree_four_vector():
     module = verma.vacuum_module("D", 4)
     alg = module.alg
     v = singular.singular_vector(module)
-    out = module.apply(alg.e_index(alg.rm(1, 2)), 0, v)
+    out = module.apply((0, alg.e_index(alg.rm(1, 2))), v)
     assert out.is_zero()
 
 
