@@ -26,7 +26,7 @@ CHECKS = ("singular", "embedding", "conformal", "admissible", "triality",
 
 # the rank budget: on a 2-core host, at the default mode bound, `verify all
 # --l 24 --jobs 1` takes 1.5-2.3 s and `verify singular --type D --l 24
-# --strict` 3.3-5.1 s, as the host's load varies
+# --strict` 1.2-2.0 s, as the host's load varies
 MAX_L = 24
 
 # the ceiling on --mode-bound and the environment alike, the highest mode a

@@ -8,13 +8,16 @@ row.  No rounding can occur, dividing by g keeps the integers small, and a
 row is made primitive once, when it is stored.  Pivots are chosen as the
 smallest column index of the incoming row, which makes echelon forms (and
 therefore nullspace bases) deterministic.  Solving, nullspaces and the
-integer cone basis of weights all run on the one Echelon accumulator; there
-is no other elimination loop.
+integer cone basis of weights all run on the one Echelon accumulator.
 
 Nullspace bases do not depend on row order or repeated rows: the pivot
 columns depend on the row space alone, and each basis vector is the one
-kernel vector on its free column and the pivots below it.  So nullspace adds
-rows sparsest first, which cuts fill-in.
+kernel vector on its free column and the pivots below it.  So nullspace is
+free to change the system before Echelon sees it.  It first reads the rows
+a*x_i + b*x_j = 0 into classes of columns that are fixed multiples of one
+another (the first step of structured Gaussian elimination): that pass only
+substitutes, and Echelon still does all elimination, on the longer rows
+rewritten over the classes, sparsest first, which cuts fill-in.
 """
 
 from fractions import Fraction
@@ -108,20 +111,122 @@ class Echelon:
                         x = {c: v * k for c, v in x.items()}
                         s *= k
                     x[p] = -s // piv
-            ints = [x.get(c, 0) for c in range(ncols)]
-            g = gcd(*ints)
-            g = g if next(v for v in ints if v) > 0 else -g
-            basis.append([v // g for v in ints] if g != 1 else ints)
+            basis.append(_primitive([x.get(c, 0) for c in range(ncols)]))
         return basis
 
 
+def _primitive(vec):
+    """A nonzero int vector over the gcd of its entries, first nonzero entry
+    positive."""
+    g = gcd(*vec)
+    g = g if next(v for v in vec if v) > 0 else -g
+    return [v // g for v in vec] if g != 1 else vec
+
+
+def _fold(rows, ncols):
+    """One class pass over {col: value} rows.
+
+    A row a*x_i + b*x_j = 0 only ties x_i to x_j, so it merges their
+    weighted union-find classes: every column of a class is a fixed nonzero
+    multiple of one class variable.  A one-term row, or a cycle whose ratios
+    disagree, makes its class zero.  Returns the longer rows rewritten over
+    the live classes, the number of live classes, and per column c the pair
+    (k, w) with x_c = w * y_k, w an int, 0 for a column of a zero class.
+    """
+    parent = list(range(ncols))
+    num = [1] * ncols  # x_c = num[c] / den[c] * x_parent[c]
+    den = [1] * ncols
+    zeros = []
+    long_rows = []
+
+    def find(c):
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        for x in reversed(path):
+            p = parent[x]
+            if p != c:
+                num[x] *= num[p]
+                den[x] *= den[p]
+                parent[x] = c
+        return c
+
+    for row in rows:
+        if row and not (0 <= min(row) and max(row) < ncols):
+            bad = next(c for c in row if not 0 <= c < ncols)
+            raise ValueError("column %r is outside range(%d)" % (bad, ncols))
+        cols = [c for c, v in row.items() if v]
+        if len(cols) > 2:
+            long_rows.append(row)
+        elif len(cols) == 1:
+            zeros.append(cols[0])
+        elif cols:
+            i, j = cols
+            a, b = row[i], row[j]
+            ri, rj = find(i), find(j)
+            # the row over the roots, a*x_ri + b*x_rj = 0, with a and b ints
+            a, b = (a.numerator * b.denominator * num[i] * den[j],
+                    b.numerator * a.denominator * num[j] * den[i])
+            if ri == rj:
+                if a + b:
+                    zeros.append(i)
+                continue
+            g = gcd(a, b)
+            parent[ri] = rj
+            num[ri], den[ri] = -b // g, a // g
+    roots = [find(c) for c in range(ncols)]
+    dead = {roots[c] for c in zeros}
+    # w is num/den times the lcm of den over the class
+    scale = {}
+    for c, r in enumerate(roots):
+        if r not in dead:
+            scale[r] = lcm(scale.get(r, 1), den[c])
+    index = {r: k for k, r in enumerate(scale)}
+    weight = [(index[r], num[c] * (scale[r] // den[c])) if r in index
+              else (0, 0) for c, r in enumerate(roots)]
+    system = []
+    for row in long_rows:
+        new = {}
+        for c, v in row.items():
+            k, w = weight[c]
+            if w:
+                new[k] = new.get(k, 0) + v * w
+        system.append(new)
+    return system, len(index), weight
+
+
 def nullspace(rows, ncols):
-    """Right nullspace of the matrix whose rows are {col: value} dicts."""
+    """Right nullspace of the matrix whose rows are {col: value} dicts.
+
+    One class pass (see _fold) takes out the rows with fewer than three
+    terms; Echelon eliminates the others, rewritten over the classes,
+    sparsest first.  Its kernel, mapped back to the columns, is brought to
+    the canonical basis of Echelon.nullspace, which depends on the row space
+    alone: the reduced echelon form of the kernel with the column order
+    reversed, since a vector's free column is its last nonzero one and the
+    other free columns are zero on it.
+    """
+    system, nclasses, weight = _fold(rows, ncols)
     ech = Echelon()
-    for row in sorted(rows, key=len):
-        if row:
-            ech.add(row)
-    return ech.nullspace(ncols)
+    for row in sorted(system, key=len):
+        ech.add(row)
+    rev = Echelon()
+    for y in ech.nullspace(nclasses):
+        rev.add({ncols - 1 - c: w * y[k] for c, (k, w) in enumerate(weight)})
+    basis = {}
+    for p in sorted(rev.rows, reverse=True):
+        row = rev.rows[p]
+        for q, done in basis.items():
+            a = row.get(q)
+            if a:
+                b = done[q]
+                g = gcd(a, b)
+                row = {c: row.get(c, 0) * (b // g) - done.get(c, 0) * (a // g)
+                       for c in row.keys() | done.keys()}
+        basis[p] = row
+    return [_primitive([row.get(ncols - 1 - c, 0) for c in range(ncols)])
+            for row in basis.values()]
 
 
 def solve_exact(columns, target):

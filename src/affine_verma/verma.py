@@ -231,18 +231,23 @@ class VermaModule:
 
     def act(self, word, state):
         """Apply [(coeff, ((mode, index), ...)), ...], coeff an int or a
-        Fraction, to a state, rightmost factor first, one _apply_run per
-        term (the run the kernel puts a prefix back with): the state's int
-        numerators go through each product, which comes out scaled by
-        level.denominator per positive-mode factor (see _apply_mono); the
-        result is int numerators over the lcm of those scales times the
-        state's denominator, with no Fraction built."""
+        Fraction (TypeError otherwise), to a state, rightmost factor first,
+        one _apply_run per term (the run the kernel puts a prefix back
+        with): the state's int numerators go through each product, which
+        comes out scaled by level.denominator per positive-mode factor (see
+        _apply_mono); the result is int numerators over the lcm of those
+        scales times the state's denominator, with no Fraction built."""
         if state.module is not self:
             raise ValueError("state belongs to a different module")
         start = state.nums
-        scales = [c.denominator
-                  * self.level.denominator ** sum(n > 0 for n, _ in factors)
-                  for c, factors in word]
+        try:
+            scales = [c.denominator
+                      * self.level.denominator ** sum(n > 0 for n, _ in factors)
+                      for c, factors in word]
+        except AttributeError:
+            c = next(c for c, _ in word if not isinstance(c, (int, Fraction)))
+            raise TypeError("coefficient %r is no int or Fraction" % (c,)) \
+                from None
         out_den = lcm(*scales)
         out = {}
         for (c, factors), d in zip(word, scales):
@@ -348,16 +353,12 @@ class PBWState:
     def weight(self):
         """Common finite h-weight as an epsilon tuple, or None if mixed or zero."""
         alg = self.module.alg
-        seen = set()
-        for m in self.nums:
-            w = [0] * alg.l
-            for _, x in m:
-                for i, c in enumerate(alg.weight(x)):
-                    w[i] += c
-            seen.add(tuple(w))
-            if len(seen) > 1:
-                return None
-        return seen.pop() if seen else None
+        weights = {x: alg.weight(x)
+                   for x in {x for m in self.nums for _, x in m}}
+        zero = (0,) * alg.l
+        seen = {tuple(map(sum, zip(zero, *[weights[x] for _, x in m])))
+                for m in self.nums}
+        return seen.pop() if len(seen) == 1 else None
 
     def multiple_of(self, other):
         """The scalar s with self == s*other, or None if there is none."""

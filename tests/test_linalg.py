@@ -1,5 +1,6 @@
 """Exact rational linear algebra: elimination, nullspaces, solving."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,72 @@ def test_nullspace_ignores_row_order(rng):
             rng.shuffle(rows)
             assert nullspace(rows, ncols) == want
             assert nullspace(iter(rows), ncols) == want
+
+
+def test_nullspace_rejects_columns_outside_range():
+    # a column past ncols, or a negative one, names no unknown of the system
+    for rows, ncols, col in (([{0: 1, 5: 2}], 3, "5"), ([{2: 1}], 2, "2"),
+                             ([{0: 1}, {-1: 1, 1: 2}], 2, "-1"),
+                             ([{0: 1, 3: 0}], 3, "3")):
+        with pytest.raises(ValueError, match="column %s " % col):
+            nullspace(rows, ncols)
+
+
+def _class_rich_rows(rng, ncols, stats):
+    """A random system made mostly of two-term rows: chains, cycles whose
+    closing ratio agrees or disagrees, one-term rows and a few longer rows,
+    with explicit zero entries and Fraction entries mixed in; some columns
+    are left out of every row."""
+    def entry():
+        v = rng.choice((-3, -2, -1, 1, 2, 3, 4))
+        return Fraction(v, rng.randint(2, 5)) if rng.random() < 0.3 else v
+
+    used = rng.sample(range(ncols), rng.randint(1, ncols))
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        chain = rng.sample(used, rng.randint(1, len(used)))
+        ratio = Fraction(1)  # x_chain[t] = ratio * x_chain[0]
+        for a, b in zip(chain, chain[1:]):
+            u, v = entry(), entry()
+            rows.append({a: u, b: v})
+            ratio *= Fraction(-u) / v
+        if len(chain) > 2 and rng.random() < 0.5:
+            # x_last - r * x_first = 0 closes the cycle
+            agrees = rng.random() < 0.5
+            stats["cycle", agrees] += 1
+            rows.append({chain[-1]: 1, chain[0]: -ratio * (1 if agrees else 2)})
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.3:
+            rows.append({rng.choice(used): entry()})
+    for _ in range(rng.randint(0, 3)):
+        cols = rng.sample(range(ncols), min(ncols, rng.randint(3, 5)))
+        rows.append({c: entry() for c in cols})
+    for row in rows:
+        if rng.random() < 0.2:
+            row[rng.randrange(ncols)] = 0 if rng.random() < 0.5 else Fraction(0)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_class_pass_matches_plain_elimination(rng):
+    # nullspace folds the two-term rows into classes before Echelon; its
+    # basis is the one of Echelon alone and of the reference kernel, on
+    # systems rich in chains and cycles, with kernels of every dimension
+    stats = Counter()
+    for _ in range(400):
+        ncols = rng.randint(1, 12)
+        rows = _class_rich_rows(rng, ncols, stats)
+        ech, ref = Echelon(), helpers.ReferenceEchelon()
+        for row in rows:
+            ech.add(row)
+            ref.add(row)
+        want = ech.nullspace(ncols)
+        assert nullspace(rows, ncols) == want == ref.nullspace(ncols)
+        assert nullspace(iter(rows), ncols) == want
+        stats["dimension", min(len(want), 2)] += 1
+    assert all(stats[key] >= 20 for key in (
+        ("dimension", 0), ("dimension", 1), ("dimension", 2),
+        ("cycle", True), ("cycle", False))), stats
 
 
 def test_echelon_rank():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from affine_verma import cli, liealg, singular, verma
+from affine_verma import cli, liealg, linalg, singular, verma
 from affine_verma.claims import verifies
 
 
@@ -226,6 +226,31 @@ def test_solver_family_type_d_strict_agrees():
         assert module.apply((1, x), space[0]).is_zero(), x
     v = singular.singular_vector(module)
     assert v.multiple_of(space[0]) is not None
+
+
+def test_oracle_basis_matches_plain_elimination(monkeypatch):
+    # the D_10 system as solve_singular_space assembles it: the class pass
+    # in linalg.nullspace gives the basis of Echelon alone
+    seen = []
+    nullspace = linalg.nullspace
+
+    def record(rows, ncols):
+        rows = list(rows)
+        seen.append((rows, ncols))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", record)
+    module = verma.vacuum_module("D", 10)
+    space = singular.solve_singular_space(
+        module, *singular.expected_profile(module.alg))
+    (rows, ncols), = seen
+    ech = linalg.Echelon()
+    for row in rows:
+        ech.add(row)
+    want = ech.nullspace(ncols)
+    assert len(want) == len(space) == 1
+    assert nullspace(rows, ncols) == want
+    assert sum(len(row) == 2 for row in rows) > len(rows) / 2
 
 
 def test_solver_empty_space():

@@ -160,6 +160,12 @@ def test_float_coefficients_rejected(module):
             product()
     with pytest.raises(TypeError):
         module.state({(): 0.1})
+    # nor does a word's coefficient, in whichever term it stands
+    for word in ([(0.5, ((-1, 0),))], [(1, ((-1, 0),)), (0.5, ())]):
+        with pytest.raises(TypeError, match="0.5"):
+            module.act(word, vac)
+    with pytest.raises(TypeError, match="0.5"):
+        module.build([(0.5, ((((-1, 0), 1),),))])
 
 
 def test_zero_denominator_rejected(module):
@@ -170,13 +176,36 @@ def test_zero_denominator_rejected(module):
     assert module.state({(): 1}, -2).den == 2
 
 
-def test_degree_and_weight(module):
+def test_degree_and_weight(module, rng):
     alg = module.alg
     e = alg.e_index(alg.theta)
     s = module.apply((-2, e), module.apply((-1, e), module.vacuum()))
     assert s.degree() == 3
     assert tuple(s.weight()) == tuple(2 * c for c in alg.theta)
     assert module.vacuum().degree() == 0
+
+    # weight() against the coordinate-by-coordinate sum over each monomial:
+    # an int tuple, None for a mixed or zero state
+    def reference(state):
+        seen = set()
+        for mono in state.nums:
+            w = [0] * alg.l
+            for _, x in mono:
+                for i, c in enumerate(alg.weight(x)):
+                    w[i] += c
+            seen.add(tuple(w))
+        return seen.pop() if len(seen) == 1 else None
+
+    states = [module.vacuum(), module.zero(), singular.singular_vector(module)]
+    for _ in range(60):
+        t = helpers.random_state(module, rng)
+        states += [t, t + module.vacuum()]
+    for t in states:
+        got = t.weight()
+        assert got == reference(t)
+        assert got is None or all(type(c) is int for c in got)
+    assert module.zero().weight() is None
+    assert module.vacuum().weight() == (0,) * alg.l
 
 
 def test_multiple_of(module):
