@@ -52,9 +52,9 @@ def sugawara_vector(module):
     if k == -alg.dual_coxeter:
         raise ValueError("critical level has no conformal vector")
     scale = 1 / (2 * (k + alg.dual_coxeter))
-    return module.act([(c * scale, ((-1, idx), (-1, j)))
-                       for idx, dual in alg.dual_basis()
-                       for j, c in dual.items()], module.vacuum())
+    return module.build([(scale, ((((-1, idx), 1),),
+                                  tuple(((-1, j), c) for j, c in dual.items())))
+                         for idx, dual in alg.dual_basis()])
 
 
 # ---- certificates in the B module ---------------------------------------------
@@ -73,7 +73,7 @@ def quadratic_certificate(bmodule):
     terms = [(2 * l, (F(alg.rs(1), 0), F(alg.rs(1), 0)))]
     terms += [(4, (F(alg.rm(1, i), 0), F(alg.rp(1, i), 0)))
               for i in range(2, l + 1)]
-    return bmodule.act(bmodule.expand_terms(terms), singular.singular_vector(bmodule))
+    return bmodule.act(terms, singular.singular_vector(bmodule))
 
 
 @verma.fixed_state

@@ -74,16 +74,15 @@ class Automorphism:
         return True
 
     def apply_to_state(self, state):
-        """Factorwise image of a canonical state, recanonicalized: each
-        factor (n, x) becomes the sum of (n, y) over the image of x."""
+        """Factorwise image of a canonical state, recanonicalized: one term
+        per monomial, each factor (n, x) the position of (n, y) over pi x."""
         module = state.module
         if module.alg is not self.alg:
             raise ValueError("state over a different algebra")
-        word = [t for mono, v in state.nums.items()
-                for t in verma.expand(v, [
-                    [((n, y), cy) for y, cy in self.images[x].items()]
-                    for n, x in mono])]
-        return module.act(word, module.state({(): 1}, state.den))
+        terms = [(v, tuple(tuple(((n, y), cy) for y, cy in self.images[x].items())
+                           for n, x in mono))
+                 for mono, v in state.nums.items()]
+        return module.act(terms, module.state({(): 1}, state.den))
 
 
 def build_automorphism(alg, sigma, name="automorphism"):

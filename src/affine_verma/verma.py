@@ -23,16 +23,17 @@ are memoized per module, keyed by (factor, monomial), but for a
 negative-mode factor that sorts first, prepended in place without a call,
 and the products proven zero, which are not stored.
 
-Straightening and state arithmetic run on int: a state is int numerators
-over one denominator (see PBWState), and Fraction is built only where a
-scalar leaves the module (multiple_of, to_obj, terms).  There is no
-floating point anywhere.
+The paper's displays are products of sums (h(1-2)(-1) is H_1 - H_2); act
+takes them as written, one pass over the state per position, and never
+multiplies them out.  Straightening and state arithmetic run on int: a
+state is int numerators over one denominator (see PBWState), and Fraction
+is built only where a scalar leaves the module (multiple_of, to_obj,
+terms).  There is no floating point anywhere.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import product
 from math import gcd, lcm
 
 from . import liealg
@@ -55,19 +56,6 @@ def vocabulary(alg):
                      for x, c in sorted(alg.coroot_coords(vec).items()))
 
     return E, F, H
-
-
-def expand(coeff, options):
-    """The word terms of coeff times a product of sums, options[i] the
-    (factor, multiplier) pairs summed at position i: one per choice of a
-    pair at each position, coeff scaled once by the product of its
-    multipliers where that is not 1."""
-    for choice in product(*options):
-        c = 1
-        for _, cx in choice:
-            c *= cx
-        yield (coeff if c == 1 else coeff * c,
-               tuple(factor for factor, _ in choice))
 
 
 def fixed_state(make):
@@ -189,7 +177,8 @@ class VermaModule:
                     else:
                         back[mono1] = back.get(mono1, 0) + cz * c1
             if back:
-                for mono1, c1 in self._apply_run(prefix, back).items():
+                put_back = self._apply_run([((f, 1),) for f in prefix], back)
+                for mono1, c1 in put_back.items():
                     acc[mono1] = acc.get(mono1, 0) + c1
             if n > 0 and n + m == 0:
                 cf = self.alg.form(x, y)
@@ -201,25 +190,30 @@ class VermaModule:
             v for mo, c in acc.items() if c for v in (mo, c))
         return result
 
-    def _apply_run(self, factors, cur):
-        """A run of (mode, index) factors, a word's or a monomial prefix,
+    def _apply_run(self, run, cur):
+        """A run of positions, tuples of ((mode, index), int) pairs (a term
+        as act plans it, or a prefix the kernel puts back, one pair each),
         applied rightmost first to cur, {monomial: int} with the scales of
-        _apply_mono, in one pass each: a negative-mode factor that sorts
-        first is prepended in place, and a numerator a factor cancels is
-        skipped where it is read."""
-        for factor in reversed(factors):
-            negative = factor[0] < 0
+        _apply_mono, in one pass per position: a factor that sorts first is
+        prepended in place, the memo is read here and _apply_mono called only
+        on a miss, and a numerator a position cancels is skipped."""
+        memo = self._memo
+        for pos in reversed(run):
             nxt = {}
-            for mono, v in cur.items():
-                if not v:
-                    continue
-                if negative and (not mono or factor <= mono[0]):
-                    mono1 = (factor,) + mono
-                    nxt[mono1] = nxt.get(mono1, 0) + v
-                    continue
-                it = iter(self._apply_mono(factor, mono))
-                for mono1, c1 in zip(it, it):
-                    nxt[mono1] = nxt.get(mono1, 0) + v * c1
+            for factor, c in pos:
+                negative = factor[0] < 0
+                for mono, v in cur.items():
+                    if not v:
+                        continue
+                    cv = c * v
+                    if negative and (not mono or factor <= mono[0]):
+                        mono1 = (factor,) + mono
+                        nxt[mono1] = nxt.get(mono1, 0) + cv
+                        continue
+                    hit = memo.get((factor, mono))
+                    it = iter(self._apply_mono(factor, mono) if hit is None else hit)
+                    for mono1, c1 in zip(it, it):
+                        nxt[mono1] = nxt.get(mono1, 0) + cv * c1
             cur = nxt
         return cur
 
@@ -227,46 +221,53 @@ class VermaModule:
 
     def apply(self, factor, state):
         """Act by the loop generator x(n), factor (n, x), on a state."""
-        return self.act(((1, (factor,)),), state)
+        return self.act([(1, (((factor, 1),),))], state)
 
-    def act(self, word, state):
-        """Apply [(coeff, ((mode, index), ...)), ...], coeff an int or a
-        Fraction (TypeError otherwise), to a state, rightmost factor first,
-        one _apply_run per term (the run the kernel puts a prefix back
-        with): the state's int numerators go through each product, which
-        comes out scaled by level.denominator per positive-mode factor (see
-        _apply_mono); the result is int numerators over the lcm of those
-        scales times the state's denominator, with no Fraction built."""
+    def act(self, terms, state):
+        """Apply terms [(coeff, (position, ...)), ...] to a state, a position
+        the ((mode, index), multiplier) pairs summed there (see vocabulary),
+        rightmost first, one _apply_run pass each.  coeff and multipliers
+        are int or Fraction (TypeError otherwise), modes int and indices in
+        the basis (ValueError otherwise).  One scale per position makes its
+        multipliers int: their denominators' lcm, times level.denominator
+        where a mode is positive (the kernel scales those results by it).
+        It goes into the term's denominator, and the result is int
+        numerators over the lcm of those times the state's."""
         if state.module is not self:
             raise ValueError("state belongs to a different module")
-        start = state.nums
-        try:
-            scales = [c.denominator
-                      * self.level.denominator ** sum(n > 0 for n, _ in factors)
-                      for c, factors in word]
-        except AttributeError:
-            c = next(c for c, _ in word if not isinstance(c, (int, Fraction)))
-            raise TypeError("coefficient %r is no int or Fraction" % (c,)) \
-                from None
-        out_den = lcm(*scales)
+        dim, kden = self.alg.dim, self.level.denominator
+        plans = []
+        for c, positions in terms:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("coefficient %r is no int or Fraction" % (c,))
+            den, run = c.denominator, []
+            for pos in positions:
+                s = 0  # stays 0 while pos holds int multipliers at modes <= 0
+                for (n, x), m in pos:
+                    if not (type(n) is type(x) is int and 0 <= x < dim):
+                        raise ValueError("bad factor %r" % ((n, x),))
+                    if type(m) is not int or n > 0:
+                        if not isinstance(m, (int, Fraction)):
+                            raise TypeError("multiplier %r is no int or Fraction" % (m,))
+                        s = lcm(s or 1, m.denominator * (kden if n > 0 else 1))
+                if s:
+                    pos = tuple((f, m.numerator * (s // (m.denominator * (
+                        kden if f[0] > 0 else 1)))) for f, m in pos)
+                    den *= s
+                run.append(pos)
+            plans.append((c.numerator, den, run))
+        out_den = lcm(*(den for _, den, _ in plans))
         out = {}
-        for (c, factors), d in zip(word, scales):
-            cur = self._apply_run(factors, start)
-            mult = c.numerator * (out_den // d)
-            for mono, v in cur.items():
+        for num, den, run in plans:
+            mult = num * (out_den // den)
+            for mono, v in self._apply_run(run, state.nums).items():
                 if v:
                     out[mono] = out.get(mono, 0) + mult * v
         return PBWState(self, out, out_den * state.den)
 
-    def expand_terms(self, terms):
-        """The word of terms written in the vocabulary: each term (coeff,
-        (position, ...)), a position the (factor, multiplier) pairs summed
-        there, expands into its word terms (see expand)."""
-        return [t for coeff, options in terms for t in expand(coeff, options)]
-
     def build(self, terms):
-        """The state a display denotes: expand_terms applied to the vacuum."""
-        return self.act(self.expand_terms(terms), self.vacuum())
+        """The state a display denotes: its terms acted on the vacuum."""
+        return self.act(terms, self.vacuum())
 
 
 class PBWState:

@@ -6,6 +6,7 @@ holds); callers assert emptiness so failures show the offending cases.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 import clifford
@@ -118,6 +119,26 @@ def reference_apply_mono(module, factor, mono, memo):
         result = tuple((mo, c) for mo, c in acc.items() if c)
     memo[key] = result
     return result
+
+
+def terms_of(word):
+    """A word [(coeff, (factor, ...)), ...] as the terms VermaModule.act
+    takes: each factor its own position, one pair with multiplier 1."""
+    return [(c, tuple(((f, 1),) for f in factors)) for c, factors in word]
+
+
+def multiply_out(terms):
+    """The word of terms [(coeff, (position, ...)), ...], for reference_act:
+    one word term per choice of a pair at each position, its coeff times
+    the chosen multipliers."""
+    word = []
+    for coeff, positions in terms:
+        for choice in product(*positions):
+            c = Fraction(coeff)
+            for _, m in choice:
+                c *= m
+            word.append((c, [f for f, _ in choice]))
+    return word
 
 
 def reference_act(module, word, state, memo):
@@ -272,7 +293,8 @@ def exhaustive_invariance(alg, limit=5):
 
 def apply_elem(module, elem, n, state):
     """Act by (sum_i elem[i] x_i)(n); elem is a sparse {index: coeff}."""
-    return module.act([(c, ((n, x),)) for x, c in elem.items()], state)
+    return module.act(terms_of([(c, ((n, x),)) for x, c in elem.items()]),
+                      state)
 
 
 def random_state(module, rng, max_terms=3, max_factors=3):
@@ -285,7 +307,8 @@ def random_state(module, rng, max_terms=3, max_factors=3):
             x = rng.randrange(alg.dim)
             factors.append((-rng.randint(1, 3), x))
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        out = out + coeff * module.act([(1, factors)], module.vacuum())
+        out = out + coeff * module.act(terms_of([(1, factors)]),
+                                       module.vacuum())
     return out
 
 
@@ -318,10 +341,11 @@ def confluence_cases(module, rng, cases=100):
         for _ in range(rng.randint(2, 5)):
             x = rng.randrange(alg.dim)
             factors.append((rng.randint(-3, 1), x))
-        whole = module.act([(1, factors)], module.vacuum())
+        whole = module.act(terms_of([(1, factors)]), module.vacuum())
         cut = rng.randint(1, len(factors) - 1)
-        split = module.act([(1, factors[:cut])],
-                           module.act([(1, factors[cut:])], module.vacuum()))
+        split = module.act(terms_of([(1, factors[:cut])]),
+                           module.act(terms_of([(1, factors[cut:])]),
+                                      module.vacuum()))
         if whole != split:
             bad.append((case, factors, cut))
     return bad
@@ -333,7 +357,7 @@ def idempotence_cases(module, rng, cases=100):
     for case in range(cases):
         s = random_state(module, rng)
         for mono, coeff in s.terms.items():
-            again = module.act([(1, mono)], module.vacuum())
+            again = module.act(terms_of([(1, mono)]), module.vacuum())
             if again.terms != {mono: Fraction(1)}:
                 bad.append((case, mono))
         if s.to_obj() != s.to_obj():

@@ -100,7 +100,7 @@ def test_criterion_07_quadratic_state_reduces_with_fixed_scalar():
     rel = conformal.quadratic_relation_state(module)
     assert rel.multiple_of(target) == 1
     mono = sorted(rel.terms)[0]
-    extra = module.act([(1, mono)], module.vacuum())
+    extra = module.act(helpers.terms_of([(1, mono)]), module.vacuum())
     assert (rel + extra).multiple_of(target) is None
 
 

@@ -92,9 +92,9 @@ def test_certificate_negative_control():
     v_b = singular.singular_vector(bmod)
     target = embedding.embed_state(singular.singular_vector(dmod), bmod)
     word = embedding.certificate_word(bmod.alg)
-    full = bmod.act(bmod.expand_terms(word), v_b)
+    full = bmod.act(word, v_b)
     assert full == target
-    partial = bmod.act(bmod.expand_terms(word[1:]), v_b)
+    partial = bmod.act(word[1:], v_b)
     assert partial != target
 
 
@@ -103,8 +103,8 @@ def test_relation_failure_carries_difference(monkeypatch):
     bmod = verma.vacuum_module("B", 4)
     true_vector = singular.singular_vector(bmod)
     alg = bmod.alg
-    poke = bmod.act(
-        [(1, [(-1, alg.e_index(alg.rm(1, 2))), (-1, alg.e_index(alg.rp(1, 2)))])],
+    poke = bmod.act(helpers.terms_of(
+        [(1, [(-1, alg.e_index(alg.rm(1, 2))), (-1, alg.e_index(alg.rp(1, 2)))])]),
         bmod.vacuum())
 
     monkeypatch.setattr(embedding.singular, "singular_vector",

@@ -160,12 +160,16 @@ def test_float_coefficients_rejected(module):
             product()
     with pytest.raises(TypeError):
         module.state({(): 0.1})
-    # nor does a word's coefficient, in whichever term it stands
+    # nor does a term's coefficient, in whichever term it stands, or a
+    # multiplier at a position
     for word in ([(0.5, ((-1, 0),))], [(1, ((-1, 0),)), (0.5, ())]):
         with pytest.raises(TypeError, match="0.5"):
-            module.act(word, vac)
+            module.act(helpers.terms_of(word), vac)
     with pytest.raises(TypeError, match="0.5"):
         module.build([(0.5, ((((-1, 0), 1),),))])
+    for pos in ((((-1, 0), 0.5),), (((-1, 1), 1), ((1, 0), 0.5))):
+        with pytest.raises(TypeError, match="0.5"):
+            module.build([(1, (pos,))])
 
 
 def test_zero_denominator_rejected(module):
@@ -223,16 +227,19 @@ def test_symbolic_grammar_expansion(module):
     alg = module.alg
     E, F, H = verma.vocabulary(alg)
     h1, h2 = alg.h_index(1), alg.h_index(2)
+    vac = module.vacuum()
     # E and F are one factor; H is the Cartan coordinates of the coroot
     assert E(alg.theta) == (((-1, alg.e_index(alg.theta)), 1),)
     assert F(alg.theta, 0) == (((0, alg.f_index(alg.theta)), 1),)
     assert H(alg.rm(1, 2)) == (((-1, h1), 1), ((-1, h2), -1))
-    # one word term per choice of a pair at each position, coeff scaled
-    # by the chosen multipliers only where their product is not 1
-    assert list(verma.expand(Fraction(1, 3), (E(alg.theta), H(alg.rm(1, 2),
-                                                              -2)))) == [
-        (Fraction(1, 3), ((-1, alg.e_index(alg.theta)), (-2, h1))),
-        (Fraction(-1, 3), ((-1, alg.e_index(alg.theta)), (-2, h2)))]
+    # a product of sums is the sum over a choice of a pair at each
+    # position, coeff times the chosen multipliers
+    e = alg.e_index(alg.theta)
+    built = module.build([(Fraction(1, 3), (E(alg.theta), H(alg.rm(1, 2),
+                                                            -2)))])
+    assert built == Fraction(1, 3) * module.apply(
+        (-1, e), module.apply((-2, h1), vac)) - Fraction(1, 3) * \
+        module.apply((-1, e), module.apply((-2, h2), vac))
     # an H position expands into Cartan coordinates of the coroot
     built = module.build([(1, (H(alg.rm(1, 2)),))])
     direct = module.apply((-1, h1), module.vacuum()) \
@@ -247,9 +254,9 @@ def test_symbolic_grammar_expansion(module):
 def test_formulas_share_one_factor_format(kind, monkeypatch):
     # every formula of the paper is written in verma.vocabulary: each
     # position of a term is a non-empty tuple of ((mode, index), int) pairs,
-    # the factor format of words and monomials.  The conformal terms are
-    # read where their fixed states hand them to expand_terms, on a fresh
-    # module that builds every fixed state anew
+    # the factor format of monomials.  The conformal terms are read where
+    # their fixed states hand them to act, on a fresh module that builds
+    # every fixed state anew
     module = _fresh_module(kind, 4, None)
     alg = module.alg
     formulas = [singular.flat_terms(alg)]
@@ -260,14 +267,14 @@ def test_formulas_share_one_factor_format(kind, monkeypatch):
         for _, _, lhs, rhs in embedding.relation_instances(alg):
             formulas += [[(1, lhs)], rhs]
         formulas.append(embedding.certificate_word(alg))
-        expand_terms = verma.VermaModule.expand_terms
+        act = verma.VermaModule.act
         recorded = len(formulas)
 
-        def record(self, terms):
+        def record(self, terms, state):
             formulas.append(terms)
-            return expand_terms(self, terms)
+            return act(self, terms, state)
 
-        monkeypatch.setattr(verma.VermaModule, "expand_terms", record)
+        monkeypatch.setattr(verma.VermaModule, "act", record)
         conformal.quadratic_certificate(module)
         conformal.quadratic_relation_state(module)
         # the singular vector the certificate acts on, then both formulas
@@ -347,10 +354,10 @@ def test_int_kernel_matches_fraction_reference(kind, l, level, rng):
     fixed = [[(1, [(1, f)])], [(Fraction(1, 5), [(1, f), (1, f)])],
              [(1, [(2, h)]), (Fraction(-3, 2), [(1, h), (1, f), (-1, e)])]]
     for word in fixed:
-        assert module.act(word, start) == ref(word, start), word
+        assert module.act(helpers.terms_of(word), start) == ref(word, start), word
     # f(1) e(-1)^2 |0> = (2k - 2) e(-1)|0>, then f(1) e(-1)|0> = k|0>
     k = module.level
-    assert module.act(fixed[1], start) == \
+    assert module.act(helpers.terms_of(fixed[1]), start) == \
         Fraction(2, 5) * k * (k - 1) * module.vacuum()
 
     nonzero = {0: 0, 1: 0, 3: 0}
@@ -358,7 +365,7 @@ def test_int_kernel_matches_fraction_reference(kind, l, level, rng):
         state = ref(_random_word(alg, rng, 0), module.vacuum()) + start
         for positive in nonzero:
             word = _random_word(alg, rng, positive)
-            got = module.act(word, state)
+            got = module.act(helpers.terms_of(word), state)
             assert got == ref(word, state), word
             nonzero[positive] += not got.is_zero()
             x, n = rng.randrange(alg.dim), rng.randint(-2, 2)
@@ -368,6 +375,99 @@ def test_int_kernel_matches_fraction_reference(kind, l, level, rng):
             assert helpers.apply_elem(module, elem, n, state) == \
                 ref([(c, [(n, y)]) for y, c in elem.items()], state)
     assert all(nonzero.values()), nonzero
+
+
+def _random_terms(alg, rng):
+    """1-3 terms of 0-3 positions each, as the paper's displays write them:
+    a multi-pair Cartan sum (an H), or one or two pairs of any index, with
+    Fraction multipliers such as triality's 1/2; a pair keeps its
+    position's mode nine times in ten; the first term comes back negated,
+    or with a position that cancels, or with no positions, and one term in
+    ten has an empty position."""
+    cartan = [alg.h_index(i) for i in range(1, alg.l + 1)]
+    mults = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        positions = []
+        for _ in range(rng.randint(0, 3)):
+            n = rng.choice((-2, -1, -1, 0, 1, 2))
+            xs = rng.sample(cartan, rng.randint(2, 3)) if rng.random() < 0.4 \
+                else [rng.randrange(alg.dim) for _ in range(rng.randint(1, 2))]
+            positions.append(tuple(
+                ((n if rng.random() < 0.9 else rng.randint(-2, 2), x),
+                 rng.choice(mults)) for x in xs))
+        if rng.random() < 0.1:
+            positions.insert(rng.randint(0, len(positions)), ())
+        terms.append((Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)),
+                       tuple(positions)))
+    c, positions = terms[0]
+    way = rng.randrange(3)
+    if way == 0:
+        terms.append((-c, positions))
+    elif way == 1 and positions:
+        i = rng.randrange(len(positions))
+        pos = positions[i]
+        positions = positions[:i] + (pos + tuple((f, -m) for f, m in pos),) \
+            + positions[i + 1:]
+        terms.append((c, positions))
+    else:
+        terms.append((c, ()))
+    rng.shuffle(terms)
+    return terms
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=str)
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_act_on_positions_matches_reference(kind, level, rng):
+    # act takes each position's sum in one pass, with one int scale per
+    # position; the reference multiplies the terms out into words and acts
+    # factor by factor in Fraction.  Levels -5/3 and 7/4 make the kernel's
+    # positive-mode scale 3 and 4, which belongs in a term's denominator
+    # and not in its multipliers
+    module = _fresh_module(kind, 4, level)
+    alg = module.alg
+    memo = {}
+    e, h = alg.e_index(alg.theta), alg.h_index(1)
+    start = helpers.reference_act(
+        module, [(1, [(-1, e), (-1, e)]), (Fraction(2, 3), [(-1, h), (-2, h)])],
+        module.vacuum(), memo)
+    nonzero = {"positive": 0, "fraction": 0, "multi": 0}
+    for _ in range(60):
+        state = helpers.reference_act(module, _random_word(alg, rng, 0),
+                                      module.vacuum(), memo) + start
+        terms = _random_terms(alg, rng)
+        got = module.act(terms, state)
+        want = helpers.reference_act(module, helpers.multiply_out(terms),
+                                     state, memo)
+        assert got == want, terms
+        if not got.is_zero():
+            pairs = [pair for _, positions in terms for pos in positions
+                     for pair in pos]
+            nonzero["positive"] += any(n > 0 for (n, _), _ in pairs)
+            nonzero["fraction"] += any(type(m) is Fraction for _, m in pairs)
+            nonzero["multi"] += any(len(pos) > 1 for _, positions in terms
+                                    for pos in positions)
+    assert min(nonzero.values()) >= 10, nonzero
+
+
+def test_act_rejects_bad_factors():
+    # a mode is an int and an index lies in range(dim), checked while act
+    # plans the terms, before any state is built: at D_4 (dim 28) an index
+    # of 28 or 999 gave a state that failed only in to_obj, -1 one that
+    # to_obj printed as h4(-1), and mode -1.0 a monomial keyed -1.0
+    module = verma.vacuum_module("D", 4)
+    assert module.alg.dim == 28
+    vac = module.vacuum()
+    for factor in ((-1, 999), (-1, 28), (-1, -1), (-1.0, 3), (-1, 3.0),
+                   (Fraction(-1), 3), (True, 3)):
+        with pytest.raises(ValueError):
+            module.apply(factor, vac)
+        # in any term and position, even one acting on the zero state
+        with pytest.raises(ValueError):
+            module.build([(1, ()), (1, ((((-1, 0), 1), (factor, 2)),))])
+        with pytest.raises(ValueError):
+            module.act([(1, ((((-1, 0), 1),), ((factor, 1),)))],
+                       module.zero())
 
 
 def _random_mono(alg, rng, length):
@@ -429,7 +529,7 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
                  [_random_factor(alg, rng, -3, 2)
                   for _ in range(rng.randint(1, 3))])
                 for _ in range(2)]
-        got = module.act(word, state)
+        got = module.act(helpers.terms_of(word), state)
         assert got == helpers.reference_act(module, word, state, memo), word
         nonzero += not got.is_zero()
     assert nonzero >= 5, nonzero
@@ -457,7 +557,7 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
         state = module.state({a: cb, b: -ca,
                               _random_mono(alg, rng, 3): Fraction(1, 2)})
         word = [(1, [_random_factor(alg, rng, -2, 1), (2, x)])]
-        got = module.act(word, state)
+        got = module.act(helpers.terms_of(word), state)
         assert got == helpers.reference_act(module, word, state, memo), word
         cancelled += 1
     assert cancelled >= 5, cancelled
@@ -472,7 +572,7 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
                    mono[0], mono[0]]
         state = module.state({mono: 3, _random_mono(alg, rng, 2): -1})
         for word in ([(1, factors)], [(1, factors[1:])], [(2, factors[2:])]):
-            got = module.act(word, state)
+            got = module.act(helpers.terms_of(word), state)
             assert got == helpers.reference_act(module, word, state, memo), \
                 word
             nonzero += not got.is_zero()
@@ -585,7 +685,7 @@ def test_int_state_matches_fraction_reference(kind, level, rng):
         for mono in sorted(ra.terms)[:2] + [(), ((-1, 0),)]:
             assert a.terms.get(mono, 0) == ra.coefficient(mono)
         word = _random_word(module.alg, rng, rng.randint(0, 2))
-        assert _canonical(module.act(word, a)).terms == \
+        assert _canonical(module.act(helpers.terms_of(word), a)).terms == \
             helpers.reference_act_terms(module, word, ra, memo)
         back = PBWState.from_obj(module, a.to_obj())
         assert _canonical(back) == a and back.terms == ra.terms

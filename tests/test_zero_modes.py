@@ -54,10 +54,17 @@ def test_tampered_row_reports_failure(monkeypatch):
     assert not res["passed"]
     first = res["identities"][0]
     assert not first["matches"]
-    assert first["failures"]
-    for fail in first["failures"]:
-        assert fail["difference"]
-        assert len(fail["params"]) == 2
+    # each instance fails, its difference the zero mode on the built left
+    # side minus the built (doubled) right side
+    module = verma.vacuum_module("D", 4)
+    alg = module.alg
+    op = (0, alg.e_index(alg.rm(1, 2)))
+    _, params, lhs, rhs = tampered(alg)[0]
+    assert len(first["failures"]) == len(params) == 4
+    for p, fail in zip(params, first["failures"]):
+        assert fail["params"] == list(p)
+        want = module.apply(op, module.build(lhs(*p))) - module.build(rhs(*p))
+        assert fail["difference"] == want.to_obj() != []
 
 
 def test_report_payload():
