@@ -24,9 +24,9 @@ from . import zero_modes
 CHECKS = ("singular", "embedding", "conformal", "admissible", "triality",
           "appendix", "all")
 
-# the rank budget: on a 2-core host, at the default mode bound, `verify all
-# --l 24 --jobs 1` takes 1.5-2.3 s and `verify singular --type D --l 24
-# --strict` 1.2-2.0 s, as the host's load varies
+# the rank budget: on a 2-core host, at the default mode bound, a cold `verify
+# all --l 24 --jobs 1` takes about 0.9 s and `verify singular --type D --l 24
+# --strict` about 1.0 s (best of 3 processes)
 MAX_L = 24
 
 # the ceiling on --mode-bound and the environment alike, the highest mode a

@@ -52,8 +52,9 @@ def sugawara_vector(module):
     if k == -alg.dual_coxeter:
         raise ValueError("critical level has no conformal vector")
     scale = 1 / (2 * (k + alg.dual_coxeter))
-    return module.build([(scale, ((((-1, idx), 1),),
-                                  tuple(((-1, j), c) for j, c in dual.items())))
+    return module.build([(scale, (((verma.encode(alg, -1, idx), 1),),
+                                  tuple((verma.encode(alg, -1, j), c)
+                                        for j, c in dual.items())))
                          for idx, dual in alg.dual_basis()])
 
 

@@ -45,8 +45,10 @@ def embed_state(state, bmodule):
     if state.module.level != bmodule.level:
         raise ValueError("levels differ")
     imap = embed_index_map(dalg, bmodule.alg)
-    return bmodule.state({tuple((n, imap[x]) for n, x in mono): v
-                          for mono, v in state.nums.items()}, state.den)
+    return bmodule.state({
+        tuple(verma.encode(bmodule.alg, n, imap[x])
+              for n, x in (verma.decode(dalg, f) for f in mono)): v
+        for mono, v in state.nums.items()}, state.den)
 
 
 # ---- the nine zero-mode identities --------------------------------------------

@@ -21,14 +21,14 @@ MAX_DEGREE = 4
 
 
 def raising_operators(alg):
-    """Loop generators whose kernel cuts out singular vectors, as (mode,
-    index) factors.
+    """Loop generators whose kernel cuts out singular vectors, as verma
+    factors.
 
     e_alpha(0) for every finite simple root alpha, plus f_theta(1); these
     generate all raising directions of the affinization.
     """
-    ops = [(0, alg.e_index(r)) for r in alg.simple_roots]
-    ops.append((1, alg.f_index(alg.theta)))
+    ops = [verma.encode(alg, 0, alg.e_index(r)) for r in alg.simple_roots]
+    ops.append(verma.encode(alg, 1, alg.f_index(alg.theta)))
     return tuple(ops)
 
 
@@ -40,7 +40,7 @@ def term_families(alg):
 
     Each family is a list of (coeff, positions), one family per summation
     group of the defining formula, written in verma.vocabulary: a position
-    is a tuple of ((mode, index), int) pairs, the factor format of words and
+    is a tuple of (factor, int) pairs, in the factor format of words and
     monomials.  Type B yields 2 families with l terms in total, type D
     yields 38; tests pin both counts to guard transcription drift.
     """
@@ -188,7 +188,7 @@ def check_singular(module, state):
         res = module.apply(factor, state)
         kills = res.is_zero()
         passed = passed and kills
-        n, x = factor
+        n, x = verma.decode(alg, factor)
         entry = {
             "operator": "%s(%d)" % (alg.label(x), n),
             "kills": kills,
@@ -238,11 +238,11 @@ def report(kind, l, strict=False):
 def enumerate_monomials(alg, degree, weight):
     """All canonical monomials of the given conformal degree and weight.
 
-    A canonical monomial is a nondecreasing tuple of (mode, index) factors
-    with all modes negative; degree is the sum of -mode, and the index
-    weights sum to weight.  The walk carries the residual weight still to be
-    reached in one list, updating its L1 norm over the at most 2 nonzero
-    coordinates of each basis weight.
+    A canonical monomial is a nondecreasing tuple of verma factors, the
+    walk's (mode, index) pairs encoded, all modes negative; degree is the
+    sum of -mode, and the index weights sum to weight.  The walk carries the
+    residual weight still to be reached in one list, updating its L1 norm
+    over the at most 2 nonzero coordinates of each basis weight.
     Every factor uses at least one unit of degree, so a branch whose residual
     norm exceeds twice the remaining degree is cut; below a slack of 2 only
     indices that move toward the residual, or have at most slack nonzero
@@ -253,7 +253,7 @@ def enumerate_monomials(alg, degree, weight):
         raise ValueError("degree must be nonnegative")
     if len(weight) != alg.l:
         raise ValueError("weight must have l = %d coordinates" % alg.l)
-    dim = alg.dim
+    dim, encode = alg.dim, verma.encode
     weights = [alg.weight(x) for x in range(dim)]
     by_weight = {}
     for x, w in enumerate(weights):
@@ -273,7 +273,7 @@ def enumerate_monomials(alg, degree, weight):
             left = remaining + n
             low = floor[1] if n == floor[0] else 0
             if not left:
-                out.extend(tuple(mono) + ((n, x),)
+                out.extend(tuple(mono) + (encode(alg, n, x),)
                            for x in by_weight.get(tuple(res), ()) if x >= low)
                 continue
             xs = range(low, dim)
@@ -292,7 +292,7 @@ def enumerate_monomials(alg, degree, weight):
                     continue
                 for i, c in support[x]:
                     res[i] -= c
-                mono.append((n, x))
+                mono.append(encode(alg, n, x))
                 rec(left, (n, x), after)
                 mono.pop()
                 for i, c in support[x]:

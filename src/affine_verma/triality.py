@@ -75,12 +75,13 @@ class Automorphism:
 
     def apply_to_state(self, state):
         """Factorwise image of a canonical state, recanonicalized: one term
-        per monomial, each factor (n, x) the position of (n, y) over pi x."""
-        module = state.module
-        if module.alg is not self.alg:
+        per monomial, each factor x(n) the position of y(n) over pi x."""
+        module, alg = state.module, self.alg
+        if module.alg is not alg:
             raise ValueError("state over a different algebra")
-        terms = [(v, tuple(tuple(((n, y), cy) for y, cy in self.images[x].items())
-                           for n, x in mono))
+        terms = [(v, tuple(tuple((verma.encode(alg, n, y), cy)
+                                 for y, cy in self.images[x].items())
+                           for n, x in (verma.decode(alg, f) for f in mono)))
                  for mono, v in state.nums.items()]
         return module.act(terms, module.state({(): 1}, state.den))
 

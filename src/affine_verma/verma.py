@@ -2,17 +2,16 @@
 
 States live in U(g[t^-1] t^-1) applied to a vacuum vector killed by all
 nonnegative modes.  The loop generator x(n), x a basis index of the finite
-algebra, is the factor (n, x) everywhere: in the paper's formulas (see
-vocabulary), in the runs of a word, and in a canonical monomial, a tuple of
-factors with every n <= -1, sorted ascending: deeper modes come first, ties
-follow the frozen basis order of the finite algebra.  A factor is
-straightened by the Leibniz rule
+algebra, is the int factor n * dim + x (see encode) everywhere: in the
+paper's formulas (see vocabulary), in the runs of a word, the memo and a
+canonical monomial, a tuple of negative factors sorted ascending as
+(mode, index) would be.  A factor is straightened by the Leibniz rule
 
     x(n) y_1...y_k|0> = sum_i y_1...y_{i-1} [x(n), y_i] y_{i+1}...y_k|0>
                         + y_1...y_p x(n) y_{p+1}...y_k|0>      (n < 0 only)
     [x(n), y(m)] = [x,y](n+m) + n delta_{n+m,0} (x,y) k
 
-summed over the factors x(n) passes: the p that sort before (n, x) for
+summed over the factors x(n) passes: the p that sort before x(n) for
 n < 0, all k for n >= 0, where x(n) kills the vacuum.  The central term
 never fires between two negative modes, and only partners contract (see
 LieAlgebra.reach): a term needs a partner y_i, and x(n) with n >= 0 and no
@@ -39,20 +38,30 @@ from math import gcd, lcm
 from . import liealg
 
 
+def encode(alg, mode, index):
+    """x(n), basis index x at mode n, as the int factor n * dim + x."""
+    return mode * alg.dim + index
+
+
+def decode(alg, factor):
+    """(mode, index) of an int factor, the inverse of encode."""
+    return divmod(factor, alg.dim)
+
+
 def vocabulary(alg):
     """E, F, H over alg: the paper's e_root(mode), f_root(mode) and coroot
     h_vec(mode) = sum_i (2 c_i/(vec,vec)) H_i, each as the sum it puts at one
-    position of a term (coeff, (position, ...)), a tuple of ((mode, index),
-    int) pairs: one for E and F, the sorted coroot_coords for H.  Roots and
+    position of a term (coeff, (position, ...)), a tuple of (factor, int)
+    pairs: one for E and F, the sorted coroot_coords for H.  Roots and
     vectors are epsilon-coordinate tuples; mode defaults to -1."""
     def E(root, mode=-1):
-        return (((mode, alg.e_index(root)), 1),)
+        return ((encode(alg, mode, alg.e_index(root)), 1),)
 
     def F(root, mode=-1):
-        return (((mode, alg.f_index(root)), 1),)
+        return ((encode(alg, mode, alg.f_index(root)), 1),)
 
     def H(vec, mode=-1):
-        return tuple(((mode, x), c)
+        return tuple((encode(alg, mode, x), c)
                      for x, c in sorted(alg.coroot_coords(vec).items()))
 
     return E, F, H
@@ -72,6 +81,10 @@ class VermaModule:
     def __init__(self, alg, level):
         self.alg = alg
         self.level = Fraction(level)
+        self._knum, self._kden = self.level.numerator, self.level.denominator
+        # (y, (x, y)) per basis index x, y the one index the form pairs it with
+        self._pair = [(y, alg.form(x, y))
+                      for x, dual in alg.dual_basis() for y in dual]
         self._memo = {}
         self._derived = {}
 
@@ -94,17 +107,15 @@ class VermaModule:
     def state(self, terms, den=1):
         """State sum terms[m] / den * m from {monomial: coeff}, coeff an int
         or a Fraction (TypeError otherwise: a float's binary value is not
-        exact), den a nonzero int; monomials must be canonical (sorted,
-        every mode a negative int, every index an int in the basis)."""
+        exact), den a nonzero int; monomials must be canonical (sorted
+        tuples of factors, each a negative int, so its mode is too)."""
         if den == 0:
             raise ValueError("denominator 0")
-        dim = self.alg.dim
         out = {}
         for mono, c in terms.items():
             mono = tuple(mono)
-            if list(mono) != sorted(mono) or not all(
-                    type(n) is int and n < 0 and type(x) is int and 0 <= x < dim
-                    for n, x in mono):
+            if not all(type(f) is int and f < 0 for f in mono) \
+                    or list(mono) != sorted(mono):
                 raise ValueError("monomial %r is not canonical" % (mono,))
             if not isinstance(c, (int, Fraction)):
                 raise TypeError("coefficient %r is no int or Fraction" % (c,))
@@ -116,7 +127,7 @@ class VermaModule:
     # ---- the straightening kernel -------------------------------------------
 
     def operator_terms(self, factor, mono):
-        """The (monomial, coeff) terms of factor (n, x) applied to a
+        """The (monomial, coeff) terms of a factor x(n) applied to a
         canonical monomial, with the int coefficients of _apply_mono: scaled
         by level.denominator when n > 0.  The scale depends on n alone, so a
         linear system with one row per (factor, monomial) keeps its
@@ -125,51 +136,52 @@ class VermaModule:
         return zip(flat[::2], flat[1::2])
 
     def _apply_mono(self, factor, mono):
-        """factor (n, x), the loop generator x(n), applied to a canonical
-        monomial by the Leibniz rule (see the module docstring), as the flat
-        tuple (monomial, coeff, monomial, coeff, ...): one object per memo
-        entry rather than one per term, read in place as zip(it, it) over
-        one iterator it (operator_terms does the same by slicing).
-
-        Coefficients are int: exact for n <= 0, and for n > 0 times
-        level.denominator, since a central term ends the positive-mode
-        operator, contributing n (x,y) level.numerator, and a bracket that
-        lowers the mode to n + m <= 0 is scaled to match.
-
-        A passed partner y_i gives z(n+m_i) on the suffix per z in [x, y_i],
-        with the prefix prepended where it sorts first, else put back by
-        _apply_run: each call is on fewer factors than mono (a factor on L
-        gives at most L + 1).  A nonnegative mode with no partner returns
-        () before the memo lookup.
-        """
-        n, x = factor
-        if n < 0 and (not mono or factor <= mono[0]):
+        """A factor x(n) on a canonical monomial by the Leibniz rule (see
+        the module docstring), as the flat tuple (monomial, coeff, ...): one
+        object per memo entry rather than one per term, read in place as
+        zip(it, it) over one iterator it (operator_terms slices it).  A
+        sort-first prepend and a nonnegative mode with no partner are
+        answered before the memo is read; a miss goes to _straighten."""
+        if factor < 0 and (not mono or factor <= mono[0]):
             return ((factor,) + mono, 1)
-        reach, held = self.alg.reach[x], self.alg.held
-        if n >= 0:
-            for _, y in mono:
-                if reach & held[y]:
+        if factor >= 0:
+            dim = self.alg.dim
+            reach, held = self.alg.reach[factor % dim], self.alg.held
+            for f in mono:
+                if reach & held[f % dim]:
                     break
             else:
                 # x(n) commutes past every factor and kills the vacuum
                 return ()
-        key = (factor, mono)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        hit = self._memo.get((factor, mono))
+        return self._straighten(factor, mono) if hit is None else hit
+
+    def _straighten(self, factor, mono):
+        """_apply_mono past the memo read; the result is stored.  Coefficients
+        are int: exact for n <= 0, and for n > 0 times level.denominator,
+        since a central term ends the positive-mode operator, contributing
+        n (x,y) level.numerator, and a bracket that lowers the mode to
+        n + m <= 0 is scaled to match.  A passed partner y_i gives z(n+m_i)
+        on the suffix per z in [x, y_i], with the prefix prepended where it
+        sorts first, else put back by _apply_run: each call is on fewer
+        factors than mono (a factor on L gives at most L + 1)."""
+        alg, dim = self.alg, self.alg.dim
+        n, x = divmod(factor, dim)
+        reach, held = alg.reach[x], alg.held
+        pair, form = self._pair[x]
         p = len(mono) if n >= 0 else bisect_left(mono, factor)
         acc = {} if n >= 0 else {mono[:p] + (factor,) + mono[p:]: 1}
         for i in range(p):
-            m, y = mono[i]
+            m, y = divmod(mono[i], dim)
             if not reach & held[y]:
                 continue
             # [x(n), y(m)] = [x,y](n+m) + n delta_{n+m,0} (x,y) k
             prefix, suffix = mono[:i], mono[i + 1:]
-            scale = self.level.denominator if n > 0 >= n + m else 1
+            scale = self._kden if n > 0 >= n + m else 1
             back = {}
-            for z, cz in self.alg.bracket(x, y):
+            for z, cz in alg.bracket(x, y):
                 cz *= scale
-                it = iter(self._apply_mono((n + m, z), suffix))
+                it = iter(self._apply_mono((n + m) * dim + z, suffix))
                 for mono1, c1 in zip(it, it):
                     if not prefix or not mono1 or prefix[-1] <= mono1[0]:
                         mono1 = prefix + mono1
@@ -180,38 +192,40 @@ class VermaModule:
                 put_back = self._apply_run([((f, 1),) for f in prefix], back)
                 for mono1, c1 in put_back.items():
                     acc[mono1] = acc.get(mono1, 0) + c1
-            if n > 0 and n + m == 0:
-                cf = self.alg.form(x, y)
-                if cf:
-                    mono1 = prefix + suffix
-                    acc[mono1] = (acc.get(mono1, 0)
-                                  + n * cf * self.level.numerator)
-        result = self._memo[key] = tuple(
-            v for mo, c in acc.items() if c for v in (mo, c))
+            if y == pair and n > 0 and n + m == 0:
+                mono1 = prefix + suffix
+                acc[mono1] = acc.get(mono1, 0) + n * form * self._knum
+        flat = []
+        for mono1, c in acc.items():
+            if c:
+                flat += mono1, c
+        result = self._memo[factor, mono] = tuple(flat)
         return result
 
     def _apply_run(self, run, cur):
-        """A run of positions, tuples of ((mode, index), int) pairs (a term
-        as act plans it, or a prefix the kernel puts back, one pair each),
-        applied rightmost first to cur, {monomial: int} with the scales of
-        _apply_mono, in one pass per position: a factor that sorts first is
-        prepended in place, the memo is read here and _apply_mono called only
-        on a miss, and a numerator a position cancels is skipped."""
+        """A run of positions, tuples of (factor, int) pairs (a term as act
+        plans it, or a prefix the kernel puts back, one pair each), applied
+        rightmost first to cur, {monomial: int} with the scales of
+        _apply_mono, in one pass per position: a negative factor that sorts
+        first is prepended in place, the memo is read here for the others
+        (_apply_mono reads it for a nonnegative one) and _straighten called
+        only on a miss, and a numerator a position cancels is skipped."""
         memo = self._memo
         for pos in reversed(run):
             nxt = {}
             for factor, c in pos:
-                negative = factor[0] < 0
                 for mono, v in cur.items():
                     if not v:
                         continue
                     cv = c * v
-                    if negative and (not mono or factor <= mono[0]):
+                    if factor < 0 and (not mono or factor <= mono[0]):
                         mono1 = (factor,) + mono
                         nxt[mono1] = nxt.get(mono1, 0) + cv
                         continue
-                    hit = memo.get((factor, mono))
-                    it = iter(self._apply_mono(factor, mono) if hit is None else hit)
+                    hit = memo.get((factor, mono)) if factor < 0 \
+                        else self._apply_mono(factor, mono)
+                    it = iter(self._straighten(factor, mono) if hit is None
+                              else hit)
                     for mono1, c1 in zip(it, it):
                         nxt[mono1] = nxt.get(mono1, 0) + cv * c1
             cur = nxt
@@ -220,22 +234,22 @@ class VermaModule:
     # ---- public operations ---------------------------------------------------
 
     def apply(self, factor, state):
-        """Act by the loop generator x(n), factor (n, x), on a state."""
+        """Act by the loop generator x(n), the int factor, on a state."""
         return self.act([(1, (((factor, 1),),))], state)
 
     def act(self, terms, state):
         """Apply terms [(coeff, (position, ...)), ...] to a state, a position
-        the ((mode, index), multiplier) pairs summed there (see vocabulary),
+        the (factor, multiplier) pairs summed there (see vocabulary),
         rightmost first, one _apply_run pass each.  coeff and multipliers
-        are int or Fraction (TypeError otherwise), modes int and indices in
-        the basis (ValueError otherwise).  One scale per position makes its
-        multipliers int: their denominators' lcm, times level.denominator
-        where a mode is positive (the kernel scales those results by it).
-        It goes into the term's denominator, and the result is int
-        numerators over the lcm of those times the state's."""
+        are int or Fraction (TypeError otherwise), factors int (ValueError
+        otherwise).  One scale per position makes its multipliers int:
+        their denominators' lcm, times level.denominator where a mode is
+        positive (the kernel scales those results by it).  It goes into the
+        term's denominator, and the result is int numerators over the lcm
+        of those times the state's."""
         if state.module is not self:
             raise ValueError("state belongs to a different module")
-        dim, kden = self.alg.dim, self.level.denominator
+        dim, kden = self.alg.dim, self._kden
         plans = []
         for c, positions in terms:
             if not isinstance(c, (int, Fraction)):
@@ -243,16 +257,16 @@ class VermaModule:
             den, run = c.denominator, []
             for pos in positions:
                 s = 0  # stays 0 while pos holds int multipliers at modes <= 0
-                for (n, x), m in pos:
-                    if not (type(n) is type(x) is int and 0 <= x < dim):
-                        raise ValueError("bad factor %r" % ((n, x),))
-                    if type(m) is not int or n > 0:
+                for f, m in pos:
+                    if type(f) is not int:
+                        raise ValueError("bad factor %r" % (f,))
+                    if type(m) is not int or f >= dim:
                         if not isinstance(m, (int, Fraction)):
                             raise TypeError("multiplier %r is no int or Fraction" % (m,))
-                        s = lcm(s or 1, m.denominator * (kden if n > 0 else 1))
+                        s = lcm(s or 1, m.denominator * (kden if f >= dim else 1))
                 if s:
                     pos = tuple((f, m.numerator * (s // (m.denominator * (
-                        kden if f[0] > 0 else 1)))) for f, m in pos)
+                        kden if f >= dim else 1)))) for f, m in pos)
                     den *= s
                 run.append(pos)
             plans.append((c.numerator, den, run))
@@ -346,7 +360,8 @@ class PBWState:
 
     def degree(self):
         """Common conformal degree sum(-modes), or None if mixed or zero."""
-        degs = {-sum(n for n, _ in m) for m in self.nums}
+        alg = self.module.alg
+        degs = {-sum(decode(alg, f)[0] for f in m) for m in self.nums}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -354,10 +369,10 @@ class PBWState:
     def weight(self):
         """Common finite h-weight as an epsilon tuple, or None if mixed or zero."""
         alg = self.module.alg
-        weights = {x: alg.weight(x)
-                   for x in {x for m in self.nums for _, x in m}}
+        weights = {f: alg.weight(decode(alg, f)[1])
+                   for f in {f for m in self.nums for f in m}}
         zero = (0,) * alg.l
-        seen = {tuple(map(sum, zip(zero, *[weights[x] for _, x in m])))
+        seen = {tuple(map(sum, zip(zero, *[weights[f] for f in m])))
                 for m in self.nums}
         return seen.pop() if len(seen) == 1 else None
 
@@ -383,7 +398,7 @@ class PBWState:
         out = []
         for mono in sorted(self.nums):
             enc = []
-            for n, x in mono:
+            for n, x in (decode(alg, f) for f in mono):
                 role, datum = alg.basis[x]
                 enc.append([role, datum if role == "h" else liealg.root_label(datum), n])
             out.append({"coeff": str(Fraction(self.nums[mono], self.den)),
@@ -395,7 +410,7 @@ class PBWState:
         """Inverse of to_obj.  ValueError on a document that is no list, a
         term that is no dict with exactly the keys coeff and monomial, a
         coeff that is no reduced "p/q" string, a factor that is no list
-        [role, datum, mode], a datum that is no int for role h or no
+        [role, datum, int mode], a datum that is no int for role h or no
         canonical root label of the algebra for e and f (the text to_obj
         writes, so "01-2" and "2+1" are refused), and a monomial that is no
         canonical list."""
@@ -411,8 +426,8 @@ class PBWState:
                 raise ValueError("bad term %r" % (item,))
             mono = []
             for factor in item["monomial"]:
-                role, datum, n = (factor if type(factor) is list
-                                  and len(factor) == 3 else (None,) * 3)
+                role, datum, n = (factor if type(factor) is list and len(
+                    factor) == 3 and type(factor[2]) is int else (None,) * 3)
                 try:
                     if role == "h" and type(datum) is int:
                         idx = alg.h_index(datum)
@@ -426,7 +441,7 @@ class PBWState:
                         raise ValueError
                 except (ValueError, KeyError):  # KeyError: no such root
                     raise ValueError("bad factor %r" % (factor,)) from None
-                mono.append((n, idx))
+                mono.append(encode(alg, n, idx))
             mono = tuple(mono)
             try:
                 coeff = Fraction(item["coeff"])
@@ -444,7 +459,8 @@ class PBWState:
         alg = self.module.alg
         bits = []
         for mono in sorted(self.nums):
-            fac = " ".join("%s(%d)" % (alg.label(x), n) for n, x in mono)
+            fac = " ".join("%s(%d)" % (alg.label(x), n)
+                           for n, x in (decode(alg, f) for f in mono))
             bits.append("%s * %s|0>" % (Fraction(self.nums[mono], self.den),
                                         fac + " " if fac else ""))
         return " + ".join(bits)

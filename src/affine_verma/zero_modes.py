@@ -201,7 +201,7 @@ def verify_identities(l):
     on the left side minus the right side, in one act, must be zero."""
     module = verma.vacuum_module("D", l)
     alg = module.alg
-    op = (((0, alg.e_index(alg.rm(1, 2))), 1),)
+    op = ((verma.encode(alg, 0, alg.e_index(alg.rm(1, 2))), 1),)
     entries = []
     passed = True
     for index, (shape, params, lhs, rhs) in enumerate(identity_table(alg), 1):

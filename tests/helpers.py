@@ -13,12 +13,21 @@ import clifford
 from affine_verma import liealg, linalg, verma, weights
 
 
+def code(alg, factors):
+    """verma's int factor for a (mode, index) pair, or the tuple of them for
+    a sequence of pairs (a monomial).  Tests and references write factors as
+    pairs and convert here, where they meet the package."""
+    if len(factors) == 2 and type(factors[0]) is int:
+        return verma.encode(alg, *factors)
+    return tuple(code(alg, f) for f in factors)
+
+
 def leaf_filtered_monomials(alg, degree):
     """Reference for singular.enumerate_monomials: the unpruned walk.
 
     Visits every canonical monomial of the degree in the same order and
     returns (monomial, weight) pairs, so callers filter by weight at the
-    leaves.
+    leaves; monomials are tuples of (mode, index) pairs.
     """
     dim = alg.dim
     weights = [alg.weight(x) for x in range(dim)]
@@ -48,7 +57,8 @@ def leaf_filtered_monomials(alg, degree):
 def reference_enumerate_monomials(alg, degree, weight):
     """Reference for singular.enumerate_monomials: the pruned walk it
     replaced, which tests every basis index against the norm bound at each
-    interior node, with the same exact test and output order."""
+    interior node, with the same exact test and output order, in monomials
+    of (mode, index) pairs."""
     dim = alg.dim
     weights = [alg.weight(x) for x in range(dim)]
     by_weight = {}
@@ -88,9 +98,9 @@ def reference_enumerate_monomials(alg, degree, weight):
 def reference_apply_mono(module, factor, mono, memo):
     """Reference for VermaModule._apply_mono: the straightening kernel over
     Fraction, exact at every mode (no level.denominator scaling), memoized
-    in memo rather than in the module.  It peels the first factor,
-    x(n) y(m) rest = y(m) x(n) rest + [x(n), y(m)] rest, with no shortcut,
-    so it shares no path with the kernel's Leibniz sum."""
+    in memo rather than in the module, on (mode, index) pairs.  It peels
+    the first factor, x(n) y(m) rest = y(m) x(n) rest + [x(n), y(m)] rest,
+    with no shortcut, so it shares no path with the kernel's Leibniz sum."""
     key = (factor, mono)
     hit = memo.get(key)
     if hit is not None:
@@ -121,37 +131,44 @@ def reference_apply_mono(module, factor, mono, memo):
     return result
 
 
-def terms_of(word):
-    """A word [(coeff, (factor, ...)), ...] as the terms VermaModule.act
-    takes: each factor its own position, one pair with multiplier 1."""
-    return [(c, tuple(((f, 1),) for f in factors)) for c, factors in word]
+def terms_of(alg, word):
+    """A word [(coeff, (factor, ...)), ...] of (mode, index) factors as the
+    terms VermaModule.act takes: each factor its own position, one pair
+    with multiplier 1."""
+    return [(c, tuple(((code(alg, f), 1),) for f in factors))
+            for c, factors in word]
 
 
-def multiply_out(terms):
+def multiply_out(alg, terms):
     """The word of terms [(coeff, (position, ...)), ...], for reference_act:
     one word term per choice of a pair at each position, its coeff times
-    the chosen multipliers."""
+    the chosen multipliers, each factor a (mode, index) pair."""
     word = []
     for coeff, positions in terms:
         for choice in product(*positions):
             c = Fraction(coeff)
             for _, m in choice:
                 c *= m
-            word.append((c, [f for f, _ in choice]))
+            word.append((c, [verma.decode(alg, f) for f, _ in choice]))
     return word
 
 
 def reference_act(module, word, state, memo):
-    """Reference for VermaModule.act: factor by factor in Fraction."""
+    """Reference for VermaModule.act: factor by factor in Fraction, on a
+    word of (mode, index) factors."""
     return module.state(reference_act_terms(module, word, state, memo))
 
 
 def reference_act_terms(module, word, state, memo):
     """reference_act as a {monomial: Fraction} dict; state is a PBWState
-    or a FractionState."""
+    or a FractionState.  Monomials are read and written in verma's factors
+    and straightened in (mode, index) pairs."""
+    alg = module.alg
+    start = {tuple(verma.decode(alg, f) for f in mono): c
+             for mono, c in state.terms.items()}
     out = {}
     for coeff, factors in word:
-        cur = dict(state.terms)
+        cur = start
         for factor in reversed(factors):
             nxt = {}
             for mono, c in cur.items():
@@ -160,6 +177,7 @@ def reference_act_terms(module, word, state, memo):
                     nxt[mono1] = nxt.get(mono1, Fraction(0)) + c * c1
             cur = {mono: c for mono, c in nxt.items() if c}
         for mono, c in cur.items():
+            mono = code(alg, mono)
             out[mono] = out.get(mono, Fraction(0)) + Fraction(coeff) * c
     return out
 
@@ -293,7 +311,8 @@ def exhaustive_invariance(alg, limit=5):
 
 def apply_elem(module, elem, n, state):
     """Act by (sum_i elem[i] x_i)(n); elem is a sparse {index: coeff}."""
-    return module.act(terms_of([(c, ((n, x),)) for x, c in elem.items()]),
+    return module.act(terms_of(module.alg, [(c, ((n, x),))
+                                            for x, c in elem.items()]),
                       state)
 
 
@@ -307,7 +326,7 @@ def random_state(module, rng, max_terms=3, max_factors=3):
             x = rng.randrange(alg.dim)
             factors.append((-rng.randint(1, 3), x))
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        out = out + coeff * module.act(terms_of([(1, factors)]),
+        out = out + coeff * module.act(terms_of(alg, [(1, factors)]),
                                        module.vacuum())
     return out
 
@@ -322,8 +341,9 @@ def module_axiom_cases(module, rng, cases=300):
         m = rng.randint(-3, 3)
         n = rng.randint(-3, 3)
         s = random_state(module, rng)
-        lhs = module.apply((m, x), module.apply((n, y), s)) \
-            - module.apply((n, y), module.apply((m, x), s))
+        xm, yn = code(alg, (m, x)), code(alg, (n, y))
+        lhs = module.apply(xm, module.apply(yn, s)) \
+            - module.apply(yn, module.apply(xm, s))
         rhs = apply_elem(module, dict(alg.bracket(x, y)), m + n, s)
         if m + n == 0:
             rhs = rhs + (m * alg.form(x, y) * module.level) * s
@@ -341,10 +361,10 @@ def confluence_cases(module, rng, cases=100):
         for _ in range(rng.randint(2, 5)):
             x = rng.randrange(alg.dim)
             factors.append((rng.randint(-3, 1), x))
-        whole = module.act(terms_of([(1, factors)]), module.vacuum())
+        whole = module.act(terms_of(alg, [(1, factors)]), module.vacuum())
         cut = rng.randint(1, len(factors) - 1)
-        split = module.act(terms_of([(1, factors[:cut])]),
-                           module.act(terms_of([(1, factors[cut:])]),
+        split = module.act(terms_of(alg, [(1, factors[:cut])]),
+                           module.act(terms_of(alg, [(1, factors[cut:])]),
                                       module.vacuum()))
         if whole != split:
             bad.append((case, factors, cut))
@@ -357,7 +377,8 @@ def idempotence_cases(module, rng, cases=100):
     for case in range(cases):
         s = random_state(module, rng)
         for mono, coeff in s.terms.items():
-            again = module.act(terms_of([(1, mono)]), module.vacuum())
+            again = module.act([(1, tuple(((f, 1),) for f in mono))],
+                               module.vacuum())
             if again.terms != {mono: Fraction(1)}:
                 bad.append((case, mono))
         if s.to_obj() != s.to_obj():

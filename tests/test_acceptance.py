@@ -50,7 +50,8 @@ def test_criterion_03_vectors_unique_up_to_scale():
         assert len(space) == 1, "%s_4 solution space not a line" % kind
         # every x(1) kills the line, not only the raising operators
         for x in range(module.alg.dim):
-            assert module.apply((1, x), space[0]).is_zero(), (kind, x)
+            assert module.apply(helpers.code(module.alg, (1, x)),
+                                space[0]).is_zero(), (kind, x)
         scalar = singular_vector(module).multiple_of(space[0])
         assert scalar not in (None, 0)
     elapsed = time.monotonic() - start
@@ -100,7 +101,8 @@ def test_criterion_07_quadratic_state_reduces_with_fixed_scalar():
     rel = conformal.quadratic_relation_state(module)
     assert rel.multiple_of(target) == 1
     mono = sorted(rel.terms)[0]
-    extra = module.act(helpers.terms_of([(1, mono)]), module.vacuum())
+    extra = module.act([(1, tuple(((f, 1),) for f in mono))],
+                       module.vacuum())
     assert (rel + extra).multiple_of(target) is None
 
 

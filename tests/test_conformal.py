@@ -89,7 +89,7 @@ def test_energy_vector_shape():
         total = module.zero()
         for idx, dual in alg.dual_basis():
             inner = helpers.apply_elem(module, dual, -1, module.vacuum())
-            total = total + module.apply((-1, idx), inner)
+            total = total + module.apply(helpers.code(alg, (-1, idx)), inner)
         scale = Fraction(1, 2 * (level + alg.dual_coxeter))
         assert conformal.sugawara_vector(module) == scale * total, \
             (kind, l, level)

@@ -59,8 +59,9 @@ def test_embed_preserves_grading_and_brackets(rng):
         # the embedding intertwines the module actions
         x = rng.randrange(dmod.alg.dim)
         n = rng.randint(-2, 2)
-        left = embedding.embed_state(dmod.apply((n, x), s), bmod)
-        right = bmod.apply((n, mapping[x]), t)
+        left = embedding.embed_state(
+            dmod.apply(helpers.code(dmod.alg, (n, x)), s), bmod)
+        right = bmod.apply(helpers.code(bmod.alg, (n, mapping[x])), t)
         assert left == right
 
 
@@ -103,8 +104,8 @@ def test_relation_failure_carries_difference(monkeypatch):
     bmod = verma.vacuum_module("B", 4)
     true_vector = singular.singular_vector(bmod)
     alg = bmod.alg
-    poke = bmod.act(helpers.terms_of(
-        [(1, [(-1, alg.e_index(alg.rm(1, 2))), (-1, alg.e_index(alg.rp(1, 2)))])]),
+    poke = bmod.act(helpers.terms_of(alg, [(1, [
+        (-1, alg.e_index(alg.rm(1, 2))), (-1, alg.e_index(alg.rp(1, 2)))])]),
         bmod.vacuum())
 
     monkeypatch.setattr(embedding.singular, "singular_vector",

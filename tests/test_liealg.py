@@ -255,9 +255,11 @@ def test_structure_constants_are_small_ints(kind):
     vec = singular.singular_vector(module)
     states = [vec] + [module.apply(op, vec)
                       for op in singular.raising_operators(module.alg)]
-    states.append(module.apply((1, module.alg.f_index(module.alg.theta)),
-                               module.apply((-1, module.alg.e_index(
-                                   module.alg.theta)), module.vacuum())))
+    alg = module.alg
+    states.append(module.apply(
+        helpers.code(alg, (1, alg.f_index(alg.theta))),
+        module.apply(helpers.code(alg, (-1, alg.e_index(alg.theta))),
+                     module.vacuum())))
     coeffs = [c for s in states for c in s.terms.values()]
     assert coeffs and all(type(c) is Fraction for c in coeffs)
 

@@ -52,10 +52,10 @@ def test_type_b_vector_shape():
     # l monomials: one squared short-root mode, l-1 split pairs
     assert len(v.terms) == alg.l
     s1 = alg.e_index(alg.rs(1))
-    square = ((-1, s1), (-1, s1))
+    square = helpers.code(alg, ((-1, s1), (-1, s1)))
     assert v.terms.get(square, 0) == Fraction(-1, 4)
-    pair = tuple(sorted([(-1, alg.e_index(alg.rm(1, 2))),
-                         (-1, alg.e_index(alg.rp(1, 2)))]))
+    pair = helpers.code(alg, sorted([(-1, alg.e_index(alg.rm(1, 2))),
+                                     (-1, alg.e_index(alg.rp(1, 2)))]))
     assert v.terms.get(pair, 0) == 1
 
 
@@ -68,8 +68,9 @@ def test_terms_stable_under_rank_growth():
         alg = liealg.algebra(kind, l)
         out = set()
         for coeff, positions in singular.flat_terms(alg):
-            key = tuple(tuple((alg.label(x), n, c) for (n, x), c in pos)
-                        for pos in positions)
+            key = tuple(tuple((alg.label(x), n, c) for (n, x), c in (
+                (verma.decode(alg, f), c) for f, c in pos))
+                for pos in positions)
             out.add((Fraction(coeff), key) if with_coeff else key)
         return out
 
@@ -88,9 +89,9 @@ def test_residual_reported_on_failure():
     module = verma.vacuum_module("B", 4)
     v = singular.singular_vector(module)
     alg = module.alg
-    poke = module.apply((-1, alg.e_index(alg.rm(1, 2))),
-                        module.apply((-1, alg.e_index(alg.rp(1, 2))),
-                                     module.vacuum()))
+    poke = module.apply(helpers.code(alg, (-1, alg.e_index(alg.rm(1, 2)))),
+                        module.apply(helpers.code(alg, (-1, alg.e_index(
+                            alg.rp(1, 2)))), module.vacuum()))
     res = singular.check_singular(module, v + poke)
     assert not res["passed"]
     failing = [op for op in res["operators"] if not op["kills"]]
@@ -107,9 +108,10 @@ def test_enumerate_monomials_brute_force_check():
     # every enumerated monomial is canonical with the right profile
     for mono in monos:
         assert list(mono) == sorted(mono)
-        assert sum(-n for n, _ in mono) == degree
+        factors = [verma.decode(alg, f) for f in mono]
+        assert sum(-n for n, _ in factors) == degree
         total = [0] * alg.l
-        for _, x in mono:
+        for _, x in factors:
             for i, c in enumerate(alg.weight(x)):
                 total[i] += c
         assert tuple(total) == weight
@@ -139,8 +141,8 @@ def test_pruned_enumeration_matches_leaf_filter(kind, l):
         leaves = helpers.leaf_filtered_monomials(alg, degree)
         for weight in targets:
             got = singular.enumerate_monomials(alg, degree, weight)
-            assert got == [mono for mono, w in leaves if w == weight], \
-                (degree, weight)
+            assert got == [helpers.code(alg, mono) for mono, w in leaves
+                           if w == weight], (degree, weight)
         assert singular.enumerate_monomials(alg, degree, unreachable) == []
 
 
@@ -159,7 +161,9 @@ def test_enumeration_matches_the_full_scan_walk(kind, ranks):
                        (degree + 1,) + zero[1:]]
             for weight in targets:
                 assert singular.enumerate_monomials(alg, degree, weight) == \
-                    helpers.reference_enumerate_monomials(alg, degree, weight), \
+                    [helpers.code(alg, mono) for mono in
+                     helpers.reference_enumerate_monomials(alg, degree,
+                                                           weight)], \
                     (l, degree, weight)
 
 
@@ -170,7 +174,7 @@ def test_enumeration_on_every_reachable_weight(kind):
         leaves = helpers.leaf_filtered_monomials(alg, degree)
         by_weight = {}
         for mono, w in leaves:
-            by_weight.setdefault(w, []).append(mono)
+            by_weight.setdefault(w, []).append(helpers.code(alg, mono))
         for weight, want in by_weight.items():
             got = singular.enumerate_monomials(alg, degree, weight)
             assert got == want, (degree, weight)
@@ -223,7 +227,8 @@ def test_solver_family_type_d_strict_agrees():
     assert len(space) == 1
     # the raising conditions alone force x(1).v = 0 for the whole basis
     for x in range(module.alg.dim):
-        assert module.apply((1, x), space[0]).is_zero(), x
+        assert module.apply(helpers.code(module.alg, (1, x)),
+                            space[0]).is_zero(), x
     v = singular.singular_vector(module)
     assert v.multiple_of(space[0]) is not None
 

@@ -72,7 +72,8 @@ def test_module_equivariance(module, syms, rng):
             s = helpers.random_state(module, rng)
             x = rng.randrange(alg.dim)
             n = rng.randint(-2, 1)
-            left = auto.apply_to_state(module.apply((n, x), s))
+            left = auto.apply_to_state(module.apply(helpers.code(alg, (n, x)),
+                                                    s))
             right = helpers.apply_elem(module, auto({x: Fraction(1)}), n,
                                        auto.apply_to_state(s))
             assert left == right

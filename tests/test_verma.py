@@ -27,34 +27,33 @@ def test_nonnegative_modes_kill_vacuum(module):
     vac = module.vacuum()
     for x in range(module.alg.dim):
         for n in (0, 1, 2):
-            assert module.apply((n, x), vac).is_zero()
+            assert module.apply(helpers.code(module.alg, (n, x)), vac).is_zero()
 
 
 def test_nonnegative_mode_monomials_rejected(module):
     # e(1-2)(0)|0> is zero in the module, so it is no canonical monomial;
     # nor is one whose mode is no int (the state schema asks for an integer
-    # mode <= -1) or whose index names no basis element
-    label = liealg.root_label(module.alg.rm(1, 2))
-    x = module.alg.e_index(module.alg.rm(1, 2))
-    module.state({((-1, x),): 1})
-    for mono in (((0, x),), ((-1, x), (0, x)), ((-2, x), (1, x)),
-                 ((-1.5, x),), ((-1.0, x),), ((Fraction(-1), x),)):
+    # mode <= -1).  An index outside the basis has no int factor
+    alg = module.alg
+    label = liealg.root_label(alg.rm(1, 2))
+    x = alg.e_index(alg.rm(1, 2))
+    module.state({helpers.code(alg, ((-1, x),)): 1})
+    for modes in ((0,), (-1, 0), (-2, 1)):
         with pytest.raises(ValueError):
-            module.state({mono: 1})
+            module.state({helpers.code(alg, [(n, x) for n in modes]): 1})
+    for modes in ((0,), (-1, 0), (-2, 1), (-1.5,), (-1.0,), (Fraction(-1),)):
         obj = [{"coeff": "1",
-                "monomial": [["e", label, n] for n, _ in mono]}]
+                "monomial": [["e", label, n] for n in modes]}]
         with pytest.raises(ValueError):
             PBWState.from_obj(module, obj)
-    for idx in (-1, module.alg.dim, 1.0):
-        with pytest.raises(ValueError):
-            module.state({((-1, idx),): 1})
 
 
 def test_central_term_on_vacuum(module):
     # f_theta(1) e_theta(-1) 1 = [f, e](0) 1 + (f, e) k 1 = k 1
     alg = module.alg
     e, f = alg.e_index(alg.theta), alg.f_index(alg.theta)
-    got = module.apply((1, f), module.apply((-1, e), module.vacuum()))
+    got = module.apply(helpers.code(alg, (1, f)),
+                       module.apply(helpers.code(alg, (-1, e)), module.vacuum()))
     assert got == module.level * module.vacuum()
 
 
@@ -144,7 +143,7 @@ def test_from_obj_rejects_non_canonical(module):
 def test_state_arithmetic(module):
     vac = module.vacuum()
     e = module.alg.e_index(module.alg.theta)
-    s = module.apply((-1, e), vac)
+    s = module.apply(helpers.code(module.alg, (-1, e)), vac)
     assert (s + s) == 2 * s
     assert (s - s).is_zero()
     assert (-s) == -1 * s
@@ -162,12 +161,15 @@ def test_float_coefficients_rejected(module):
         module.state({(): 0.1})
     # nor does a term's coefficient, in whichever term it stands, or a
     # multiplier at a position
+    alg = module.alg
     for word in ([(0.5, ((-1, 0),))], [(1, ((-1, 0),)), (0.5, ())]):
         with pytest.raises(TypeError, match="0.5"):
-            module.act(helpers.terms_of(word), vac)
+            module.act(helpers.terms_of(alg, word), vac)
     with pytest.raises(TypeError, match="0.5"):
-        module.build([(0.5, ((((-1, 0), 1),),))])
-    for pos in ((((-1, 0), 0.5),), (((-1, 1), 1), ((1, 0), 0.5))):
+        module.build([(0.5, (((helpers.code(alg, (-1, 0)), 1),),))])
+    for pos in (((helpers.code(alg, (-1, 0)), 0.5),),
+                ((helpers.code(alg, (-1, 1)), 1),
+                 (helpers.code(alg, (1, 0)), 0.5))):
         with pytest.raises(TypeError, match="0.5"):
             module.build([(1, (pos,))])
 
@@ -183,7 +185,8 @@ def test_zero_denominator_rejected(module):
 def test_degree_and_weight(module, rng):
     alg = module.alg
     e = alg.e_index(alg.theta)
-    s = module.apply((-2, e), module.apply((-1, e), module.vacuum()))
+    s = module.apply(helpers.code(alg, (-2, e)),
+                     module.apply(helpers.code(alg, (-1, e)), module.vacuum()))
     assert s.degree() == 3
     assert tuple(s.weight()) == tuple(2 * c for c in alg.theta)
     assert module.vacuum().degree() == 0
@@ -194,7 +197,7 @@ def test_degree_and_weight(module, rng):
         seen = set()
         for mono in state.nums:
             w = [0] * alg.l
-            for _, x in mono:
+            for _, x in (verma.decode(alg, f) for f in mono):
                 for i, c in enumerate(alg.weight(x)):
                     w[i] += c
             seen.add(tuple(w))
@@ -213,13 +216,14 @@ def test_degree_and_weight(module, rng):
 
 
 def test_multiple_of(module):
-    e = module.alg.e_index(module.alg.theta)
-    s = module.apply((-1, e), module.vacuum())
+    alg = module.alg
+    s = module.apply(helpers.code(alg, (-1, alg.e_index(alg.theta))),
+                     module.vacuum())
     t = Fraction(-7, 3) * s
     assert t.multiple_of(s) == Fraction(-7, 3)
     assert s.multiple_of(module.zero()) is None
     assert module.zero().multiple_of(s) == 0
-    h = module.apply((-1, module.alg.h_index(1)), module.vacuum())
+    h = module.apply(helpers.code(alg, (-1, alg.h_index(1))), module.vacuum())
     assert (s + h).multiple_of(s) is None
 
 
@@ -228,33 +232,36 @@ def test_symbolic_grammar_expansion(module):
     E, F, H = verma.vocabulary(alg)
     h1, h2 = alg.h_index(1), alg.h_index(2)
     vac = module.vacuum()
+    code = helpers.code
     # E and F are one factor; H is the Cartan coordinates of the coroot
-    assert E(alg.theta) == (((-1, alg.e_index(alg.theta)), 1),)
-    assert F(alg.theta, 0) == (((0, alg.f_index(alg.theta)), 1),)
-    assert H(alg.rm(1, 2)) == (((-1, h1), 1), ((-1, h2), -1))
+    assert E(alg.theta) == ((code(alg, (-1, alg.e_index(alg.theta))), 1),)
+    assert F(alg.theta, 0) == ((code(alg, (0, alg.f_index(alg.theta))), 1),)
+    assert H(alg.rm(1, 2)) == ((code(alg, (-1, h1)), 1),
+                               (code(alg, (-1, h2)), -1))
     # a product of sums is the sum over a choice of a pair at each
     # position, coeff times the chosen multipliers
     e = alg.e_index(alg.theta)
     built = module.build([(Fraction(1, 3), (E(alg.theta), H(alg.rm(1, 2),
                                                             -2)))])
     assert built == Fraction(1, 3) * module.apply(
-        (-1, e), module.apply((-2, h1), vac)) - Fraction(1, 3) * \
-        module.apply((-1, e), module.apply((-2, h2), vac))
+        code(alg, (-1, e)), module.apply(code(alg, (-2, h1)), vac)) \
+        - Fraction(1, 3) * module.apply(
+            code(alg, (-1, e)), module.apply(code(alg, (-2, h2)), vac))
     # an H position expands into Cartan coordinates of the coroot
     built = module.build([(1, (H(alg.rm(1, 2)),))])
-    direct = module.apply((-1, h1), module.vacuum()) \
-        - module.apply((-1, h2), module.vacuum())
+    direct = module.apply(code(alg, (-1, h1)), module.vacuum()) \
+        - module.apply(code(alg, (-1, h2)), module.vacuum())
     assert built == direct
     # coordinate weights work in both types (not roots in type D)
     built = module.build([(1, (H(alg.rs(1)),))])
-    assert built == 2 * module.apply((-1, h1), module.vacuum())
+    assert built == 2 * module.apply(code(alg, (-1, h1)), module.vacuum())
 
 
 @pytest.mark.parametrize("kind", ["B", "D"])
 def test_formulas_share_one_factor_format(kind, monkeypatch):
     # every formula of the paper is written in verma.vocabulary: each
-    # position of a term is a non-empty tuple of ((mode, index), int) pairs,
-    # the factor format of monomials.  The conformal terms are read where
+    # position of a term is a non-empty tuple of (factor, int) pairs, the
+    # factor an int as in monomials, at a mode from -3 to 0.  The conformal terms are read where
     # their fixed states hand them to act, on a fresh module that builds
     # every fixed state anew
     module = _fresh_module(kind, 4, None)
@@ -285,23 +292,24 @@ def test_formulas_share_one_factor_format(kind, monkeypatch):
     for pos in positions:
         assert type(pos) is tuple and pos, pos
         for pair in pos:
-            (n, x), c = pair
-            assert type(n) is int and type(x) is int and type(c) is int, pair
-            assert 0 <= x < alg.dim, pair
+            f, c = pair
+            assert type(f) is int and type(c) is int, pair
+            assert -3 <= verma.decode(alg, f)[0] <= 0, pair
 
 
 def test_apply_rejects_foreign_state():
     mb = verma.vacuum_module("B", 4)
     md = verma.vacuum_module("D", 4)
     with pytest.raises(ValueError):
-        mb.apply((-1, 0), md.vacuum())
+        mb.apply(helpers.code(mb.alg, (-1, 0)), md.vacuum())
 
 
 def test_level_override():
     m = verma.vacuum_module("B", 4, level=Fraction(1))
     e = m.alg.e_index(m.alg.theta)
     f = m.alg.f_index(m.alg.theta)
-    got = m.apply((1, f), m.apply((-1, e), m.vacuum()))
+    got = m.apply(helpers.code(m.alg, (1, f)),
+                  m.apply(helpers.code(m.alg, (-1, e)), m.vacuum()))
     assert got == m.vacuum()
 
 
@@ -354,10 +362,11 @@ def test_int_kernel_matches_fraction_reference(kind, l, level, rng):
     fixed = [[(1, [(1, f)])], [(Fraction(1, 5), [(1, f), (1, f)])],
              [(1, [(2, h)]), (Fraction(-3, 2), [(1, h), (1, f), (-1, e)])]]
     for word in fixed:
-        assert module.act(helpers.terms_of(word), start) == ref(word, start), word
+        assert module.act(helpers.terms_of(alg, word), start) == \
+            ref(word, start), word
     # f(1) e(-1)^2 |0> = (2k - 2) e(-1)|0>, then f(1) e(-1)|0> = k|0>
     k = module.level
-    assert module.act(helpers.terms_of(fixed[1]), start) == \
+    assert module.act(helpers.terms_of(alg, fixed[1]), start) == \
         Fraction(2, 5) * k * (k - 1) * module.vacuum()
 
     nonzero = {0: 0, 1: 0, 3: 0}
@@ -365,11 +374,12 @@ def test_int_kernel_matches_fraction_reference(kind, l, level, rng):
         state = ref(_random_word(alg, rng, 0), module.vacuum()) + start
         for positive in nonzero:
             word = _random_word(alg, rng, positive)
-            got = module.act(helpers.terms_of(word), state)
+            got = module.act(helpers.terms_of(alg, word), state)
             assert got == ref(word, state), word
             nonzero[positive] += not got.is_zero()
             x, n = rng.randrange(alg.dim), rng.randint(-2, 2)
-            assert module.apply((n, x), state) == ref([(1, [(n, x)])], state)
+            assert module.apply(helpers.code(alg, (n, x)), state) == \
+                ref([(1, [(n, x)])], state)
             elem = {rng.randrange(alg.dim): Fraction(rng.randint(1, 5), 3)
                     for _ in range(2)}
             assert helpers.apply_elem(module, elem, n, state) == \
@@ -380,6 +390,7 @@ def test_int_kernel_matches_fraction_reference(kind, l, level, rng):
 def _random_terms(alg, rng):
     """1-3 terms of 0-3 positions each, as the paper's displays write them:
     a multi-pair Cartan sum (an H), or one or two pairs of any index, with
+    int factors and
     Fraction multipliers such as triality's 1/2; a pair keeps its
     position's mode nine times in ten; the first term comes back negated,
     or with a position that cancels, or with no positions, and one term in
@@ -394,7 +405,8 @@ def _random_terms(alg, rng):
             xs = rng.sample(cartan, rng.randint(2, 3)) if rng.random() < 0.4 \
                 else [rng.randrange(alg.dim) for _ in range(rng.randint(1, 2))]
             positions.append(tuple(
-                ((n if rng.random() < 0.9 else rng.randint(-2, 2), x),
+                (helpers.code(alg, (n if rng.random() < 0.9
+                                    else rng.randint(-2, 2), x)),
                  rng.choice(mults)) for x in xs))
         if rng.random() < 0.1:
             positions.insert(rng.randint(0, len(positions)), ())
@@ -437,13 +449,14 @@ def test_act_on_positions_matches_reference(kind, level, rng):
                                       module.vacuum(), memo) + start
         terms = _random_terms(alg, rng)
         got = module.act(terms, state)
-        want = helpers.reference_act(module, helpers.multiply_out(terms),
+        want = helpers.reference_act(module, helpers.multiply_out(alg, terms),
                                      state, memo)
         assert got == want, terms
         if not got.is_zero():
             pairs = [pair for _, positions in terms for pos in positions
                      for pair in pos]
-            nonzero["positive"] += any(n > 0 for (n, _), _ in pairs)
+            nonzero["positive"] += any(verma.decode(alg, f)[0] > 0
+                                       for f, _ in pairs)
             nonzero["fraction"] += any(type(m) is Fraction for _, m in pairs)
             nonzero["multi"] += any(len(pos) > 1 for _, positions in terms
                                     for pos in positions)
@@ -451,23 +464,77 @@ def test_act_on_positions_matches_reference(kind, level, rng):
 
 
 def test_act_rejects_bad_factors():
-    # a mode is an int and an index lies in range(dim), checked while act
-    # plans the terms, before any state is built: at D_4 (dim 28) an index
-    # of 28 or 999 gave a state that failed only in to_obj, -1 one that
-    # to_obj printed as h4(-1), and mode -1.0 a monomial keyed -1.0
-    module = verma.vacuum_module("D", 4)
-    assert module.alg.dim == 28
-    vac = module.vacuum()
-    for factor in ((-1, 999), (-1, 28), (-1, -1), (-1.0, 3), (-1, 3.0),
-                   (Fraction(-1), 3), (True, 3)):
+    # a factor is an int, checked while act plans the terms, before any
+    # state is touched: the memo stays empty even behind a valid term that
+    # would fill it.  Every int is some x(n), so the out-of-range indices
+    # this test once passed (999, dim, -1 at D_4) have no factor to write
+    module = _fresh_module("D", 4, None)
+    alg = module.alg
+    e, f = alg.e_index(alg.theta), alg.f_index(alg.theta)
+    state = module.state({(helpers.code(alg, (-1, e)),): 1})
+    good = (helpers.code(alg, (1, f)), 1)
+    for factor in ((-1, 3), [-1, 3], -1.0, 3.0, Fraction(-1), True, False,
+                   "-1", None):
         with pytest.raises(ValueError):
-            module.apply(factor, vac)
+            module.apply(factor, state)
         # in any term and position, even one acting on the zero state
         with pytest.raises(ValueError):
-            module.build([(1, ()), (1, ((((-1, 0), 1), (factor, 2)),))])
+            module.act([(1, ((good,),)), (1, ((good, (factor, 2)),))], state)
         with pytest.raises(ValueError):
-            module.act([(1, ((((-1, 0), 1),), ((factor, 1),)))],
-                       module.zero())
+            module.act([(1, ((good,), ((factor, 1),)))], module.zero())
+        assert module._memo == {}
+    assert module.act([(1, ((good,),))], state) == \
+        module.level * module.vacuum()
+    assert module._memo
+
+
+@pytest.mark.parametrize("l", range(4, 9))
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_factor_codes_order_as_mode_index_pairs(kind, l):
+    # x(n) is one int that sorts as (mode, index) does, decodes back to
+    # it, and is negative exactly when its mode is
+    alg = liealg.algebra(kind, l)
+    pairs = [(n, x) for n in range(-3, 3) for x in range(alg.dim)]
+    codes = [verma.encode(alg, n, x) for n, x in pairs]
+    assert all(type(f) is int for f in codes)
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    assert [verma.decode(alg, f) for f in codes] == pairs
+    assert [f < 0 for f in codes] == [n < 0 for n, _ in pairs]
+
+
+def test_monomials_refuse_factors_of_other_formats(module):
+    # a monomial's factor is a negative int: no nonnegative one (its mode
+    # kills the vacuum), no float, no bool and no (mode, index) pair;
+    # from_obj reads [role, datum, mode] lists with an int mode only
+    alg = module.alg
+    x = alg.e_index(alg.theta)
+    f = verma.encode(alg, -1, x)
+    module.state({(verma.encode(alg, -2, x), f): 1})
+    for bad in (verma.encode(alg, 0, x), verma.encode(alg, 1, x), float(f),
+                True, False, (-1, x)):
+        for mono in ((bad,), (verma.encode(alg, -2, x), bad)):
+            with pytest.raises(ValueError):
+                module.state({mono: 1})
+    label = liealg.root_label(alg.theta)
+    PBWState.from_obj(module, [{"coeff": "1", "monomial": [["e", label, -1]]}])
+    for bad in (["e", label, 0], ["e", label, 1], ["e", label, -1.0],
+                ["e", label, True], ["e", label, False], ["e", label, "-1"],
+                ["e", label, None], ("e", label, -1), [-1, x], (-1, x), f):
+        with pytest.raises(ValueError):
+            PBWState.from_obj(module, [{"coeff": "1", "monomial": [bad]}])
+
+
+@pytest.mark.parametrize("l", [4, 5, 6])
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_pair_table_is_the_form(kind, l):
+    # the central term reads (x, y) from one partner per basis index
+    module = _fresh_module(kind, l, None)
+    alg = module.alg
+    assert len(module._pair) == alg.dim
+    for x, (y, form) in enumerate(module._pair):
+        assert form
+        assert [alg.form(x, z) for z in range(alg.dim)] == \
+            [form if z == y else 0 for z in range(alg.dim)], x
 
 
 def _random_mono(alg, rng, length):
@@ -501,11 +568,12 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
         entry = _random_factor(alg, rng, -3, 2)
         n, x = entry
         passed = [f[1] for f in mono if n >= 0 or f < entry]
+        key = helpers.code(alg, entry), helpers.code(alg, mono)
         before = len(module._memo)
-        fresh = (entry, mono) not in module._memo
-        got = tuple(module.operator_terms(entry, mono))
+        fresh = key not in module._memo
+        got = tuple(module.operator_terms(*key))
         want = helpers.reference_apply_mono(module, entry, mono, memo)
-        assert dict(got) == {m: c * (scale if n > 0 else 1)
+        assert dict(got) == {helpers.code(alg, m): c * (scale if n > 0 else 1)
                              for m, c in want}, (entry, mono)
         if n < 0 and entry <= mono[0] or not fresh:
             continue
@@ -515,21 +583,23 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
                 assert got == () and len(module._memo) == before
             else:
                 taken["insert"] += 1
-                assert got == ((tuple(sorted(mono + (entry,))), 1),)
+                assert got == ((helpers.code(alg, sorted(mono + (entry,))),
+                                1),)
                 assert len(module._memo) == before + 1
         else:
             taken["recurse"] += 1
     assert min(taken.values()) >= 30, taken
     nonzero = 0
     for _ in range(20):
-        state = module.state({_random_mono(alg, rng, rng.randint(0, 3)):
-                              Fraction(rng.randint(1, 9), rng.randint(1, 4))
-                              for _ in range(3)})
+        state = module.state({helpers.code(alg, _random_mono(
+            alg, rng, rng.randint(0, 3))): Fraction(rng.randint(1, 9),
+                                                    rng.randint(1, 4))
+            for _ in range(3)})
         word = [(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)),
                  [_random_factor(alg, rng, -3, 2)
                   for _ in range(rng.randint(1, 3))])
                 for _ in range(2)]
-        got = module.act(helpers.terms_of(word), state)
+        got = module.act(helpers.terms_of(alg, word), state)
         assert got == helpers.reference_act(module, word, state, memo), word
         nonzero += not got.is_zero()
     assert nonzero >= 5, nonzero
@@ -554,10 +624,12 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
         else:
             continue
         (a, ca), (b, cb) = images.items()
-        state = module.state({a: cb, b: -ca,
-                              _random_mono(alg, rng, 3): Fraction(1, 2)})
+        state = module.state({helpers.code(alg, a): cb,
+                              helpers.code(alg, b): -ca,
+                              helpers.code(alg, _random_mono(alg, rng, 3)):
+                              Fraction(1, 2)})
         word = [(1, [_random_factor(alg, rng, -2, 1), (2, x)])]
-        got = module.act(helpers.terms_of(word), state)
+        got = module.act(helpers.terms_of(alg, word), state)
         assert got == helpers.reference_act(module, word, state, memo), word
         cancelled += 1
     assert cancelled >= 5, cancelled
@@ -570,9 +642,10 @@ def test_kernel_shortcuts_match_reference(kind, l, level, rng):
         factors = [_random_factor(alg, rng, 1, 2),
                    (0, rng.randrange(alg.dim)), (-4, rng.randrange(alg.dim)),
                    mono[0], mono[0]]
-        state = module.state({mono: 3, _random_mono(alg, rng, 2): -1})
+        state = module.state({helpers.code(alg, mono): 3,
+                              helpers.code(alg, _random_mono(alg, rng, 2)): -1})
         for word in ([(1, factors)], [(1, factors[1:])], [(2, factors[2:])]):
-            got = module.act(helpers.terms_of(word), state)
+            got = module.act(helpers.terms_of(alg, word), state)
             assert got == helpers.reference_act(module, word, state, memo), \
                 word
             nonzero += not got.is_zero()
@@ -595,10 +668,11 @@ def test_leibniz_paths_match_reference(kind, l, level, rng):
     taken = {"put_back": 0, "interior_central": 0}
 
     def check(factor, mono):
-        fresh = (factor, mono) not in module._memo
-        got = dict(module.operator_terms(factor, mono))
+        key = helpers.code(alg, factor), helpers.code(alg, mono)
+        fresh = key not in module._memo
+        got = dict(module.operator_terms(*key))
         want = helpers.reference_apply_mono(module, factor, mono, memo)
-        assert got == {m: c * (scale if factor[0] > 0 else 1)
+        assert got == {helpers.code(alg, m): c * (scale if factor[0] > 0 else 1)
                        for m, c in want}, (factor, mono)
         return fresh
 
@@ -637,6 +711,26 @@ def test_prepends_store_nothing(fresh_caches):
     assert len(verma.vacuum_module("D", 5)._memo) == 1438
 
 
+def test_one_memo_read_per_miss(fresh_caches):
+    # a miss is read once and then stored; a proven zero is answered before
+    # any read.  So the keys read and missed are exactly the stored ones,
+    # each missed once
+    misses = {}
+
+    class Memo(dict):
+        def get(self, key):
+            hit = dict.get(self, key)
+            if hit is None:
+                misses[key] = misses.get(key, 0) + 1
+            return hit
+
+    module = verma.vacuum_module("D", 5)
+    module._memo = Memo()
+    singular.report("D", 5, strict=True)
+    assert len(module._memo) > 1438
+    assert misses == dict.fromkeys(module._memo, 1)
+
+
 @pytest.mark.parametrize("level", [Fraction(-5, 3), None], ids=str)
 @pytest.mark.parametrize("kind", ["B", "D"])
 def test_singular_space_from_scaled_rows(kind, level):
@@ -646,9 +740,15 @@ def test_singular_space_from_scaled_rows(kind, level):
     module = _fresh_module(kind, 4, level)
     ref = _fresh_module(kind, 4, level)
     memo = {}
-    ref._apply_mono = lambda factor, mono: tuple(
-        v for pair in helpers.reference_apply_mono(ref, factor, mono, memo)
-        for v in pair)
+    alg = ref.alg
+
+    def reference(factor, mono):
+        terms = helpers.reference_apply_mono(
+            ref, verma.decode(alg, factor),
+            tuple(verma.decode(alg, f) for f in mono), memo)
+        return tuple(v for m, c in terms for v in (helpers.code(alg, m), c))
+
+    ref._apply_mono = reference
     profile = singular.expected_profile(module.alg)
     for args in (profile, (2, (0,) * 4)):
         got = singular.solve_singular_space(module, *args)
@@ -682,10 +782,12 @@ def test_int_state_matches_fraction_reference(kind, level, rng):
         assert (a == b) == (ra == rb)
         assert (c * a).multiple_of(a) == (c * ra).multiple_of(ra)
         assert (a + b).multiple_of(b) == (ra + rb).multiple_of(rb)
-        for mono in sorted(ra.terms)[:2] + [(), ((-1, 0),)]:
+        for mono in sorted(ra.terms)[:2] + [(), (helpers.code(module.alg,
+                                                              (-1, 0)),)]:
             assert a.terms.get(mono, 0) == ra.coefficient(mono)
         word = _random_word(module.alg, rng, rng.randint(0, 2))
-        assert _canonical(module.act(helpers.terms_of(word), a)).terms == \
+        assert _canonical(module.act(helpers.terms_of(module.alg, word),
+                                     a)).terms == \
             helpers.reference_act_terms(module, word, ra, memo)
         back = PBWState.from_obj(module, a.to_obj())
         assert _canonical(back) == a and back.terms == ra.terms

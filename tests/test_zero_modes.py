@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from affine_verma import singular, verma, zero_modes
 from affine_verma.claims import verifies
 
@@ -35,7 +36,7 @@ def test_zero_mode_kills_degree_four_vector():
     module = verma.vacuum_module("D", 4)
     alg = module.alg
     v = singular.singular_vector(module)
-    out = module.apply((0, alg.e_index(alg.rm(1, 2))), v)
+    out = module.apply(helpers.code(alg, (0, alg.e_index(alg.rm(1, 2)))), v)
     assert out.is_zero()
 
 
@@ -58,7 +59,7 @@ def test_tampered_row_reports_failure(monkeypatch):
     # side minus the built (doubled) right side
     module = verma.vacuum_module("D", 4)
     alg = module.alg
-    op = (0, alg.e_index(alg.rm(1, 2)))
+    op = helpers.code(alg, (0, alg.e_index(alg.rm(1, 2))))
     _, params, lhs, rhs = tampered(alg)[0]
     assert len(first["failures"]) == len(params) == 4
     for p, fail in zip(params, first["failures"]):
