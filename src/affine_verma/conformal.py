@@ -46,16 +46,16 @@ def solve_level_equation(l):
 
 @verma.fixed_state
 def sugawara_vector(module):
-    """Degree-2 Casimir state 1/(2(k + h)) sum_i a_i(-1) b_i(-1) 1."""
+    """Degree-2 Casimir state 1/(2(k + h)) sum_i a_i(-1) b_i(-1) 1, with
+    b_i = x_y / (x_i, x_y) for the one partner y of x_i in alg.pair."""
     alg = module.alg
     k = module.level
     if k == -alg.dual_coxeter:
         raise ValueError("critical level has no conformal vector")
     scale = 1 / (2 * (k + alg.dual_coxeter))
-    return module.build([(scale, (((verma.encode(alg, -1, idx), 1),),
-                                  tuple((verma.encode(alg, -1, j), c)
-                                        for j, c in dual.items())))
-                         for idx, dual in alg.dual_basis()])
+    return module.build([(scale / v, (((verma.encode(alg, -1, x), 1),),
+                                      ((verma.encode(alg, -1, y), 1),)))
+                         for x, (y, v) in enumerate(alg.pair)])
 
 
 # ---- certificates in the B module ---------------------------------------------

@@ -23,7 +23,9 @@ invariant form is normalized so that long roots have square length 2, and
 the basis is enumerated in a frozen order: all e_alpha by the fixed
 positive-root order, then all f_alpha in the same root order, then
 H_1, ..., H_l.  The downstream loop-module straightening depends on this
-order staying put.
+order staying put.  The form pairs each basis element with exactly one
+other, e_alpha with f_alpha at 2/(alpha, alpha) and H_i with itself at 1,
+so it is one table, pair, built in closed form; form reads it.
 """
 
 from fractions import Fraction
@@ -85,16 +87,6 @@ def root_label(root):
     raise ValueError("not a positive root of B_l/D_l: %r" % (root,))
 
 
-def parse_root_label(label, l):
-    if "-" in label:
-        i, j = label.split("-")
-        return _root_minus(l, int(i), int(j))
-    if "+" in label:
-        i, j = label.split("+")
-        return _root_plus(l, int(i), int(j))
-    return _root_short(l, int(label))
-
-
 class LieAlgebra:
     """Type B_l or D_l with structure constants from the contraction rule.
 
@@ -139,6 +131,11 @@ class LieAlgebra:
         self.basis += [("h", i) for i in range(1, l + 1)]
         self._e_index = {r: i for i, r in enumerate(self.positive_roots)}
         self._f_index = {r: self.npos + i for i, r in enumerate(self.positive_roots)}
+        # (role, text) per basis index, the name a state's factor is written
+        # under (root label for e and f, i for H_i); name_index inverts it
+        self.names = [(role, d if role == "h" else root_label(d))
+                      for role, d in self.basis]
+        self.name_index = {name: x for x, name in enumerate(self.names)}
 
         self._signed_codes = [self._codes(role, datum)
                               for role, datum in self.basis]
@@ -156,13 +153,11 @@ class LieAlgebra:
                       | (len(c) == 1) << 2 * l for _, c in self._signed_codes]
         # (i, j) -> bracket(i, j), filled on demand
         self._brackets = {}
-        # x^i = x_j / form(x_i, x_j) for the one x_j that pairs with x_i; the
-        # form is 2 on short roots and 1 on every other such pair
-        n = self.npos
-        paired = [*range(n, 2 * n), *range(n), *range(2 * n, self.dim)]
-        self._dual_basis = tuple(
-            (i, {j: 1 if self.form(i, j) == 1 else Fraction(1, 2)})
-            for i, j in enumerate(paired))
+        # pair[x] = (y, (x, y)) for the one y the form pairs x with: e and f
+        # of one root at 2/(alpha, alpha), the int 1 or 2, H_i with itself at 1
+        n, norms = self.npos, [2 // root_norm(r) for r in self.positive_roots]
+        self.pair = (*((n + i, v) for i, v in enumerate(norms)),
+                     *enumerate(norms), *((x, 1) for x in range(2 * n, self.dim)))
 
     # ---- basis bookkeeping -------------------------------------------------
 
@@ -278,28 +273,11 @@ class LieAlgebra:
     # ---- invariant form ----------------------------------------------------
 
     def form(self, i, j):
-        """Invariant bilinear form with (theta, theta) = 2.
-
+        """Invariant bilinear form with (theta, theta) = 2, read from pair:
         (H_i, H_j) = delta_ij, (e_alpha, f_alpha) = 2/(alpha, alpha), all
-        other basis pairs vanish.
-        """
-        ri, di = self.basis[i]
-        rj, dj = self.basis[j]
-        if ri == "h" and rj == "h":
-            return 1 if di == dj else 0
-        if ri == "h" or rj == "h":
-            return 0
-        if ri != rj and di == dj:
-            # root norms are 1 and 2, so the value is the int 2 or 1
-            return 2 // root_norm(di)
-        return 0
-
-    def dual_basis(self):
-        """Tuple of pairs (i, b) with form(x_i, b) = 1 and form(x_j, b) = 0
-        for j != i, built once and shared by every caller, who must not
-        write to b; b has one int coefficient, or 1/2 for the short roots of
-        type B."""
-        return self._dual_basis
+        other basis pairs vanish."""
+        y, v = self.pair[i]
+        return v if y == j else 0
 
     # ---- Cartan data ---------------------------------------------------------
 
@@ -340,8 +318,7 @@ class LieAlgebra:
                     rows[j].append((i, [[k, str(-c)] for k, c in items]))
         brackets = [[i, j, items] for i, row in enumerate(rows)
                     for j, items in row]
-        form = [[i, j, str(self.form(i, j))]
-                for i, dual in self._dual_basis for j in dual if j >= i]
+        form = [[i, j, str(v)] for i, (j, v) in enumerate(self.pair) if j >= i]
         return {
             "type": self.kind,
             "l": self.l,

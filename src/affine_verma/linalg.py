@@ -17,7 +17,11 @@ free to change the system before Echelon sees it.  It first reads the rows
 a*x_i + b*x_j = 0 into classes of columns that are fixed multiples of one
 another (the first step of structured Gaussian elimination): that pass only
 substitutes, and Echelon still does all elimination, on the longer rows
-rewritten over the classes, sparsest first, which cuts fill-in.
+rewritten over the classes, sparsest first, which cuts fill-in.  The
+classes are numbered by their last column, so Echelon's nullspace of that
+system, mapped back through the class weights, is the canonical basis as
+it stands: a kernel vector's last nonzero column is the last column of its
+last class.
 """
 
 from fractions import Fraction
@@ -177,11 +181,12 @@ def _fold(rows, ncols):
             num[ri], den[ri] = -b // g, a // g
     roots = [find(c) for c in range(ncols)]
     dead = {roots[c] for c in zeros}
-    # w is num/den times the lcm of den over the class
+    # w is num/den times the lcm of den over the class; pop puts each class
+    # back at the end, so the classes are numbered by their last column
     scale = {}
     for c, r in enumerate(roots):
         if r not in dead:
-            scale[r] = lcm(scale.get(r, 1), den[c])
+            scale[r] = lcm(scale.pop(r, 1), den[c])
     index = {r: k for k, r in enumerate(scale)}
     weight = [(index[r], num[c] * (scale[r] // den[c])) if r in index
               else (0, 0) for c, r in enumerate(roots)]
@@ -201,32 +206,17 @@ def nullspace(rows, ncols):
 
     One class pass (see _fold) takes out the rows with fewer than three
     terms; Echelon eliminates the others, rewritten over the classes,
-    sparsest first.  Its kernel, mapped back to the columns, is brought to
-    the canonical basis of Echelon.nullspace, which depends on the row space
-    alone: the reduced echelon form of the kernel with the column order
-    reversed, since a vector's free column is its last nonzero one and the
-    other free columns are zero on it.
+    sparsest first.  Its kernel, mapped back to the columns, is already the
+    canonical basis of Echelon.nullspace: the classes are numbered by their
+    last column, so the free columns are the last columns of the free
+    classes, and each vector is the one kernel vector on its free column.
     """
     system, nclasses, weight = _fold(rows, ncols)
     ech = Echelon()
     for row in sorted(system, key=len):
         ech.add(row)
-    rev = Echelon()
-    for y in ech.nullspace(nclasses):
-        rev.add({ncols - 1 - c: w * y[k] for c, (k, w) in enumerate(weight)})
-    basis = {}
-    for p in sorted(rev.rows, reverse=True):
-        row = rev.rows[p]
-        for q, done in basis.items():
-            a = row.get(q)
-            if a:
-                b = done[q]
-                g = gcd(a, b)
-                row = {c: row.get(c, 0) * (b // g) - done.get(c, 0) * (a // g)
-                       for c in row.keys() | done.keys()}
-        basis[p] = row
-    return [_primitive([row.get(ncols - 1 - c, 0) for c in range(ncols)])
-            for row in basis.values()]
+    return [_primitive([w * y[k] for k, w in weight])
+            for y in ech.nullspace(nclasses)]
 
 
 def solve_exact(columns, target):

@@ -82,9 +82,6 @@ class VermaModule:
         self.alg = alg
         self.level = Fraction(level)
         self._knum, self._kden = self.level.numerator, self.level.denominator
-        # (y, (x, y)) per basis index x, y the one index the form pairs it with
-        self._pair = [(y, alg.form(x, y))
-                      for x, dual in alg.dual_basis() for y in dual]
         self._memo = {}
         self._derived = {}
 
@@ -168,7 +165,7 @@ class VermaModule:
         alg, dim = self.alg, self.alg.dim
         n, x = divmod(factor, dim)
         reach, held = alg.reach[x], alg.held
-        pair, form = self._pair[x]
+        pair, form = alg.pair[x]
         p = len(mono) if n >= 0 else bisect_left(mono, factor)
         acc = {} if n >= 0 else {mono[:p] + (factor,) + mono[p:]: 1}
         for i in range(p):
@@ -392,15 +389,13 @@ class PBWState:
     def to_obj(self):
         """JSON-ready form: list of {coeff, monomial}, deterministically sorted.
 
-        Each factor is encoded [role, root-label-or-Cartan-index, mode].
+        Each factor is encoded [role, root-label-or-Cartan-index, mode], its
+        name in alg.names followed by its mode.
         """
         alg = self.module.alg
         out = []
         for mono in sorted(self.nums):
-            enc = []
-            for n, x in (decode(alg, f) for f in mono):
-                role, datum = alg.basis[x]
-                enc.append([role, datum if role == "h" else liealg.root_label(datum), n])
+            enc = [[*alg.names[x], n] for n, x in (decode(alg, f) for f in mono)]
             out.append({"coeff": str(Fraction(self.nums[mono], self.den)),
                         "monomial": enc})
         return out
@@ -410,10 +405,9 @@ class PBWState:
         """Inverse of to_obj.  ValueError on a document that is no list, a
         term that is no dict with exactly the keys coeff and monomial, a
         coeff that is no reduced "p/q" string, a factor that is no list
-        [role, datum, int mode], a datum that is no int for role h or no
-        canonical root label of the algebra for e and f (the text to_obj
-        writes, so "01-2" and "2+1" are refused), and a monomial that is no
-        canonical list."""
+        [role, datum, int mode] whose (role, datum) is the name to_obj
+        writes for a basis index (alg.names, so "01-2", "2+1" and True are
+        refused), and a monomial that is no canonical list."""
         if not isinstance(obj, list):
             raise ValueError("state %r is no list" % (obj,))
         alg = module.alg
@@ -428,19 +422,12 @@ class PBWState:
             for factor in item["monomial"]:
                 role, datum, n = (factor if type(factor) is list and len(
                     factor) == 3 and type(factor[2]) is int else (None,) * 3)
-                try:
-                    if role == "h" and type(datum) is int:
-                        idx = alg.h_index(datum)
-                    elif role in ("e", "f") and isinstance(datum, str):
-                        root = liealg.parse_root_label(datum, alg.l)
-                        if liealg.root_label(root) != datum:
-                            raise ValueError
-                        idx = (alg.e_index if role == "e"
-                               else alg.f_index)(root)
-                    else:
-                        raise ValueError
-                except (ValueError, KeyError):  # KeyError: no such root
-                    raise ValueError("bad factor %r" % (factor,)) from None
+                # the type guard keeps True and 1.0 from reading as H_1 and
+                # a list from raising TypeError in the lookup
+                idx = (alg.name_index.get((role, datum)) if type(role) is str
+                       and type(datum) in (int, str) else None)
+                if idx is None:
+                    raise ValueError("bad factor %r" % (factor,))
                 mono.append(encode(alg, n, idx))
             mono = tuple(mono)
             try:

@@ -87,7 +87,8 @@ def test_energy_vector_shape():
         module = verma.vacuum_module(kind, l, level)
         alg = module.alg
         total = module.zero()
-        for idx, dual in alg.dual_basis():
+        for idx, (y, v) in enumerate(alg.pair):
+            dual = {y: Fraction(1, v)}
             inner = helpers.apply_elem(module, dual, -1, module.vacuum())
             total = total + module.apply(helpers.code(alg, (-1, idx)), inner)
         scale = Fraction(1, 2 * (level + alg.dual_coxeter))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from affine_verma import conformal, liealg, singular, triality, verma
+from affine_verma import liealg, singular, verma
 from affine_verma.claims import verifies
 
 
@@ -152,31 +152,27 @@ def test_rho_closed_form():
 def test_label_round_trip(alg):
     for root in alg.positive_roots:
         lab = liealg.root_label(root)
-        assert liealg.parse_root_label(lab, alg.l) == root
+        assert alg.name_index["e", lab] == alg.e_index(root)
     for i in range(alg.dim):
         assert isinstance(alg.label(i), str)
 
 
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_factor_names_are_distinct(kind):
+    # from_obj reads a factor through the inverse of names, which would
+    # map two elements of one name to one index without an error
+    for l in range(2, 13):
+        alg = liealg.LieAlgebra(kind, l)
+        assert len(set(alg.names)) == len(alg.names) == alg.dim, (kind, l)
+        assert [alg.name_index[name] for name in alg.names] == \
+            list(range(alg.dim))
+
+
 def test_dual_basis_pairs_to_identity(alg):
-    dual = alg.dual_basis()
-    assert len(dual) == alg.dim
-    for i, (idx, elem) in enumerate(dual):
-        assert idx == i
+    # x^i = x_y / (x_i, x_y) for the one partner y of x_i in pair
+    for i, (y, v) in enumerate(alg.pair):
         for j in range(alg.dim):
-            pair = sum(c * alg.form(x, j) for x, c in elem.items())
-            assert pair == (1 if j == i else 0)
-
-
-def test_dual_basis_is_not_written_by_its_users():
-    # the dual basis is built once per cached algebra and shared, so the
-    # conformal and triality checks that read it must leave it as it was
-    algs = [liealg.algebra(kind, 4) for kind in "BD"]
-    before = [[(i, dict(b)) for i, b in alg.dual_basis()] for alg in algs]
-    assert all(type(alg.dual_basis()) is tuple for alg in algs)
-    assert conformal.report(4)["passed"]
-    assert triality.report(4)["passed"]
-    assert [[(i, dict(b)) for i, b in alg.dual_basis()]
-            for alg in algs] == before
+            assert Fraction(1, v) * alg.form(y, j) == (1 if j == i else 0)
 
 
 def test_algebra_cache_and_validation():

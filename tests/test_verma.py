@@ -132,6 +132,12 @@ def test_from_obj_rejects_non_canonical(module):
         with pytest.raises(ValueError):
             PBWState.from_obj(module, [{"coeff": "1",
                                         "monomial": [["e", "1", -1]]}])
+    # a factor's role and datum are the str and int or str to_obj writes:
+    # True, False and 1.0 are no Cartan index, a list no role or label
+    for factor in (["h", True, -1], ["h", False, -1], ["h", 1.0, -1],
+                   [["e"], label, -1], ["e", [label], -1]):
+        with pytest.raises(ValueError):
+            PBWState.from_obj(module, [{"coeff": "1", "monomial": [factor]}])
     # the document is a list of terms
     for doc in (5, None, {"coeff": "1", "monomial": []}):
         with pytest.raises(ValueError):
@@ -524,17 +530,23 @@ def test_monomials_refuse_factors_of_other_formats(module):
             PBWState.from_obj(module, [{"coeff": "1", "monomial": [bad]}])
 
 
-@pytest.mark.parametrize("l", [4, 5, 6])
+@pytest.mark.parametrize("l", range(2, 13))
 @pytest.mark.parametrize("kind", ["B", "D"])
 def test_pair_table_is_the_form(kind, l):
-    # the central term reads (x, y) from one partner per basis index
-    module = _fresh_module(kind, l, None)
-    alg = module.alg
-    assert len(module._pair) == alg.dim
-    for x, (y, form) in enumerate(module._pair):
-        assert form
-        assert [alg.form(x, z) for z in range(alg.dim)] == \
-            [form if z == y else 0 for z in range(alg.dim)], x
+    # the central term reads (x, y) from one partner per basis index: e and
+    # f of a root pair at 2/(alpha, alpha), H_i with itself at 1, and the
+    # partner of the partner is the index itself
+    alg = liealg.LieAlgebra(kind, l)
+    assert len(alg.pair) == alg.dim
+    for root in alg.positive_roots:
+        e, f = alg.e_index(root), alg.f_index(root)
+        v = Fraction(2, liealg.root_norm(root))
+        assert alg.pair[e] == (f, v) and alg.pair[f] == (e, v), root
+    for i in range(1, l + 1):
+        assert alg.pair[alg.h_index(i)] == (alg.h_index(i), 1)
+    assert all(type(v) is int for _, v in alg.pair)
+    assert [alg.pair[y] for y, _ in alg.pair] == \
+        [(x, v) for x, (_, v) in enumerate(alg.pair)]
 
 
 def _random_mono(alg, rng, length):
