@@ -20,7 +20,7 @@ from . import verma
 
 
 def central_charge(alg, level):
-    k = Fraction(level)
+    k = verma.exact_level(level)
     if k == -alg.dual_coxeter:
         raise ValueError("critical level has no conformal vector")
     return k * alg.dim / (k + alg.dual_coxeter)

@@ -22,21 +22,15 @@ from . import verma
 
 
 def embed_index_map(dalg, balg):
-    """Basis index translation D_l -> B_l; strictly increasing by block."""
+    """Basis index translation D_l -> B_l by factor name, strictly increasing
+    (AssertionError otherwise): embed_state needs that order to keep every
+    translated monomial canonical."""
     if dalg.kind != "D" or balg.kind != "B" or dalg.l != balg.l:
         raise ValueError("map goes from D_l to B_l at equal rank")
-    out = []
-    for role, datum in dalg.basis:
-        if role == "e":
-            out.append(balg.e_index(datum))
-        elif role == "f":
-            out.append(balg.f_index(datum))
-        else:
-            out.append(balg.h_index(datum))
-    for a, b in zip(out, out[1:]):
-        if a >= b:
-            raise AssertionError("index map must preserve the basis order")
-    return tuple(out)
+    out = tuple(balg.name_index[n] for n in dalg.names)
+    if any(a >= b for a, b in zip(out, out[1:])):
+        raise AssertionError("index map must preserve the basis order")
+    return out
 
 
 def embed_state(state, bmodule):

@@ -9,8 +9,9 @@ linear) fermion monomials
     e_{ei}       = a_i             f_{ei}    = a*_i            (type B only)
 
 where {a_i, a*_j} = delta_ij, all other anticommutators vanish, and
-:xy: = (xy - yx) / 2.  Each basis element is a single signed monomial, so
-every structure constant follows from the single-contraction rule for
+:xy: = (xy - yx) / 2.  Each positive root is built beside the codes of its
+e and f, as displayed.  Each basis element is a single signed monomial,
+so every structure constant follows from the single-contraction rule for
 commutators of fermion monomials, in int arithmetic, computed for a pair
 when it is first asked for; none is entered by hand.  A contraction needs a
 dual pair of codes, so the codes alone name the partners, the pairs whose
@@ -23,42 +24,15 @@ invariant form is normalized so that long roots have square length 2, and
 the basis is enumerated in a frozen order: all e_alpha by the fixed
 positive-root order, then all f_alpha in the same root order, then
 H_1, ..., H_l.  The downstream loop-module straightening depends on this
-order staying put.  The form pairs each basis element with exactly one
-other, e_alpha with f_alpha at 2/(alpha, alpha) and H_i with itself at 1,
-so it is one table, pair, built in closed form; form reads it.
+order staying put.  Each per-index fact is one table in that order, built
+once and read by index: weights (alpha, -alpha, 0), codes, names (read by
+label) and the form, pair, built in closed form, as the form pairs each
+basis element with exactly one other, e_alpha with f_alpha at
+2/(alpha, alpha) and H_i with itself at 1; form reads it.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-
-
-def _root_minus(l, i, j):
-    # ei - ej, requires i < j so the root is positive
-    if not 1 <= i < j <= l:
-        raise ValueError("ei-ej needs 1 <= i < j <= l")
-    r = [0] * l
-    r[i - 1] = 1
-    r[j - 1] = -1
-    return tuple(r)
-
-
-def _root_plus(l, i, j):
-    if i > j:
-        i, j = j, i
-    if not 1 <= i < j <= l:
-        raise ValueError("ei+ej needs distinct indices in 1..l")
-    r = [0] * l
-    r[i - 1] = 1
-    r[j - 1] = 1
-    return tuple(r)
-
-
-def _root_short(l, i):
-    if not 1 <= i <= l:
-        raise ValueError("index out of range")
-    r = [0] * l
-    r[i - 1] = 1
-    return tuple(r)
 
 
 def root_norm(root):
@@ -102,43 +76,47 @@ class LieAlgebra:
         self.kind = kind
         self.l = l
 
-        self.positive_roots = []
-        for i in range(1, l + 1):
-            for j in range(i + 1, l + 1):
-                self.positive_roots.append(_root_minus(l, i, j))
-        for i in range(1, l + 1):
-            for j in range(i + 1, l + 1):
-                self.positive_roots.append(_root_plus(l, i, j))
+        # each positive root with the (sign, codes) of its e and f, where
+        # x = sign :psi_p psi_q: (p < q) or sign psi_p, psi_i = a_{i+1} and
+        # psi_{l+i} = a*_{i+1}; f_{ei+ej} = :a*_j a*_i: = -:a*_i a*_j:
+        roots = [(self.rm(i + 1, j + 1), (1, (i, l + j)), (1, (j, l + i)))
+                 for i in range(l) for j in range(i + 1, l)]
+        roots += [(self.rp(i + 1, j + 1), (1, (i, j)), (-1, (l + i, l + j)))
+                  for i in range(l) for j in range(i + 1, l)]
         if kind == "B":
-            for i in range(1, l + 1):
-                self.positive_roots.append(_root_short(l, i))
+            roots += [(self.rs(i + 1), (1, (i,)), (1, (l + i,)))
+                      for i in range(l)]
+        self.positive_roots, e_codes, f_codes = map(list, zip(*roots))
         self.npos = len(self.positive_roots)
         self.dim = 2 * self.npos + l
 
         if kind == "B":
-            self.simple_roots = [_root_minus(l, i, i + 1) for i in range(1, l)]
-            self.simple_roots.append(_root_short(l, l))
+            self.simple_roots = [self.rm(i, i + 1) for i in range(1, l)]
+            self.simple_roots.append(self.rs(l))
             self.dual_coxeter = 2 * l - 1
         else:
-            self.simple_roots = [_root_minus(l, i, i + 1) for i in range(1, l)]
-            self.simple_roots.append(_root_plus(l, l - 1, l))
+            self.simple_roots = [self.rm(i, i + 1) for i in range(1, l)]
+            self.simple_roots.append(self.rp(l - 1, l))
             self.dual_coxeter = 2 * l - 2
-        self.theta = _root_plus(l, 1, 2) if l >= 2 else _root_short(l, 1)
+        self.theta = self.rp(1, 2) if l >= 2 else self.rs(1)
 
         # frozen basis order: e-block, f-block, Cartan
         self.basis = [("e", r) for r in self.positive_roots]
         self.basis += [("f", r) for r in self.positive_roots]
         self.basis += [("h", i) for i in range(1, l + 1)]
+        self.weights = (*self.positive_roots,
+                        *(tuple(-c for c in r) for r in self.positive_roots),
+                        *((0,) * l for _ in range(l)))
         self._e_index = {r: i for i, r in enumerate(self.positive_roots)}
-        self._f_index = {r: self.npos + i for i, r in enumerate(self.positive_roots)}
         # (role, text) per basis index, the name a state's factor is written
         # under (root label for e and f, i for H_i); name_index inverts it
         self.names = [(role, d if role == "h" else root_label(d))
                       for role, d in self.basis]
         self.name_index = {name: x for x, name in enumerate(self.names)}
 
-        self._signed_codes = [self._codes(role, datum)
-                              for role, datum in self.basis]
+        # H_{i+1} = :a_{i+1} a*_{i+1}:
+        self._signed_codes = [*e_codes, *f_codes,
+                              *((1, (i, l + i)) for i in range(l))]
         self._code_index = {c: (k, sgn)
                             for k, (sgn, c) in enumerate(self._signed_codes)}
         # the code contracting with code p; g(p, r) = 1 exactly for r = dual[p]
@@ -162,19 +140,40 @@ class LieAlgebra:
     # ---- basis bookkeeping -------------------------------------------------
 
     def rm(self, i, j):
-        return _root_minus(self.l, i, j)
+        # ei - ej, requires i < j so the root is positive
+        if not 1 <= i < j <= self.l:
+            raise ValueError("ei-ej needs 1 <= i < j <= l")
+        r = [0] * self.l
+        r[i - 1] = 1
+        r[j - 1] = -1
+        return tuple(r)
 
     def rp(self, i, j):
-        return _root_plus(self.l, i, j)
+        if i > j:
+            i, j = j, i
+        if not 1 <= i < j <= self.l:
+            raise ValueError("ei+ej needs distinct indices in 1..l")
+        r = [0] * self.l
+        r[i - 1] = 1
+        r[j - 1] = 1
+        return tuple(r)
 
     def rs(self, i):
-        return _root_short(self.l, i)
+        if not 1 <= i <= self.l:
+            raise ValueError("index out of range")
+        r = [0] * self.l
+        r[i - 1] = 1
+        return tuple(r)
 
     def e_index(self, root):
-        return self._e_index[tuple(root)]
+        try:
+            return self._e_index[tuple(root)]
+        except KeyError:
+            raise ValueError("%r is no positive root of %s_%d"
+                             % (tuple(root), self.kind, self.l)) from None
 
     def f_index(self, root):
-        return self._f_index[tuple(root)]
+        return self.npos + self.e_index(root)
 
     def h_index(self, i):
         if not 1 <= i <= self.l:
@@ -182,37 +181,10 @@ class LieAlgebra:
         return 2 * self.npos + i - 1
 
     def label(self, idx):
-        role, datum = self.basis[idx]
-        if role == "h":
-            return "H%d" % datum
-        return "%s(%s)" % (role, root_label(datum))
-
-    def weight(self, idx):
-        role, datum = self.basis[idx]
-        if role == "e":
-            return datum
-        if role == "f":
-            return tuple(-c for c in datum)
-        return (0,) * self.l
+        role, text = self.names[idx]
+        return "H%d" % text if role == "h" else "%s(%s)" % (role, text)
 
     # ---- fermionic codes and structure constants ---------------------------
-
-    def _codes(self, role, datum):
-        """(sign, codes) with x = sign :psi_p psi_q: (p < q), or sign psi_p."""
-        l = self.l
-        if role == "h":
-            return 1, (datum - 1, l + datum - 1)
-        pos = [i for i, c in enumerate(datum) if c == 1]
-        neg = [i for i, c in enumerate(datum) if c == -1]
-        if neg:
-            (i,), (j,) = pos, neg
-            return 1, ((i, l + j) if role == "e" else (j, l + i))
-        if len(pos) == 2:
-            i, j = pos
-            # f_{ei+ej} = :a*_j a*_i: = -:a*_i a*_j:
-            return (1, (i, j)) if role == "e" else (-1, (l + i, l + j))
-        (i,) = pos
-        return 1, ((i,) if role == "e" else (l + i,))
 
     def _rule(self, i, j):
         """[x_i, x_j] as sorted (index, coeff) pairs, () when it vanishes.
@@ -325,9 +297,8 @@ class LieAlgebra:
             "dim": self.dim,
             "dual_coxeter": self.dual_coxeter,
             "basis": [
-                {"index": i, "label": self.label(i),
-                 "weight": list(self.weight(i))}
-                for i in range(self.dim)
+                {"index": i, "label": self.label(i), "weight": list(w)}
+                for i, w in enumerate(self.weights)
             ],
             "positive_roots": [root_label(r) for r in self.positive_roots],
             "simple_roots": [root_label(r) for r in self.simple_roots],

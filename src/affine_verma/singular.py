@@ -253,8 +253,7 @@ def enumerate_monomials(alg, degree, weight):
         raise ValueError("degree must be nonnegative")
     if len(weight) != alg.l:
         raise ValueError("weight must have l = %d coordinates" % alg.l)
-    dim, encode = alg.dim, verma.encode
-    weights = [alg.weight(x) for x in range(dim)]
+    dim, encode, weights = alg.dim, verma.encode, alg.weights
     by_weight = {}
     for x, w in enumerate(weights):
         by_weight.setdefault(w, []).append(x)

@@ -80,7 +80,7 @@ class VermaModule:
 
     def __init__(self, alg, level):
         self.alg = alg
-        self.level = Fraction(level)
+        self.level = exact_level(level)
         self._knum, self._kden = self.level.numerator, self.level.denominator
         self._memo = {}
         self._derived = {}
@@ -366,7 +366,7 @@ class PBWState:
     def weight(self):
         """Common finite h-weight as an epsilon tuple, or None if mixed or zero."""
         alg = self.module.alg
-        weights = {f: alg.weight(decode(alg, f)[1])
+        weights = {f: alg.weights[decode(alg, f)[1]]
                    for f in {f for m in self.nums for f in m}}
         zero = (0,) * alg.l
         seen = {tuple(map(sum, zip(zero, *[weights[f] for f in m])))
@@ -458,9 +458,18 @@ def special_level(l):
     return Fraction(3 - 2 * l, 2)
 
 
-@lru_cache(maxsize=None)
+def exact_level(level):
+    """Fraction(level); TypeError unless level is an int or a Fraction, as a
+    float's binary value is not exact."""
+    if not isinstance(level, (int, Fraction)):
+        raise TypeError("level %r is no int or Fraction" % (level,))
+    return Fraction(level)
+
+
+# typed, so a float equal to a cached int or Fraction level is not served
+@lru_cache(maxsize=None, typed=True)
 def vacuum_module(kind, l, level=None):
     """Cached module; level defaults to special_level(l)."""
     if level is None:
         level = special_level(l)
-    return VermaModule(liealg.algebra(kind, l), Fraction(level))
+    return VermaModule(liealg.algebra(kind, l), level)

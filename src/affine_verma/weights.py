@@ -77,8 +77,9 @@ class AffineRoot(namedtuple("AffineRoot", "finite mode")):
 
 
 def vacuum_weight(l, level):
-    """level * Lambda_0."""
-    return AffineWeight((Fraction(0),) * l, Fraction(level), Fraction(0))
+    """level * Lambda_0; TypeError for a level that is no int or Fraction."""
+    return AffineWeight((Fraction(0),) * l, verma.exact_level(level),
+                        Fraction(0))
 
 
 def pairing(weight, root):
@@ -96,11 +97,6 @@ def reflect_dot(alg, weight, root):
     return AffineWeight(
         tuple(w - p * a for w, a in zip(weight.finite, root.finite)),
         weight.level, weight.delta - p * root.mode)
-
-
-def all_finite_roots(alg):
-    pos = [tuple(r) for r in alg.positive_roots]
-    return pos + [tuple(-c for c in r) for r in pos]
 
 
 class _Basis:
@@ -158,11 +154,12 @@ def _progression_gap(first, unit, step, far):
 def check_admissible(alg, level, mode_bound=DEFAULT_MODE_BOUND):
     """Kac-Wakimoto admissibility of the vacuum weight level * Lambda_0,
     as the `verify admissible` report without its check and passed keys.
-    ValueError for D_2, the one algebra built that is not simple."""
+    ValueError for D_2, the one algebra built that is not simple;
+    TypeError for a level that is no int or Fraction."""
     l = alg.l
     if (alg.kind, l) == ("D", 2):
         raise ValueError("D_2 = A1 x A1 is not simple")
-    level = Fraction(level)
+    level = verma.exact_level(level)
     slope = level + alg.dual_coxeter  # = <level Lambda_0 + rho_hat, c>
     cond_i = {"violations": [], "max_positivity_threshold": 0,
               "certified_beyond_bound": False}
@@ -196,7 +193,7 @@ def check_admissible(alg, level, mode_bound=DEFAULT_MODE_BOUND):
     threshold = 0
     progressions = []  # (finite root, norm, range of its integral modes)
     # the positive roots come first, and only they start at mode 0
-    for k, root in enumerate(all_finite_roots(alg)):
+    for k, root in enumerate(alg.weights[:2 * alg.npos]):
         P, N = ints(root)
         t = (-P) // A + 1  # the first mode with P + m A > 0
         threshold = max(threshold, t)

@@ -30,7 +30,7 @@ def leaf_filtered_monomials(alg, degree):
     leaves; monomials are tuples of (mode, index) pairs.
     """
     dim = alg.dim
-    weights = [alg.weight(x) for x in range(dim)]
+    weights = [alg.weights[x] for x in range(dim)]
     zero = (0,) * alg.l
     out = []
     mono = []
@@ -60,7 +60,7 @@ def reference_enumerate_monomials(alg, degree, weight):
     interior node, with the same exact test and output order, in monomials
     of (mode, index) pairs."""
     dim = alg.dim
-    weights = [alg.weight(x) for x in range(dim)]
+    weights = [alg.weights[x] for x in range(dim)]
     by_weight = {}
     for x, w in enumerate(weights):
         by_weight.setdefault(w, []).append(x)
@@ -576,7 +576,7 @@ def reference_check_admissible(alg, weight, mode_bound):
         notes.append("level 0 is the degenerate vacuum case; "
                      "trivially admissible, reported for completeness")
     candidates = []
-    for root in weights.all_finite_roots(alg):
+    for root in alg.weights[:2 * alg.npos]:
         n = liealg.root_norm(root)
         q = 2 * sum(s * a for s, a in zip(shifted.finite, root)) / Fraction(n)
         t = 2 * slope_base / Fraction(n)

@@ -36,14 +36,21 @@ def test_certificate_word_size():
 
 
 def test_index_map_is_strictly_increasing():
-    dalg = liealg.algebra("D", 5)
-    balg = liealg.algebra("B", 5)
-    mapping = embedding.embed_index_map(dalg, balg)
-    assert len(mapping) == dalg.dim
-    assert list(mapping) == sorted(set(mapping))
-    # labels are preserved: the D basis is the B basis minus short roots
-    for di, bi in enumerate(mapping):
-        assert dalg.label(di) == balg.label(bi)
+    for l in range(4, 13):
+        dalg = liealg.algebra("D", l)
+        balg = liealg.algebra("B", l)
+        mapping = embedding.embed_index_map(dalg, balg)
+        assert len(mapping) == dalg.dim
+        assert list(mapping) == sorted(set(mapping))
+        # the map by name is the map role by role: e and f by root, H_i by i
+        by_role = tuple(
+            balg.e_index(d) if role == "e" else
+            balg.f_index(d) if role == "f" else balg.h_index(d)
+            for role, d in dalg.basis)
+        assert mapping == by_role, l
+        # labels are preserved: the D basis is the B basis minus short roots
+        for di, bi in enumerate(mapping):
+            assert dalg.label(di) == balg.label(bi)
 
 
 def test_embed_preserves_grading_and_brackets(rng):

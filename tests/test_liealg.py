@@ -1,5 +1,6 @@
 """Structure of the realized finite algebras: brackets, form, root data."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,7 +65,7 @@ def test_form_normalization(alg):
     # the form pairs opposite weights only
     for i in range(alg.dim):
         for j in range(alg.dim):
-            wi, wj = alg.weight(i), alg.weight(j)
+            wi, wj = alg.weights[i], alg.weights[j]
             if any(a + b for a, b in zip(wi, wj)):
                 assert alg.form(i, j) == 0
 
@@ -106,7 +107,7 @@ def test_cartan_acts_by_weights(alg):
         h = alg.h_index(i)
         for j in range(alg.dim):
             got = dict(alg.bracket(h, j))
-            w = alg.weight(j)[i - 1]
+            w = alg.weights[j][i - 1]
             expect = {j: Fraction(w)} if w else {}
             assert got == expect
 
@@ -117,8 +118,8 @@ def test_root_vectors_shift_weights(alg):
         e = alg.e_index(root)
         for j in range(alg.dim):
             for k, _ in alg.bracket(e, j):
-                assert tuple(alg.weight(k)) == tuple(
-                    a + b for a, b in zip(root, alg.weight(j)))
+                assert tuple(alg.weights[k]) == tuple(
+                    a + b for a, b in zip(root, alg.weights[j]))
 
 
 @verifies("root-data")
@@ -183,6 +184,49 @@ def test_algebra_cache_and_validation():
         liealg.algebra("D", 1)
 
 
+@pytest.mark.parametrize("kind", ["B", "D"])
+@pytest.mark.parametrize("l", [4, 5, 6])
+def test_root_constructors_refuse_bad_indices(kind, l):
+    alg = liealg.algebra(kind, l)
+    bad = [(alg.rm, (2, 1)), (alg.rm, (1, 1)), (alg.rm, (0, 2)),
+           (alg.rm, (1, l + 1)), (alg.rp, (1, 1)), (alg.rp, (0, 2)),
+           (alg.rp, (2, 0)), (alg.rp, (2, l + 1)), (alg.rs, (0,)),
+           (alg.rs, (l + 1,)), (alg.h_index, (0,)), (alg.h_index, (l + 1,))]
+    for make, args in bad:
+        with pytest.raises(ValueError):
+            make(*args)
+    for i in range(1, l + 1):
+        unit = tuple(int(k == i) for k in range(1, l + 1))
+        assert alg.rs(i) == unit
+        for j in range(i + 1, l + 1):
+            other = tuple(int(k == j) for k in range(1, l + 1))
+            assert alg.rm(i, j) == tuple(a - b for a, b in zip(unit, other))
+            assert alg.rp(i, j) == alg.rp(j, i) == tuple(
+                a + b for a, b in zip(unit, other))
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_root_index_refuses_a_non_root(kind):
+    alg = liealg.algebra(kind, 4)
+    E, F, _ = verma.vocabulary(alg)
+    non_roots = [(0, 0, 0, 0), (-1, 1, 0, 0), (1, 1, 1, 0)]
+    if kind == "D":
+        non_roots.append(alg.rs(1))
+    for root in non_roots:
+        for lookup in (alg.e_index, alg.f_index, E, F):
+            with pytest.raises(ValueError, match=re.escape(repr(root))):
+                lookup(root)
+
+
+def test_weight_table_lists_roots_negatives_then_zeros(alg):
+    n = alg.npos
+    assert list(alg.weights[:n]) == alg.positive_roots
+    assert list(alg.weights[n:2 * n]) == [tuple(-c for c in r)
+                                          for r in alg.positive_roots]
+    assert list(alg.weights[2 * n:]) == [(0,) * alg.l] * alg.l
+    assert len(alg.weights) == alg.dim
+
+
 @verifies("clifford-realization")
 def test_bracket_elem_matches_table(alg, rng):
     # bracket_elem goes through the contraction rule; the Clifford
@@ -206,10 +250,10 @@ def test_bracket_elem_matches_table(alg, rng):
 def test_bracket_respects_weight_grading(kind, l):
     alg = liealg.algebra(kind, l)
     full = helpers.full_bracket_table(alg)
-    carried = {alg.weight(k) for k in range(alg.dim)}
+    carried = {alg.weights[k] for k in range(alg.dim)}
     skipped = [
         (i, j) for i, j in full
-        if tuple(a + b for a, b in zip(alg.weight(i), alg.weight(j)))
+        if tuple(a + b for a, b in zip(alg.weights[i], alg.weights[j]))
         not in carried
     ]
     assert skipped

@@ -112,17 +112,17 @@ def test_enumerate_monomials_brute_force_check():
         assert sum(-n for n, _ in factors) == degree
         total = [0] * alg.l
         for _, x in factors:
-            for i, c in enumerate(alg.weight(x)):
+            for i, c in enumerate(alg.weights[x]):
                 total[i] += c
         assert tuple(total) == weight
     # and the count matches a crude independent enumeration: either one
     # factor at mode -2 with the whole weight, or two mode -1 factors
     singles = sum(1 for x in range(alg.dim)
-                  if tuple(alg.weight(x)) == weight)
+                  if tuple(alg.weights[x]) == weight)
     pairs = 0
     for x in range(alg.dim):
         for y in range(x, alg.dim):
-            w = tuple(a + b for a, b in zip(alg.weight(x), alg.weight(y)))
+            w = tuple(a + b for a, b in zip(alg.weights[x], alg.weights[y]))
             if w == weight:
                 pairs += 1
     assert len(monos) == singles + pairs

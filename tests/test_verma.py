@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 from affine_verma import (conformal, embedding, liealg, singular, verma,
-                          zero_modes)
+                          weights, zero_modes)
 from affine_verma.claims import verifies
 from affine_verma.verma import PBWState
 
@@ -180,6 +180,23 @@ def test_float_coefficients_rejected(module):
             module.build([(1, (pos,))])
 
 
+def test_float_levels_rejected():
+    # Fraction(0.1) would make the level 3602879701896397/2**55; a float
+    # equal to a cached level (1.0 == 1) is refused as well
+    alg = liealg.algebra("D", 4)
+    assert verma.vacuum_module("D", 4, 1).level == 1
+    half = Fraction(-5, 2)
+    assert verma.vacuum_module("D", 4, half).level == half
+    for level in (0.1, 1.0, -2.5, 1 / 3, "1/2"):
+        for make in (lambda: verma.vacuum_module("D", 4, level),
+                     lambda: verma.VermaModule(alg, level),
+                     lambda: weights.check_admissible(alg, level),
+                     lambda: weights.vacuum_weight(4, level),
+                     lambda: conformal.central_charge(alg, level)):
+            with pytest.raises(TypeError, match="level"):
+                make()
+
+
 def test_zero_denominator_rejected(module):
     # a state over 0 is no number; a negative denominator is normalised
     with pytest.raises(ValueError):
@@ -204,7 +221,7 @@ def test_degree_and_weight(module, rng):
         for mono in state.nums:
             w = [0] * alg.l
             for _, x in (verma.decode(alg, f) for f in mono):
-                for i, c in enumerate(alg.weight(x)):
+                for i, c in enumerate(alg.weights[x]):
                     w[i] += c
             seen.add(tuple(w))
         return seen.pop() if len(seen) == 1 else None

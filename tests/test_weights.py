@@ -381,7 +381,7 @@ def _stepped(alg, level, bound):
     if slope <= 0:
         return False
     rho = alg.rho()
-    for k, root in enumerate(weights.all_finite_roots(alg)):
+    for k, root in enumerate(alg.weights[:2 * alg.npos]):
         n = liealg.root_norm(root)
         q = 2 * sum(r * a for r, a in zip(rho, root)) / Fraction(n)
         modes = [m for m in range(int(k >= alg.npos), bound + 1)
