@@ -94,55 +94,38 @@ def quadratic_relation_state(bmodule):
     return bmodule.build(terms)
 
 
-def verify_quadratic(l):
-    """Check that the relation state is a nonzero rational multiple of u."""
+def report(l):
+    """Combined conformal verdict for one rank: the quadratic relation state
+    and omega_B - embed(omega_D) as exact multiples of u, their scalars tied
+    by 2(2l+1)(2l-1), and the two central charges."""
+    level = verma.special_level(l)
     bmodule = verma.vacuum_module("B", l)
+    dmodule = verma.vacuum_module("D", l)
+    c_b = central_charge(bmodule.alg, level)
+    c_d = central_charge(dmodule.alg, level)
     u = quadratic_certificate(bmodule)
     rel = quadratic_relation_state(bmodule)
-    scalar = rel.multiple_of(u)
-    ok = scalar is not None and scalar != 0
-    out = {
+    quad_scalar = rel.multiple_of(u)
+    quadratic = {
         "certificate_monomials": len(u),
         "relation_monomials": len(rel),
         "degree": u.degree(),
-        "scalar": None if scalar is None else str(scalar),
-        "passed": ok,
+        "scalar": None if quad_scalar is None else str(quad_scalar),
+        "passed": quad_scalar is not None and quad_scalar != 0,
     }
-    return out
-
-
-def verify_equality(l):
-    """omega_B - embed(omega_D) must be an exact multiple of u, with the
-    scalar tied to the quadratic one by 2(2l+1)(2l-1)."""
-    bmodule = verma.vacuum_module("B", l)
-    dmodule = verma.vacuum_module("D", l)
-    omega_b = sugawara_vector(bmodule)
-    omega_d = sugawara_vector(dmodule)
-    delta = omega_b - embedding.embed_state(omega_d, bmodule)
-    u = quadratic_certificate(bmodule)
+    delta = sugawara_vector(bmodule) - embedding.embed_state(
+        sugawara_vector(dmodule), bmodule)
     scalar = delta.multiple_of(u)
-    quad_scalar = quadratic_relation_state(bmodule).multiple_of(u)
     ratio_ok = (
         scalar is not None and quad_scalar is not None
         and quad_scalar == scalar * 2 * (2 * l + 1) * (2 * l - 1)
     )
-    return {
+    equality = {
         "difference_monomials": len(delta),
         "scalar": None if scalar is None else str(scalar),
         "ratio_consistent": ratio_ok,
         "passed": scalar is not None and ratio_ok,
     }
-
-
-def report(l):
-    """Combined conformal verdict for one rank."""
-    level = verma.special_level(l)
-    alg_b = liealg.algebra("B", l)
-    alg_d = liealg.algebra("D", l)
-    c_b = central_charge(alg_b, level)
-    c_d = central_charge(alg_d, level)
-    quadratic = verify_quadratic(l)
-    equality = verify_equality(l)
     charges_ok = c_b == c_d == Fraction(-l * (2 * l - 3))
     levels = solve_level_equation(l)
     levels_ok = levels == sorted([Fraction(0), level])

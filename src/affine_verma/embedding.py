@@ -162,30 +162,6 @@ def relation_instances(alg):
     return out
 
 
-def verify_relations(l):
-    """Check every instance of the nine identities in the B_l module."""
-    module = verma.vacuum_module("B", l)
-    vec = singular.singular_vector(module)
-    results = []
-    passed = True
-    for index, tag, lhs, rhs in relation_instances(module.alg):
-        left = module.act([(1, lhs)], vec)
-        right = module.build(rhs)
-        matches = left == right
-        degree = left.degree()
-        passed = passed and matches and degree == 2
-        entry = {
-            "relation": index,
-            "operator": tag,
-            "degree": degree,
-            "matches": matches,
-        }
-        if not matches:
-            entry["difference"] = (left - right).to_obj()
-        results.append(entry)
-    return {"relations": results, "passed": passed}
-
-
 # ---- the membership certificate ------------------------------------------------
 
 
@@ -237,15 +213,30 @@ def certificate_word(alg):
     return [t for g in groups for t in g]
 
 
-def verify_certificate(l):
-    """W.(degree-2 vector) against the embedded degree-4 vector, exactly."""
-    bmod = verma.vacuum_module("B", l)
-    dmod = verma.vacuum_module("D", l)
-    word = certificate_word(bmod.alg)
-    image = bmod.act(word, singular.singular_vector(bmod))
-    target = embed_state(singular.singular_vector(dmod), bmod)
+def report(l):
+    """The nine relations on the degree-2 vector v of the B_l module, and
+    the certificate W.v against the embedded degree-4 vector, exactly."""
+    bmodule = verma.vacuum_module("B", l)
+    vec = singular.singular_vector(bmodule)
+    relations = []
+    for index, tag, lhs, rhs in relation_instances(bmodule.alg):
+        left = bmodule.act([(1, lhs)], vec)
+        right = bmodule.build(rhs)
+        entry = {
+            "relation": index,
+            "operator": tag,
+            "degree": left.degree(),
+            "matches": left == right,
+        }
+        if not entry["matches"]:
+            entry["difference"] = (left - right).to_obj()
+        relations.append(entry)
+    word = certificate_word(bmodule.alg)
+    image = bmodule.act(word, vec)
+    target = embed_state(
+        singular.singular_vector(verma.vacuum_module("D", l)), bmodule)
     matches = image == target
-    out = {
+    certificate = {
         "word_terms": len(word),
         "degree": image.degree(),
         "weight": list(image.weight() or ()),
@@ -254,19 +245,13 @@ def verify_certificate(l):
         "passed": matches and image.degree() == 4,
     }
     if not matches:
-        out["difference"] = (image - target).to_obj()
-    return out
-
-
-def report(l):
-    """Combined relation and certificate verdict for one rank."""
-    relations = verify_relations(l)
-    certificate = verify_certificate(l)
+        certificate["difference"] = (image - target).to_obj()
     return {
         "check": "embedding",
         "l": l,
         "level": str(verma.special_level(l)),
-        "relations": relations["relations"],
+        "relations": relations,
         "certificate": certificate,
-        "passed": relations["passed"] and certificate["passed"],
+        "passed": certificate["passed"] and all(
+            r["matches"] and r["degree"] == 2 for r in relations),
     }

@@ -101,17 +101,15 @@ class LieAlgebra:
         self.theta = self.rp(1, 2) if l >= 2 else self.rs(1)
 
         # frozen basis order: e-block, f-block, Cartan
-        self.basis = [("e", r) for r in self.positive_roots]
-        self.basis += [("f", r) for r in self.positive_roots]
-        self.basis += [("h", i) for i in range(1, l + 1)]
         self.weights = (*self.positive_roots,
                         *(tuple(-c for c in r) for r in self.positive_roots),
                         *((0,) * l for _ in range(l)))
         self._e_index = {r: i for i, r in enumerate(self.positive_roots)}
         # (role, text) per basis index, the name a state's factor is written
         # under (root label for e and f, i for H_i); name_index inverts it
-        self.names = [(role, d if role == "h" else root_label(d))
-                      for role, d in self.basis]
+        labels = [root_label(r) for r in self.positive_roots]
+        self.names = [*(("e", t) for t in labels), *(("f", t) for t in labels),
+                      *(("h", i) for i in range(1, l + 1))]
         self.name_index = {name: x for x, name in enumerate(self.names)}
 
         # H_{i+1} = :a_{i+1} a*_{i+1}:

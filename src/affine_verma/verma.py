@@ -407,7 +407,8 @@ class PBWState:
         coeff that is no reduced "p/q" string, a factor that is no list
         [role, datum, int mode] whose (role, datum) is the name to_obj
         writes for a basis index (alg.names, so "01-2", "2+1" and True are
-        refused), and a monomial that is no canonical list."""
+        refused), a monomial that is no canonical list, a zero coeff and
+        a monomial listed twice: to_obj writes neither."""
         if not isinstance(obj, list):
             raise ValueError("state %r is no list" % (obj,))
         alg = module.alg
@@ -437,7 +438,10 @@ class PBWState:
             if str(coeff) != item["coeff"]:
                 raise ValueError("coeff %r is no reduced fraction string"
                                  % (item["coeff"],))
-            terms[mono] = terms.get(mono, 0) + coeff
+            if not coeff or mono in terms:
+                raise ValueError("term %r is zero or repeats a monomial"
+                                 % (item,))
+            terms[mono] = coeff
         return module.state(terms)
 
     def __repr__(self):

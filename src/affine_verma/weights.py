@@ -154,11 +154,16 @@ def _progression_gap(first, unit, step, far):
 def check_admissible(alg, level, mode_bound=DEFAULT_MODE_BOUND):
     """Kac-Wakimoto admissibility of the vacuum weight level * Lambda_0,
     as the `verify admissible` report without its check and passed keys.
-    ValueError for D_2, the one algebra built that is not simple;
-    TypeError for a level that is no int or Fraction."""
+    ValueError for D_2, the one algebra built that is not simple, and for
+    a mode bound below 1; TypeError for a level that is no int or Fraction
+    and for a mode bound that is no int (or is a bool)."""
     l = alg.l
     if (alg.kind, l) == ("D", 2):
         raise ValueError("D_2 = A1 x A1 is not simple")
+    if not isinstance(mode_bound, int) or isinstance(mode_bound, bool):
+        raise TypeError("mode bound %r is no int" % (mode_bound,))
+    if mode_bound < 1:
+        raise ValueError("mode bound %d is below 1" % mode_bound)
     level = verma.exact_level(level)
     slope = level + alg.dual_coxeter  # = <level Lambda_0 + rho_hat, c>
     cond_i = {"violations": [], "max_positivity_threshold": 0,

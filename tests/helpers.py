@@ -250,16 +250,25 @@ def realize(alg, role, datum):
     return 2 * (A.a(i) if role == "e" else A.a_star(i))
 
 
+def basis_entry(alg, k):
+    """(role, root or i) of basis index k in the documented block order:
+    e of each positive root, then f of each, then H_1..H_l."""
+    if k < 2 * alg.npos:
+        return "ef"[k // alg.npos], alg.positive_roots[k % alg.npos]
+    return "h", k - 2 * alg.npos + 1
+
+
 def realize_elem(alg, elem):
     """Twice the sparse element {index: coeff} as a Clifford element."""
-    return sum((c * realize(alg, *alg.basis[k]) for k, c in elem.items()),
+    return sum((c * realize(alg, *basis_entry(alg, k))
+                for k, c in elem.items()),
                clifford_algebra(alg.l).zero())
 
 
 def full_bracket_table(alg):
     """Every basis commutator of the doubled realizations, with no weight
     filter: {(i, j): [2 x_i, 2 x_j]} in the Clifford algebra."""
-    doubled = [realize(alg, role, datum) for role, datum in alg.basis]
+    doubled = [realize(alg, *basis_entry(alg, k)) for k in range(alg.dim)]
     return {(i, j): doubled[i].commutator(doubled[j])
             for i in range(alg.dim) for j in range(alg.dim)}
 

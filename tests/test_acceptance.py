@@ -71,16 +71,17 @@ def test_criterion_04_vacuum_weight_admissible_with_exact_pairings():
 
 def test_criterion_05_nine_operator_relations_hold():
     for l in (4, 5, 6):
-        res = embedding.verify_relations(l)
+        res = embedding.report(l)
         assert res["passed"], res
         assert {r["relation"] for r in res["relations"]} == set(range(1, 10))
-        assert all(r["matches"] for r in res["relations"])
+        assert all(r["matches"] and r["degree"] == 2
+                   for r in res["relations"])
 
 
 def test_criterion_06_membership_certificate_reaches_embedded_vector():
     for l in (4, 5, 6):
         start = time.monotonic()
-        res = embedding.verify_certificate(l)
+        res = embedding.report(l)["certificate"]
         elapsed = time.monotonic() - start
         assert res["passed"], res
         assert res["matches"]
@@ -89,7 +90,7 @@ def test_criterion_06_membership_certificate_reaches_embedded_vector():
 
 
 def test_criterion_07_quadratic_state_reduces_with_fixed_scalar():
-    res = conformal.verify_quadratic(4)
+    res = conformal.report(4)["quadratic"]
     assert res["passed"], res
     assert res["scalar"] == "1"
     assert res["certificate_monomials"] > 1
@@ -108,7 +109,7 @@ def test_criterion_07_quadratic_state_reduces_with_fixed_scalar():
 
 def test_criterion_08_energy_vectors_agree_with_matching_charges():
     for l in (4, 5, 6):
-        res = conformal.verify_equality(l)
+        res = conformal.report(l)["equality"]
         assert res["passed"], res
         level = Fraction(3 - 2 * l, 2)
         c_b = central_charge(algebra("B", l), level)

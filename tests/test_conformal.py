@@ -99,7 +99,7 @@ def test_energy_vector_shape():
 @verifies("quadratic-relation")
 @pytest.mark.parametrize("l", [4, 5, 6])
 def test_quadratic_relation(l):
-    res = conformal.verify_quadratic(l)
+    res = conformal.report(l)["quadratic"]
     assert res["passed"]
     assert res["scalar"] == "1"
 
@@ -121,11 +121,27 @@ def test_quadratic_relation_negative_control():
 @verifies("conformal-equality")
 @pytest.mark.parametrize("l", [4, 5, 6])
 def test_conformal_equality(l):
-    res = conformal.verify_equality(l)
+    res = conformal.report(l)["equality"]
     assert res["passed"]
     assert res["ratio_consistent"]
     # the difference is 1/(2(2l+1)(2l-1)) times the certificate
     assert res["scalar"] == str(Fraction(1, 2 * (2 * l + 1) * (2 * l - 1)))
+
+
+@verifies("conformal-equality")
+def test_ratio_reads_the_one_quadratic_scalar(fresh_caches, monkeypatch):
+    # a doubled relation state doubles the quadratic scalar, and the
+    # equality section's ratio, read against that scalar, fails with it
+    original = conformal.quadratic_relation_state
+    monkeypatch.setattr(conformal, "quadratic_relation_state",
+                        lambda bmodule: 2 * original(bmodule))
+    rep = conformal.report(4)
+    assert rep["quadratic"]["scalar"] == "2"
+    assert rep["quadratic"]["passed"] is True
+    assert rep["equality"]["scalar"] == str(Fraction(1, 2 * 9 * 7))
+    assert rep["equality"]["ratio_consistent"] is False
+    assert rep["equality"]["passed"] is False
+    assert rep["passed"] is False
 
 
 @verifies("conformal-equality")

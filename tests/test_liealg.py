@@ -27,7 +27,8 @@ def test_dimensions_and_root_counts(alg):
         assert len(alg.positive_roots) == l * (l - 1)
         assert alg.dual_coxeter == 2 * l - 2
     assert len(alg.simple_roots) == l
-    assert alg.basis[alg.e_index(alg.theta)] is not None
+    assert helpers.basis_entry(alg, alg.e_index(alg.theta)) == \
+        ("e", alg.theta)
 
 
 @verifies("root-data")
@@ -89,7 +90,7 @@ def test_e_f_bracket_gives_coroot(alg):
         expect = alg.coroot_coords(root)
         assert got == expect, root
         # and the coroot pairs to 2 against its own root
-        pair = sum(c * root[alg.basis[h][1] - 1] for h, c in expect.items())
+        pair = sum(c * root[helpers.basis_entry(alg, h)[1] - 1] for h, c in expect.items())
         norm = liealg.root_norm(root)
         assert pair == Fraction(2 * sum(a * a for a in root), norm) == 2
 
@@ -270,7 +271,8 @@ def test_rule_table_matches_clifford(kind):
     # and on every absent pair; the lower triangle is the negated upper one
     for l in range(2, 11):
         alg = liealg.algebra(kind, l)
-        doubled = [helpers.realize(alg, *b) for b in alg.basis]
+        doubled = [helpers.realize(alg, *helpers.basis_entry(alg, k))
+                   for k in range(alg.dim)]
         upper = {(i, j): doubled[i].commutator(doubled[j])
                  for i in range(alg.dim) for j in range(i, alg.dim)}
         assert helpers.table_mismatches(alg, upper) == [], (kind, l)

@@ -5,6 +5,8 @@ outside the package; a rename under src/ would break it silently until the
 next benchmark run, so the names it needs are checked here.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,12 @@ def test_memo_and_table_readers(probe):
 def test_cache_clearers_exist():
     assert callable(liealg.algebra.cache_clear)
     assert callable(verma.vacuum_module.cache_clear)
+
+
+def test_smoke_run_passes():
+    # every workload at rank 4, untraced and traced, against the golden
+    # digests and the metric names BENCHMARK.json declares
+    proc = subprocess.run([sys.executable, "perfbench/smoke.py"],
+                          cwd=PERFBENCH_DIR.parent, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

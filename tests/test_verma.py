@@ -142,6 +142,11 @@ def test_from_obj_rejects_non_canonical(module):
     for doc in (5, None, {"coeff": "1", "monomial": []}):
         with pytest.raises(ValueError):
             PBWState.from_obj(module, doc)
+    # to_obj writes one term per monomial and never a zero coeff
+    for doc in ([{"coeff": "1", "monomial": []}] * 2,
+                [{"coeff": "0", "monomial": []}]):
+        with pytest.raises(ValueError):
+            PBWState.from_obj(module, doc)
     assert PBWState.from_obj(module, [{"coeff": "1", "monomial": []}]) == \
         module.vacuum()
 

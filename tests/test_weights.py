@@ -69,6 +69,19 @@ def test_mode_bound_env_and_argument(monkeypatch):
     assert weights.report(4, mode_bound=7)["mode_bound"] == 7
 
 
+def test_mode_bound_outside_the_schema_is_refused():
+    # the report schema asks for an integer mode_bound >= 1
+    alg = liealg.algebra("D", 4)
+    for bound, error in ((True, TypeError), (2.0, TypeError),
+                         ("20", TypeError), (Fraction(3), TypeError),
+                         (0, ValueError), (-3, ValueError)):
+        with pytest.raises(error):
+            weights.check_admissible(alg, Fraction(-5, 2), bound)
+        with pytest.raises(error):
+            weights.report(4, mode_bound=bound)
+    assert weights.check_admissible(alg, Fraction(-5, 2), 1)["mode_bound"] == 1
+
+
 @pytest.mark.parametrize("kind", "BD")
 def test_reports_agree_across_bounds(kind):
     # at the special level every threshold and first integral mode is at

@@ -12,14 +12,14 @@ from affine_verma.claims import verifies
 @verifies("zero-mode-table")
 @pytest.mark.parametrize("l", [4, 5])
 def test_table_holds(l):
-    res = zero_modes.verify_identities(l)
+    res = zero_modes.report(l)
     assert res["passed"]
     assert len(res["identities"]) == 40
     assert all(e["matches"] for e in res["identities"])
 
 
 def test_instance_counts_at_rank_four():
-    res = zero_modes.verify_identities(4)
+    res = zero_modes.report(4)
     by_index = {e["index"]: e for e in res["identities"]}
     # two free indices in 3..l give 4 instances, ordered pairs give 2,
     # single-index rows give 2, fixed rows give 1
@@ -51,7 +51,7 @@ def test_tampered_row_reports_failure(monkeypatch):
         return rows
 
     monkeypatch.setattr(zero_modes, "identity_table", tampered)
-    res = zero_modes.verify_identities(4)
+    res = zero_modes.report(4)
     assert not res["passed"]
     first = res["identities"][0]
     assert not first["matches"]
