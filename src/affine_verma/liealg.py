@@ -71,6 +71,8 @@ class LieAlgebra:
     def __init__(self, kind, l):
         if kind not in ("B", "D"):
             raise ValueError("kind must be 'B' or 'D'")
+        if not isinstance(l, int) or isinstance(l, bool):
+            raise TypeError("rank %r is no int" % (l,))
         if l < 1 or (kind == "D" and l < 2):
             raise ValueError("rank too small for type %s" % kind)
         self.kind = kind
@@ -309,7 +311,8 @@ class LieAlgebra:
         return "LieAlgebra(%s_%d)" % (self.kind, self.l)
 
 
-@lru_cache(maxsize=None)
+# typed, so a bool is not served the algebra of its int
+@lru_cache(maxsize=None, typed=True)
 def algebra(kind, l):
     """Cached construction of the type B_l / D_l algebra."""
     return LieAlgebra(kind, l)

@@ -2,9 +2,11 @@
 
 Type B_l carries one in conformal degree 2 with finite weight 2*eps_1; type
 D_l carries one in degree 4 with weight 2*theta.  Both enter as explicit
-monomial combinations, organized term family by term family so their shape
-can be checksummed.  check_singular applies every affine raising operator
-and demands exact zero residuals.  Independently of the entered formulas,
+monomial combinations, organized term family by term family: the two B
+families are written here, and the D families are the rows of the appendix
+table, zero_modes.identity_table, each left side times its row's
+coefficient.  check_singular applies every affine raising operator and
+demands exact zero residuals.  Independently of the entered formulas,
 solve_singular_space recomputes the vectors from scratch: it enumerates all
 canonical monomials of a given degree and weight, assembles the exact
 linear system of raising conditions, and extracts its nullspace.
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from . import verma
+from . import zero_modes
 
 # the oracle's degree ceiling: both vectors have degree at most 4, and the
 # candidate monomials grow steeply with the degree
@@ -42,7 +45,7 @@ def term_families(alg):
     group of the defining formula, written in verma.vocabulary: a position
     is a tuple of (factor, int) pairs, in the factor format of words and
     monomials.  Type B yields 2 families with l terms in total, type D
-    yields 38; tests pin both counts to guard transcription drift.
+    yields 40, one per appendix row; tests pin both counts.
     """
     if alg.kind == "B":
         return _families_type_b(alg)
@@ -77,103 +80,9 @@ def _families_type_b(alg):
 
 
 def _families_type_d(alg):
-    # Degree-4 vector of weight 2*theta.  The i, j summations run over
-    # 3..l throughout; every loop factor sits in mode -1 unless written
-    # otherwise.  Keep the family order stable: tests fingerprint it.
-    E, F, H = verma.vocabulary(alg)
-    l = alg.l
-    rm, rp, rs = alg.rm, alg.rp, alg.rs
-    th = alg.theta
-    J = range(3, l + 1)
-    q = Fraction
-
-    def balanced(c, root):
-        # c * e(theta)(-1)^2 (e_root(-1) f_root(-1) + f_root(-1) e_root(-1))
-        return [
-            (c, (E(th), E(th), E(root), F(root))),
-            (c, (E(th), E(th), F(root), E(root))),
-        ]
-
-    perp = [r for r in alg.positive_roots if r[0] == 0 and r[1] == 0]
-
-    families = [
-        # quartics in the e(1+-i), e(2+-j) with no e(theta) factor
-        [(q(2 * (2 * l + 1), 3), (E(rm(1, i)), E(rp(1, i)), E(rm(2, j)), E(rp(2, j))))
-         for i in J for j in J if j != i],
-        [(q(2 * l + 1, 3), (E(rm(1, i)), E(rp(1, i)), E(rm(2, i)), E(rp(2, i))))
-         for i in J],
-        [(q(-(2 * l + 1), 3), (E(rm(1, i)), E(rp(2, i)), E(rp(1, j)), E(rm(2, j))))
-         for i in J for j in J if j != i],
-        [(q(-(2 * l + 1), 6), (E(rm(1, i)), E(rp(2, i)), E(rm(1, j)), E(rp(2, j))))
-         for i in J for j in J],
-        [(q(-(2 * l + 1), 6), (E(rp(1, i)), E(rm(2, i)), E(rp(1, j)), E(rm(2, j))))
-         for i in J for j in J],
-        # one e(theta) factor against mixed cubics across the i < j diagonal
-        [(q(2), (E(th), E(rp(1, j)), E(rm(2, i)), F(rm(j, i))))
-         for i in J for j in range(3, i)],
-        [(q(2), (E(th), E(rp(1, j)), E(rm(2, i)), E(rm(i, j))))
-         for i in J for j in range(i + 1, l + 1)],
-        [(q(-2), (E(th), E(rm(1, j)), E(rm(2, i)), E(rp(j, i))))
-         for i in J for j in range(3, i)],
-        [(q(2), (E(th), E(rm(1, j)), E(rm(2, i)), E(rp(i, j))))
-         for i in J for j in range(i + 1, l + 1)],
-        [(q(2), (E(th), E(rp(2, i)), E(rp(1, j)), F(rp(j, i))))
-         for i in J for j in range(3, i)],
-        [(q(-2), (E(th), E(rp(2, i)), E(rp(1, j)), F(rp(i, j))))
-         for i in J for j in range(i + 1, l + 1)],
-        [(q(-2), (E(th), E(rp(2, i)), E(rm(1, j)), E(rm(j, i))))
-         for i in J for j in range(3, i)],
-        [(q(-2), (E(th), E(rp(2, i)), E(rm(1, j)), F(rm(i, j))))
-         for i in J for j in range(i + 1, l + 1)],
-        [(q(-2 * (2 * l - 5), 3), (E(th), F(rm(1, 2)), E(rm(1, i)), E(rp(1, i))))
-         for i in J],
-        [(q(2 * (2 * l - 5), 3), (E(th), E(rm(1, 2)), E(rm(2, i)), E(rp(2, i))))
-         for i in J],
-        # one e(theta) factor, one Cartan factor
-        [(q(1), (E(th), E(rp(1, i)), E(rm(2, i)), H(rs(i))))
-         for i in J],
-        [(q(2 * l - 5, 3), (E(th), E(rp(1, i)), E(rm(2, i)), H(rm(1, 2))))
-         for i in J],
-        [(q(-1), (E(th), E(rm(1, i)), E(rp(2, i)), H(rs(i))))
-         for i in J],
-        [(q(2 * l - 5, 3), (E(th), E(rm(1, i)), E(rp(2, i)), H(rm(1, 2))))
-         for i in J],
-        # deeper modes distributed over the same cubic shapes
-        [(q(2 * l - 5, 3), (E(th), E(rp(1, i), -2), E(rm(2, i))))
-         for i in J],
-        [(q(2 * l - 5, 3), (E(th), E(rm(1, i), -2), E(rp(2, i))))
-         for i in J],
-        [(q(-(2 * l + 1) * (l - 3), 3), (E(th, -2), E(rp(1, i)), E(rm(2, i))))
-         for i in J],
-        [(q(-(2 * l + 1) * (l - 3), 3), (E(th, -2), E(rm(1, i)), E(rp(2, i))))
-         for i in J],
-        [(q(-(2 * l - 5), 3), (E(th), E(rp(1, i)), E(rm(2, i), -2)))
-         for i in J],
-        [(q(-(2 * l - 5), 3), (E(th), E(rm(1, i)), E(rp(2, i), -2)))
-         for i in J],
-        # pure e(theta) strings
-        [(q((2 * l - 5) * (2 * l - 1), 6), (E(th, -2), E(th), H(rm(1, 2))))],
-        [(q(-(2 * l - 5), 2), (E(th, -2), E(th), H(rs(1))))],
-        [(q(-(2 * l + 1) * (2 * l - 5) * (2 * l - 7), 24), (E(th, -2), E(th, -2)))],
-        [(q((2 * l - 5) ** 2, 2), (E(th), E(th, -3)))],
-        # e(theta)(-1)^2 against balanced e f + f e pairs
-        balanced(q(-2 * (2 * l - 5) * (l - 2), 3 * (2 * l - 1)), rm(1, 2)),
-        [t for i in J for t in balanced(q(2 * l - 5, 2 * l - 1), rm(2, i))],
-        [t for i in J for t in balanced(q(2 * l - 5, 2 * l - 1), rp(2, i))],
-        [t for i in J for t in balanced(q(2 * l - 5, 2 * l - 1), rm(1, i))],
-        [t for i in J for t in balanced(q(2 * l - 5, 2 * l - 1), rp(1, i))],
-        balanced(q(2 * l - 5, 2 * l - 1), th),
-        [t for r in perp for t in balanced(q(-4, 2 * l - 1), r)],
-        # e(theta)(-1)^2 against Cartan quadratics
-        [(q(-(2 * l - 5), 6), (E(th), E(th), H(rm(1, 2)), H(rm(1, 2)))),
-         (q(-1, 2 * (2 * l - 1)), (E(th), E(th), H(rs(1)), H(rs(1)))),
-         (q(-(2 * l - 5), 2 * l - 1), (E(th), E(th), H(rm(1, 2)), H(rp(1, 2))))]
-        + [(q(4, 2 * l - 1), (E(th), E(th), H(rm(1, i)), H(rp(1, i))))
-           for i in J],
-        [(q(2 * l - 5, 2), (E(th), E(th), H(rp(1, 2), -2)))],
-    ]
-    assert len(families) == 38
-    return tuple(families)
+    # one family per appendix row: its left sides times its coefficient
+    return tuple([(coeff(*p) * c, pos) for p in params for c, pos in lhs(*p)]
+                 for _, params, coeff, lhs, _ in zero_modes.identity_table(alg))
 
 
 # ---- annihilation check ------------------------------------------------------

@@ -104,8 +104,11 @@ class VermaModule:
     def state(self, terms, den=1):
         """State sum terms[m] / den * m from {monomial: coeff}, coeff an int
         or a Fraction (TypeError otherwise: a float's binary value is not
-        exact), den a nonzero int; monomials must be canonical (sorted
-        tuples of factors, each a negative int, so its mode is too)."""
+        exact), den a nonzero int (TypeError for a bool); monomials must be
+        canonical (sorted tuples of factors, each a negative int, so its mode
+        is too)."""
+        if not isinstance(den, int) or isinstance(den, bool):
+            raise TypeError("denominator %r is no int" % (den,))
         if den == 0:
             raise ValueError("denominator 0")
         out = {}
@@ -464,8 +467,8 @@ def special_level(l):
 
 def exact_level(level):
     """Fraction(level); TypeError unless level is an int or a Fraction, as a
-    float's binary value is not exact."""
-    if not isinstance(level, (int, Fraction)):
+    float's binary value is not exact, and for a bool."""
+    if not isinstance(level, (int, Fraction)) or isinstance(level, bool):
         raise TypeError("level %r is no int or Fraction" % (level,))
     return Fraction(level)
 
@@ -474,6 +477,5 @@ def exact_level(level):
 @lru_cache(maxsize=None, typed=True)
 def vacuum_module(kind, l, level=None):
     """Cached module; level defaults to special_level(l)."""
-    if level is None:
-        level = special_level(l)
-    return VermaModule(liealg.algebra(kind, l), level)
+    alg = liealg.algebra(kind, l)
+    return VermaModule(alg, special_level(l) if level is None else level)

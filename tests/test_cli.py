@@ -116,9 +116,10 @@ def test_corrupted_vector_fails_with_monomial_diff(capsys, monkeypatch):
     def corrupted(alg):
         if alg.kind != "D":
             return true_families(alg)
+        # e(1-3)e(1+3)e(2-4)e(2+4), the second term of the first row
         fams = [list(f) for f in true_families(alg)]
-        coeff, factors = fams[0][0]
-        fams[0][0] = (coeff * 3, factors)
+        coeff, factors = fams[0][1]
+        fams[0][1] = (coeff * 3, factors)
         return tuple(fams)
 
     monkeypatch.setattr(singular, "term_families", corrupted)

@@ -12,7 +12,9 @@ brackets computed on demand replaced it; the strict D_12 one from the
 elimination that took each row's content gcd at every step, before the
 in-place integer kernel replaced it; the admissibility ones at mode bound
 200 from the greedy pass that reduced every integral coroot up to the
-bound, before the check by mode progressions past full rank replaced it.
+bound, before the check by mode progressions past full rank replaced it;
+the singular-vector ones from the D vector's 38-family transcription,
+before its families were read from the appendix table's forty rows.
 Regenerate them only when report text is meant to change.
 """
 
@@ -20,7 +22,7 @@ import hashlib
 
 import pytest
 
-from affine_verma import cli, liealg, verma
+from affine_verma import cli, liealg, singular, verma
 
 
 def _digest(text):
@@ -55,6 +57,38 @@ def test_warm_rerun_is_byte_identical():
     for spec in reversed(specs):
         assert cli.to_json(cli.run_check(*spec)) == cold[spec], spec
     assert [len(m._memo) for m in modules] == sizes
+
+
+@pytest.mark.parametrize("kind, l, digest", [
+    ("B", 4,
+     "e32679269a9f2200cc0198f0feedd132fb069dfdecb334f81f50e77ea6f65b57"),
+    ("B", 5,
+     "4d74dcfd8b5b0d51b51831fbe7eb4ae3f68744287b4ca83ea4779ed8668de2af"),
+    ("B", 6,
+     "fed376777eac65324a7005970c3d19457f5af5d67cd5915bd09741928f831681"),
+    ("B", 7,
+     "384f9983b50ed6d64e2c37a1eef7969b84a25e3796fc5ba84d38fba2a5401e20"),
+    ("B", 8,
+     "672315961ef315aa33d01bb8d0622e74e0771b348bb2adc082e3b355fc7ad5d6"),
+    ("B", 12,
+     "ad53b6ebb78697c4eff81013c7b01ed2b0aa4a426b6e3fda4def06354c8562d2"),
+    ("D", 4,
+     "3835cae02bba29f7bf0ca22d857e90b64a62b14b99462ee1e1c4f64984448b8e"),
+    ("D", 5,
+     "fec81f4399b36df7aebef3689e3f6e5ece5c68dd296532e9a9b42f02fc47a12e"),
+    ("D", 6,
+     "4dc376ef06e11a66807bd45b101cd0368320e0f0d4d5bc11d4d5f01ac1de924e"),
+    ("D", 7,
+     "8b8eab61f86a94d4aff94eccba99909d117282711091374745647f251bd59c58"),
+    ("D", 8,
+     "d9ec94ce36598a14d0c113a2e5cacc13d3880feffe9662e81bb250969cae7248"),
+    ("D", 12,
+     "51b1a55f717c6bd325b81cc541c815cb3bae14d133eabc05528376cfee8f2446"),
+])
+def test_singular_vector(kind, l, digest):
+    # the vector itself, not only its report, which carries only its size
+    v = singular.singular_vector(verma.vacuum_module(kind, l))
+    assert _digest(cli.to_json(v.to_obj())) == digest
 
 
 @pytest.mark.parametrize("argv, digest", [

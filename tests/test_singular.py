@@ -32,7 +32,7 @@ def test_type_d_vector_is_singular(l):
     assert all(op["kills"] for op in res["operators"])
 
 
-@pytest.mark.parametrize("kind,families,degree", [("B", 2, 2), ("D", 38, 4)])
+@pytest.mark.parametrize("kind,families,degree", [("B", 2, 2), ("D", 40, 4)])
 def test_family_counts_and_profile(kind, families, degree):
     alg = liealg.algebra(kind, 4)
     fams = singular.term_families(alg)
@@ -43,6 +43,23 @@ def test_family_counts_and_profile(kind, families, degree):
     assert want_degree == degree
     assert v.degree() == degree
     assert tuple(v.weight()) == want_weight
+
+
+@verifies("singular-vector-B", "singular-vector-D")
+@pytest.mark.parametrize("kind, families", [("B", 2), ("D", 40)])
+def test_every_family_coefficient_matters(kind, families):
+    # doubling the coefficients of any one family (for D, one appendix row)
+    # leaves a vector that some raising operator does not kill; a fresh
+    # module keeps the mutants out of the cached module's memo
+    alg = liealg.algebra(kind, 4)
+    module = verma.VermaModule(alg, verma.special_level(4))
+    fams = singular.term_families(alg)
+    assert len(fams) == families
+    for n in range(families):
+        terms = [(2 * c if m == n else c, pos)
+                 for m, fam in enumerate(fams) for c, pos in fam]
+        res = singular.check_singular(module, module.build(terms))
+        assert not res["passed"], n
 
 
 def test_type_b_vector_shape():

@@ -187,12 +187,24 @@ def test_float_coefficients_rejected(module):
 
 def test_float_levels_rejected():
     # Fraction(0.1) would make the level 3602879701896397/2**55; a float
-    # equal to a cached level (1.0 == 1) is refused as well
+    # equal to a cached level (1.0 == 1) is refused as well, and so is a
+    # bool, which Python counts as an int; a rank or a denominator that is
+    # no int, or is a bool, is refused the same way
     alg = liealg.algebra("D", 4)
     assert verma.vacuum_module("D", 4, 1).level == 1
     half = Fraction(-5, 2)
     assert verma.vacuum_module("D", 4, half).level == half
-    for level in (0.1, 1.0, -2.5, 1 / 3, "1/2"):
+    liealg.algebra("B", 1)
+    for rank in (True, 1.5, 4.0, "4"):
+        for make in (lambda: liealg.algebra("B", rank),
+                     lambda: verma.vacuum_module("D", rank)):
+            with pytest.raises(TypeError, match="rank"):
+                make()
+    module = verma.vacuum_module("D", 4)
+    for den in (True, Fraction(1, 2), 2.0):
+        with pytest.raises(TypeError, match="denominator"):
+            module.state({(): 1}, den)
+    for level in (0.1, 1.0, -2.5, 1 / 3, "1/2", True, False):
         for make in (lambda: verma.vacuum_module("D", 4, level),
                      lambda: verma.VermaModule(alg, level),
                      lambda: weights.check_admissible(alg, level),
@@ -296,7 +308,7 @@ def test_formulas_share_one_factor_format(kind, monkeypatch):
     alg = module.alg
     formulas = [singular.flat_terms(alg)]
     if kind == "D":
-        for _, params, lhs, rhs in zero_modes.identity_table(alg):
+        for _, params, _, lhs, rhs in zero_modes.identity_table(alg):
             formulas += [f(*p) for p in params for f in (lhs, rhs)]
     else:
         for _, _, lhs, rhs in embedding.relation_instances(alg):

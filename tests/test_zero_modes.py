@@ -45,8 +45,8 @@ def test_tampered_row_reports_failure(monkeypatch):
 
     def tampered(alg):
         rows = list(original(alg))
-        shape, params, lhs, rhs = rows[0]
-        rows[0] = (shape, params, lhs,
+        shape, params, coeff, lhs, rhs = rows[0]
+        rows[0] = (shape, params, coeff, lhs,
                    lambda *a, _r=rhs: [(2 * c, f) for c, f in _r(*a)])
         return rows
 
@@ -60,7 +60,7 @@ def test_tampered_row_reports_failure(monkeypatch):
     module = verma.vacuum_module("D", 4)
     alg = module.alg
     op = helpers.code(alg, (0, alg.e_index(alg.rm(1, 2))))
-    _, params, lhs, rhs = tampered(alg)[0]
+    _, params, _, lhs, rhs = tampered(alg)[0]
     assert len(first["failures"]) == len(params) == 4
     for p, fail in zip(params, first["failures"]):
         assert fail["params"] == list(p)
